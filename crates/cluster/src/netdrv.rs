@@ -2,10 +2,14 @@
 //! the event queue.
 //!
 //! After any network mutation the driver re-arms a poll event at
-//! [`agile_sim_core::Network::next_event_time`]; the poll collects due
-//! deliveries and dispatches each to the subsystem its payload belongs to.
-//! Superseded poll events fire harmlessly (they poll, find little, and
-//! re-arm), which keeps the bookkeeping to a single armed slot.
+//! [`agile_sim_core::Network::next_event_time`], the earliest delivery; the
+//! poll collects due deliveries and dispatches each to the subsystem its
+//! payload belongs to. Exactly one poll event is ever pending: when a
+//! mutation brings the next delivery earlier, [`touch_net`] cancels the
+//! armed event and schedules a new one. A mutation that pushes the next
+//! delivery later (a rate drop) leaves the armed event in place, as does a
+//! close that drops the segment it was armed for; it fires, finds nothing
+//! due and re-arms, which is what `idle_polls` counts.
 //!
 //! The driver state is per-world, not global: in a sharded run every shard
 //! owns its own [`NetDriver`], so an idle shard arms no poll events and a
@@ -23,8 +27,12 @@ pub struct NetDriver {
     pub armed: Option<(SimTime, agile_sim_core::EventId)>,
     /// Poll events executed on this world.
     pub polls: u64,
-    /// Polls that drained zero deliveries (superseded arms firing late).
+    /// Polls that drained zero deliveries (the delivery they were armed
+    /// for was delayed by a rate drop or dropped by a close).
     pub idle_polls: u64,
+    /// Delivery buffer reused by every poll; taken out while its
+    /// deliveries are dispatched.
+    deliveries: Vec<Delivery>,
 }
 
 /// Re-arm the poll event if the network's next event precedes the armed
@@ -48,17 +56,19 @@ pub fn touch_net(sim: &mut Simulation<World>) {
 
 /// The poll event: drain due deliveries, dispatch, re-arm.
 pub(crate) fn poll_net(sim: &mut Simulation<World>) {
-    sim.state_mut().netdrv.armed = None;
     let now = sim.now();
-    let deliveries = sim.state_mut().net.poll(now);
-    let drv = &mut sim.state_mut().netdrv;
-    drv.polls += 1;
+    let world = sim.state_mut();
+    world.netdrv.armed = None;
+    let mut deliveries = std::mem::take(&mut world.netdrv.deliveries);
+    world.net.poll(now, &mut deliveries);
+    world.netdrv.polls += 1;
     if deliveries.is_empty() {
-        drv.idle_polls += 1;
+        world.netdrv.idle_polls += 1;
     }
-    for d in deliveries {
+    for d in deliveries.drain(..) {
         dispatch(sim, d);
     }
+    sim.state_mut().netdrv.deliveries = deliveries;
     touch_net(sim);
 }
 

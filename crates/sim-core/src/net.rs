@@ -10,11 +10,21 @@
 //! retransmission traffic visibly depress YCSB response traffic in Table I.
 //!
 //! The model is *sans-scheduler*: it never touches the event queue. A driver
-//! (in `agile-cluster`) asks [`Network::next_event_time`] when something will
-//! happen, schedules one simulation event there, and calls
+//! (in `agile-cluster`) asks [`Network::next_event_time`] for the earliest
+//! delivery, schedules one simulation event there, and calls
 //! [`Network::poll`] to collect deliveries. After any mutation (send, open,
 //! close) the driver re-arms. Segment delivery = serialization at the
 //! allocated rate + one-way propagation delay.
+//!
+//! Channel progress is computed lazily. Each channel caches the absolute
+//! instant its head segment finishes serializing (`head_done`) and the
+//! instant its head's remaining bytes were last brought up to date
+//! (`since`). Remaining bytes are recomputed in one place only: when a
+//! channel's allocated rate really changes. A head is complete once
+//! `head_done` has passed (or it carries zero bytes), so advancing time
+//! only walks the completions that fall inside the step. The fluid state
+//! therefore depends on sends, completions and rate changes alone, never on
+//! when or how often the driver polls.
 //!
 //! The hot path is incremental and allocation-free in steady state:
 //!
@@ -22,14 +32,17 @@
 //!   frozen channels by swap-remove instead of `retain`/`clone` per round;
 //! * membership of the active set is tracked explicitly (swap-remove list +
 //!   position map), so recomputation only runs when the set changes;
-//! * each channel caches the absolute instant its head segment finishes
-//!   serializing; the cache is refreshed only when the channel's rate
-//!   actually changes (epsilon-compared) or its head segment changes, so an
+//! * `head_done` is refreshed only when the channel's rate actually changes
+//!   (compared within [`RATE_EPS`]) or its head segment changes, so an
 //!   arrival that leaves other NICs' shares untouched does not reschedule
 //!   their completions;
 //! * closing a channel removes its in-flight segments outright, so the
-//!   delivery heap never carries dead entries and
-//!   [`Network::next_event_time`] is a peek, not a scan.
+//!   delivery heap never carries dead entries;
+//! * [`Network::poll`] fills a caller-owned buffer.
+//!
+//! Node and rack byte counters are up to date as of the last network
+//! advance (any send, close, rate change or poll): transmit bytes count
+//! when a segment finishes serializing, receive bytes when it is delivered.
 
 use std::collections::{BinaryHeap, VecDeque};
 
@@ -81,7 +94,6 @@ const NO_POS: u32 = u32::MAX;
 struct Segment {
     tag: u64,
     bytes: u64,
-    remaining: f64,
 }
 
 #[derive(Clone, Debug)]
@@ -94,6 +106,11 @@ struct Channel {
     /// Optional per-channel rate cap (bytes/sec), e.g. a migration
     /// bandwidth limit.
     cap: Option<f64>,
+    /// Bytes of the head segment still to serialize, as of `since`.
+    remaining: f64,
+    /// The instant `remaining` was last brought up to date: when the head
+    /// started serializing or the rate last changed.
+    since: SimTime,
     /// Absolute instant the head segment finishes serializing at the
     /// current rate; `SimTime::MAX` when idle or rate 0. Only refreshed
     /// when the rate or the head segment changes.
@@ -110,6 +127,34 @@ struct Channel {
 impl Channel {
     fn is_active(&self) -> bool {
         !self.closed && !self.queue.is_empty()
+    }
+
+    /// Bytes of the head segment still to serialize at `now`.
+    fn head_remaining(&self, now: SimTime) -> f64 {
+        (self.remaining - self.rate * now.saturating_since(self.since).as_secs_f64()).max(0.0)
+    }
+
+    /// Bytes queued for serialization at `now`, rounded up per segment.
+    fn queued_bytes(&self, now: SimTime) -> u64 {
+        match self.queue.front() {
+            Some(_) => {
+                let rest: u64 = self.queue.iter().skip(1).map(|s| s.bytes).sum();
+                self.head_remaining(now).ceil() as u64 + rest
+            }
+            None => 0,
+        }
+    }
+
+    /// Make the queue's front segment the head, starting to serialize at
+    /// `t` at the current rate.
+    fn start_head(&mut self, t: SimTime) {
+        self.remaining = self.queue.front().map_or(0.0, |s| s.bytes as f64);
+        self.since = t;
+        self.head_done = if self.rate > 0.0 {
+            t + SimDuration::from_secs_f64(self.remaining / self.rate)
+        } else {
+            SimTime::MAX
+        };
     }
 }
 
@@ -191,8 +236,6 @@ pub struct Network {
     in_flight: BinaryHeap<InFlight>,
     next_segment: u64,
     next_flight_seq: u64,
-    /// Sub-byte residue threshold below which a segment counts as done.
-    epsilon: f64,
     /// Indices of channels with data to send (unordered; swap-removed).
     active: Vec<u32>,
     /// Channel index → its position in `active`, or `NO_POS`.
@@ -213,7 +256,6 @@ impl Network {
             in_flight: BinaryHeap::new(),
             next_segment: 0,
             next_flight_seq: 0,
-            epsilon: 0.5,
             active: Vec::new(),
             active_pos: Vec::new(),
             scratch: Waterfill::default(),
@@ -288,6 +330,8 @@ impl Network {
             queue: VecDeque::new(),
             rate: 0.0,
             cap: None,
+            remaining: 0.0,
+            since: SimTime::ZERO,
             head_done: SimTime::MAX,
             delivered_bytes: 0,
             closed: false,
@@ -347,12 +391,9 @@ impl Network {
         let channel = &mut self.channels[ch.0];
         assert!(!channel.closed, "send on closed channel");
         let was_active = channel.is_active();
-        channel.queue.push_back(Segment {
-            tag,
-            bytes,
-            remaining: bytes as f64,
-        });
+        channel.queue.push_back(Segment { tag, bytes });
         if !was_active {
+            channel.start_head(now);
             self.activate(ch.0);
             self.recompute_rates();
         }
@@ -366,13 +407,10 @@ impl Network {
         self.channels[ch.0].queue.len()
     }
 
-    /// Bytes still queued for serialization on a channel.
+    /// Bytes still queued for serialization on a channel, as of the last
+    /// network advance.
     pub fn queued_bytes(&self, ch: ChannelId) -> u64 {
-        self.channels[ch.0]
-            .queue
-            .iter()
-            .map(|s| s.remaining.ceil() as u64)
-            .sum()
+        self.channels[ch.0].queued_bytes(self.last_update)
     }
 
     /// Total bytes delivered over a channel so far.
@@ -420,42 +458,56 @@ impl Network {
     }
 
     /// Debug snapshot: `(channel index, src, dst, rate B/s, queued bytes)`
-    /// for every channel with queued data.
+    /// for every channel with queued data, as of the last network advance.
     pub fn debug_active_channels(&self) -> Vec<(usize, usize, usize, f64, u64)> {
         self.channels
             .iter()
             .enumerate()
             .filter(|(_, c)| c.is_active())
             .map(|(i, c)| {
-                let queued: u64 = c.queue.iter().map(|s| s.remaining.ceil() as u64).sum();
-                (i, c.src.0, c.dst.0, c.rate, queued)
+                (
+                    i,
+                    c.src.0,
+                    c.dst.0,
+                    c.rate,
+                    c.queued_bytes(self.last_update),
+                )
             })
             .collect()
     }
 
-    /// The earliest instant at which a delivery or serialization completion
-    /// will occur, or `None` if the network is quiescent.
+    /// The earliest instant at which a segment will be delivered, or `None`
+    /// if the network is quiescent.
+    ///
+    /// This is the top of the in-flight heap or the earliest head
+    /// completion plus the propagation delay, whichever comes first. It is
+    /// exact: a completion at `H` is delivered at `H + prop`, and any
+    /// completion it sets off happens at or after `H`, so polling only at
+    /// delivery instants never misses one. [`Network::poll`] processes
+    /// every serialization completion up to its `now` in time order.
     pub fn next_event_time(&self) -> Option<SimTime> {
         // The in-flight heap holds no cancelled entries, so its top is the
-        // earliest delivery.
-        let mut earliest: Option<SimTime> = self.in_flight.peek().map(|f| f.deliver_at);
-        for &ci in &self.active {
-            let ch = &self.channels[ci as usize];
-            if ch.rate > 0.0 {
-                earliest = Some(match earliest {
-                    Some(e) => e.min(ch.head_done),
-                    None => ch.head_done,
-                });
-            }
+        // earliest in-flight delivery.
+        let mut earliest = self.in_flight.peek().map_or(SimTime::MAX, |f| f.deliver_at);
+        if let Some(done) = self.next_head_done() {
+            earliest = earliest.min(done + self.prop_delay);
         }
-        earliest
+        (earliest != SimTime::MAX).then_some(earliest)
     }
 
-    /// Advance to `now` and return all deliveries due at or before `now`,
-    /// ordered by delivery time.
-    pub fn poll(&mut self, now: SimTime) -> Vec<Delivery> {
+    /// The earliest head completion among serializing channels.
+    fn next_head_done(&self) -> Option<SimTime> {
+        self.active
+            .iter()
+            .map(|&ci| self.channels[ci as usize].head_done)
+            .min()
+            .filter(|&t| t != SimTime::MAX)
+    }
+
+    /// Advance to `now` and append to `out` every delivery due at or before
+    /// `now`, ordered by delivery time.
+    pub fn poll(&mut self, now: SimTime, out: &mut Vec<Delivery>) {
         self.advance_to(now);
-        let mut out = Vec::new();
         while let Some(top) = self.in_flight.peek() {
             if top.deliver_at > now {
                 break;
@@ -469,85 +521,41 @@ impl Network {
             }
             out.push(f.delivery);
         }
-        out
     }
 
-    /// Progress all active channels up to `now`; move fully-serialized
-    /// segments into flight.
+    /// Walk every serialization completion at or before `now` in time
+    /// order, moving finished segments into flight.
     fn advance_to(&mut self, now: SimTime) {
         if now <= self.last_update {
             return;
         }
-        // Serialization completions can unblock the next segment in a
-        // queue, changing rates. Process piecewise-constant-rate intervals.
-        loop {
-            let t = self.last_update;
-            // Earliest cached serialization completion among active
-            // channels.
-            let mut next_done = SimTime::MAX;
-            for &ci in &self.active {
-                let ch = &self.channels[ci as usize];
-                if ch.rate > 0.0 {
-                    next_done = next_done.min(ch.head_done);
-                }
-            }
-            let step_to = if next_done <= now {
-                next_done.max(t)
-            } else {
-                now
-            };
-            let dt = step_to.saturating_since(t).as_secs_f64();
-            if dt > 0.0 {
-                for &ci in &self.active {
-                    let ch = &mut self.channels[ci as usize];
-                    if ch.rate > 0.0 {
-                        let moved = ch.rate * dt;
-                        ch.queue[0].remaining -= moved;
-                    }
-                }
-            }
-            self.last_update = step_to;
-            let completed_any = self.complete_ready(step_to);
-            if step_to >= now {
-                break;
-            }
-            if !completed_any {
-                // No progress possible (all rates zero); jump to now.
-                break;
-            }
+        // A completion can start the next segment in a queue or change
+        // rates, so find the earliest one afresh after each.
+        while let Some(done) = self.next_head_done().filter(|&t| t <= now) {
+            self.last_update = done.max(self.last_update);
+            self.complete_ready(self.last_update);
         }
         self.last_update = now;
     }
 
-    /// Move any fully-serialized head segments into flight; recompute rates
-    /// if channel membership changed (a head completing with more queued
-    /// behind it leaves every allocation untouched). Returns whether
-    /// anything completed.
-    fn complete_ready(&mut self, t: SimTime) -> bool {
+    /// Move every head segment that has finished serializing by `t` into
+    /// flight; recompute rates if channel membership changed (a head
+    /// completing with more queued behind it leaves every allocation
+    /// untouched).
+    fn complete_ready(&mut self, t: SimTime) {
         let mut membership_changed = false;
-        let mut any = false;
         let mut i = 0;
         while i < self.active.len() {
             let ci = self.active[i] as usize;
-            let mut popped = false;
             loop {
                 let ch = &mut self.channels[ci];
                 match ch.queue.front() {
-                    Some(head) if head.remaining <= self.epsilon => {}
-                    Some(_) => {
-                        if popped && ch.rate > 0.0 {
-                            // New head starts serializing now.
-                            ch.head_done = t + SimDuration::from_secs_f64(
-                                ch.queue[0].remaining.max(0.0) / ch.rate,
-                            );
-                        }
-                        break;
-                    }
-                    None => break,
+                    Some(head) if head.bytes == 0 || ch.head_done <= t => {}
+                    _ => break,
                 }
                 let seg = ch.queue.pop_front().expect("non-empty");
-                any = true;
-                popped = true;
+                // The next segment starts serializing now.
+                ch.start_head(t);
                 let src = ch.src;
                 let up_trunk = ch.up_trunk;
                 self.nodes[src.0].counters.tx_bytes += seg.bytes;
@@ -581,7 +589,6 @@ impl Network {
         if membership_changed {
             self.recompute_rates();
         }
-        any
     }
 
     /// Water-filling max-min fair allocation across active channels,
@@ -732,9 +739,10 @@ fn trunk_membership(src_rack: Option<u32>, dst_rack: Option<u32>) -> (Option<u32
 }
 
 /// Fix channel `ci`'s allocation at `rate`, consuming capacity at both
-/// endpoints. The cached head-completion instant is refreshed only when the
-/// rate moved by more than [`RATE_EPS`] — unchanged channels keep their
-/// scheduled completion.
+/// endpoints. Only when the rate moved by more than [`RATE_EPS`] is the
+/// head's progress at the old rate settled up to `last_update` and its
+/// completion instant refreshed; unchanged channels keep their scheduled
+/// completion. This is the one place `remaining` is recomputed.
 fn freeze(
     channels: &mut [Channel],
     scratch: &mut Waterfill,
@@ -759,9 +767,11 @@ fn freeze(
     if (new_rate - ch.rate).abs() <= RATE_EPS {
         return;
     }
+    ch.remaining = ch.head_remaining(last_update);
+    ch.since = last_update;
     ch.rate = new_rate;
     ch.head_done = if new_rate > 0.0 {
-        last_update + SimDuration::from_secs_f64(ch.queue[0].remaining.max(0.0) / new_rate)
+        last_update + SimDuration::from_secs_f64(ch.remaining / new_rate)
     } else {
         SimTime::MAX
     };
@@ -784,10 +794,11 @@ mod tests {
     /// Drive the network to completion, returning (tag, time) pairs.
     fn drain(net: &mut Network) -> Vec<(u64, SimTime)> {
         let mut out = Vec::new();
+        let mut buf = Vec::new();
         while let Some(t) = net.next_event_time() {
-            for d in net.poll(t) {
-                out.push((d.tag, d.delivered_at));
-            }
+            buf.clear();
+            net.poll(t, &mut buf);
+            out.extend(buf.iter().map(|d| (d.tag, d.delivered_at)));
         }
         out
     }
@@ -986,6 +997,37 @@ mod tests {
     }
 
     #[test]
+    fn lone_segment_needs_no_empty_poll() {
+        // A 4 KiB segment on an idle 1 Gbps channel: the first poll is at
+        // the delivery instant and collects it, not at the end of
+        // serialization.
+        let (mut net, a, b, _) = net3();
+        let ch = net.open_channel(a, b);
+        net.send(SimTime::ZERO, ch, 4096, 1);
+        let serialize = SimDuration::from_secs_f64(4096.0 / GBPS);
+        let due = SimTime::ZERO + serialize + SimDuration::from_micros(50);
+        assert_eq!(net.next_event_time(), Some(due));
+        let mut out = Vec::new();
+        net.poll(due, &mut out);
+        assert_eq!(out.len(), 1);
+        assert_eq!((out[0].tag, out[0].delivered_at), (1, due));
+        assert_eq!(net.next_event_time(), None);
+    }
+
+    #[test]
+    fn queued_bytes_reflect_progress_at_last_advance() {
+        let (mut net, a, b, _) = net3();
+        let ch = net.open_channel(a, b);
+        net.send(SimTime::ZERO, ch, 125_000_000, 1);
+        net.send(SimTime::ZERO, ch, 1_000, 2);
+        assert_eq!(net.queued_bytes(ch), 125_001_000);
+        // Half a second at 1 Gbps serializes half the head.
+        net.poll(SimTime::from_millis(500), &mut Vec::new());
+        assert_eq!(net.queued_bytes(ch), 62_501_000);
+        assert_eq!(net.queued_segments(ch), 2);
+    }
+
+    #[test]
     fn next_event_time_none_when_quiescent() {
         let (mut net, a, b, _) = net3();
         let _ch = net.open_channel(a, b);
@@ -1010,7 +1052,9 @@ mod tests {
             Bandwidth::bytes_per_sec(0.0),
         );
         assert_eq!(net.channel_rate(ch), 0.0);
-        assert!(net.poll(SimTime::from_secs(5)).is_empty());
+        let mut out = Vec::new();
+        net.poll(SimTime::from_secs(5), &mut out);
+        assert!(out.is_empty());
         // Restore at t=5: the remaining 62.5 MB takes another 0.5 s.
         net.set_node_bw(
             SimTime::from_secs(5),

@@ -131,10 +131,13 @@ fn network_delivers_every_byte() {
         let mut delivered = 0u64;
         let mut seen = std::collections::HashSet::new();
         let mut guard = 0;
+        let mut out = Vec::new();
         while let Some(t) = net.next_event_time() {
             guard += 1;
             assert!(guard < 10_000, "case {case}: network did not quiesce");
-            for d in net.poll(t) {
+            out.clear();
+            net.poll(t, &mut out);
+            for d in &out {
                 delivered += d.bytes;
                 assert!(seen.insert(d.tag), "case {case}: duplicate delivery");
             }
@@ -147,6 +150,92 @@ fn network_delivers_every_byte() {
         for (ch, bytes) in chans {
             assert_eq!(net.delivered_bytes(ch), bytes, "case {case}");
         }
+    }
+}
+
+/// Drive `sends` (`(at, channel, bytes)`, time-ordered; the tag is the
+/// index) through a 3-node network, polling at every `next_event_time`.
+/// With `extra` set, also poll at random instants in between. Returns the
+/// `(tag, delivered_at)` sequence in collection order and per-node tx
+/// bytes.
+fn drive_sends(
+    chans: &[(usize, usize)],
+    sends: &[(SimTime, usize, u64)],
+    mut extra: Option<DetRng>,
+) -> (Vec<(u64, SimTime)>, Vec<u64>) {
+    let mut net = Network::new(SimDuration::from_micros(50));
+    let nodes: Vec<_> = (0..3)
+        .map(|_| net.add_symmetric_node(Bandwidth::gbps(1.0)))
+        .collect();
+    let ids: Vec<_> = chans
+        .iter()
+        .map(|&(s, d)| net.open_channel(nodes[s], nodes[d]))
+        .collect();
+    let mut seen = Vec::new();
+    let mut out = Vec::new();
+    let mut now = SimTime::ZERO;
+    let mut next_send = 0;
+    loop {
+        let send_at = sends.get(next_send).map_or(SimTime::MAX, |s| s.0);
+        let due = net.next_event_time().unwrap_or(SimTime::MAX);
+        let at = send_at.min(due);
+        if at == SimTime::MAX {
+            break;
+        }
+        if let Some(rng) = extra.as_mut() {
+            if at > now && rng.chance(0.5) {
+                let gap = at.as_nanos() - now.as_nanos();
+                let t = SimTime::from_nanos(now.as_nanos() + rng.index(gap));
+                out.clear();
+                net.poll(t, &mut out);
+                seen.extend(out.iter().map(|d| (d.tag, d.delivered_at)));
+            }
+        }
+        now = at;
+        if send_at <= due {
+            let (_, ch, bytes) = sends[next_send];
+            net.send(at, ids[ch], bytes, next_send as u64);
+            next_send += 1;
+        } else {
+            out.clear();
+            net.poll(at, &mut out);
+            seen.extend(out.iter().map(|d| (d.tag, d.delivered_at)));
+        }
+    }
+    let tx = nodes.iter().map(|&n| net.node_tx_bytes(n)).collect();
+    (seen, tx)
+}
+
+/// Lazy channel progress: deliveries depend only on sends, completions and
+/// rate changes, never on when or how often the driver polls. Staggered
+/// random sends over 6 channels are driven twice, once polling only at
+/// `next_event_time` and once with extra polls at random instants.
+#[test]
+fn network_deliveries_do_not_depend_on_poll_schedule() {
+    for case in 0..200u64 {
+        let mut rng = DetRng::seed_from(0xe6e6 * 19 + case);
+        let chans: Vec<(usize, usize)> = (0..6)
+            .map(|_| (rng.index(3) as usize, rng.index(3) as usize))
+            .collect();
+        let n = 1 + rng.index(40) as usize;
+        let mut at = 0u64;
+        let sends: Vec<(SimTime, usize, u64)> = (0..n)
+            .map(|_| {
+                at += rng.index(2_000_000);
+                let bytes = if rng.chance(0.1) {
+                    0
+                } else {
+                    1 + rng.index(500_000)
+                };
+                (SimTime::from_nanos(at), rng.index(6) as usize, bytes)
+            })
+            .collect();
+        let (plain, plain_tx) = drive_sends(&chans, &sends, None);
+        let extra = DetRng::seed_from(0xe7e7 + case);
+        let (polled, polled_tx) = drive_sends(&chans, &sends, Some(extra));
+        assert_eq!(plain.len(), n, "case {case}: lost a delivery");
+        assert_eq!(plain, polled, "case {case}: deliveries moved");
+        assert_eq!(plain_tx, polled_tx, "case {case}: tx bytes moved");
     }
 }
 
