@@ -38,6 +38,26 @@ fn bench_send_poll_cycle() {
     });
 }
 
+fn bench_send_poll_rack_trunk() {
+    // Short messages on the intra-rack pairs of a `datacenter` shard's shape.
+    let (mut net, pairs) = agile_bench::rack_trunk_network();
+    let mut t = SimTime::ZERO;
+    let mut i = 0usize;
+    let mut out = Vec::new();
+    bench("network/send_poll_rack_trunk", || {
+        t += SimDuration::from_micros(10);
+        net.send(t, pairs[i % pairs.len()], 1100, i as u64);
+        i += 1;
+        if let Some(next) = net.next_event_time() {
+            if next <= t {
+                out.clear();
+                net.poll(t, &mut out);
+                black_box(out.len());
+            }
+        }
+    });
+}
+
 fn bench_rate_recompute() {
     // Worst case: every channel active, full water-filling pass.
     let (mut net, chs) = make_net(8, 32);
@@ -84,6 +104,7 @@ fn bench_drain_bulk() {
 
 fn main() {
     bench_send_poll_cycle();
+    bench_send_poll_rack_trunk();
     bench_rate_recompute();
     bench_seed_waterfill();
     bench_drain_bulk();

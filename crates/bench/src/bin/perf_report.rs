@@ -168,6 +168,27 @@ fn kernel_send_poll() -> BenchResult {
     })
 }
 
+/// Send→drain cycles/sec of short messages on the intra-rack pairs of
+/// [`agile_bench::rack_trunk_network`], a `datacenter` shard's shape.
+fn kernel_send_poll_rack_trunk() -> BenchResult {
+    let (mut net, pairs) = agile_bench::rack_trunk_network();
+    let mut t = SimTime::ZERO;
+    let mut i = 0usize;
+    let mut out = Vec::new();
+    bench("network/send_poll_rack_trunk", || {
+        t += SimDuration::from_micros(10);
+        net.send(t, pairs[i % pairs.len()], 1100, i as u64);
+        i += 1;
+        if let Some(next) = net.next_event_time() {
+            if next <= t {
+                out.clear();
+                net.poll(t, &mut out);
+                black_box(out.len());
+            }
+        }
+    })
+}
+
 /// Word-level sparse scan of a 10 GiB VM's bitmap (2.6 M pages).
 fn kernel_bitmap_scan() -> BenchResult {
     let n: u32 = 2_621_440;
@@ -316,6 +337,7 @@ fn kernel_by_name(name: &str) -> Option<fn() -> BenchResult> {
         "event_queue/timeout_cancel_cycle" => kernel_event_cancel,
         "network/waterfill_32_active" => kernel_waterfill,
         "network/send_poll_cycle_16ch" => kernel_send_poll,
+        "network/send_poll_rack_trunk" => kernel_send_poll_rack_trunk,
         "bitmap/for_each_set_sparse_2.6M" => kernel_bitmap_scan,
         "bitmap/for_each_set_ultra_sparse_2.6M" => kernel_bitmap_scan_ultra,
         "vmmemory/touch_fault_evict_cycle" => kernel_touch_path,
@@ -388,6 +410,7 @@ fn main() {
         waterfill.clone(),
         seed_waterfill_r.clone(),
         kernel_send_poll(),
+        kernel_send_poll_rack_trunk(),
         kernel_bitmap_scan(),
         kernel_bitmap_scan_ultra(),
         kernel_touch_path(),

@@ -139,6 +139,33 @@ pub fn fmt_secs(s: Option<f64>) -> String {
 
 pub mod seed_baseline;
 
+/// The fluid network of a `datacenter` shard, for the
+/// `network/send_poll_rack_trunk` kernel: 32 racked 1 Gbps NICs, the first
+/// 24 each running an endless bulk flow over the rack's 10 Gbps uplink to
+/// a spine node, and 16 idle intra-rack pairs `i → i + 1` for `i` in
+/// 16..32, so half the pairs send from a NIC a bulk flow also uses.
+/// Returns the network and the pairs.
+pub fn rack_trunk_network() -> (agile_sim_core::Network, Vec<agile_sim_core::ChannelId>) {
+    use agile_sim_core::{Bandwidth, Network, SimDuration, SimTime};
+    let mut net = Network::new(SimDuration::from_micros(50));
+    let hosts: Vec<_> = (0..32)
+        .map(|_| net.add_symmetric_node(Bandwidth::gbps(1.0)))
+        .collect();
+    let spine = net.add_symmetric_node(Bandwidth::gbps(40.0));
+    let rack = net.add_rack(Bandwidth::gbps(10.0), Bandwidth::gbps(10.0));
+    for &h in &hosts {
+        net.set_node_rack(h, rack);
+    }
+    for (i, &h) in hosts[..24].iter().enumerate() {
+        let bulk = net.open_channel(h, spine);
+        net.send(SimTime::ZERO, bulk, 1 << 40, i as u64);
+    }
+    let pairs: Vec<_> = (16..32)
+        .map(|i| net.open_channel(hosts[i], hosts[(i + 1) % 32]))
+        .collect();
+    (net, pairs)
+}
+
 /// Minimal wall-clock micro-benchmark harness. The `benches/` targets and
 /// `perf_report` build on this instead of an external framework: calibrate
 /// a batch size against the clock, run a few batches, keep the fastest

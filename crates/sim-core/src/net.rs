@@ -28,10 +28,18 @@
 //!
 //! The hot path is incremental and allocation-free in steady state:
 //!
+//! * each NIC's transmit and receive side and each rack's uplink and
+//!   downlink is one entry of a flat resource table listing the active
+//!   channels on it; a channel lists its 2–4 resources;
+//! * a change re-fills only the connected component it can reach, found by
+//!   a breadth-first search channel → resource → channel (epoch-stamped, so
+//!   nothing is cleared per call) from the changed channel, or from the
+//!   channels left on the resources of one that went idle. Max-min fairness
+//!   is separable across components, and the fill's outcome does not
+//!   depend on the order it collected a component in, so every rate equals,
+//!   bit for bit, what a fill seeded with every active channel gives;
 //! * the water-filling pass reuses persistent scratch buffers and removes
 //!   frozen channels by swap-remove instead of `retain`/`clone` per round;
-//! * membership of the active set is tracked explicitly (swap-remove list +
-//!   position map), so recomputation only runs when the set changes;
 //! * `head_done` is refreshed only when the channel's rate actually changes
 //!   (compared within [`RATE_EPS`]) or its head segment changes, so an
 //!   arrival that leaves other NICs' shares untouched does not reschedule
@@ -117,11 +125,21 @@ struct Channel {
     head_done: SimTime,
     delivered_bytes: u64,
     closed: bool,
-    /// Rack uplink consumed on the transmit side (src's rack) when this
-    /// channel leaves its rack; `None` for intra-rack / unracked paths.
-    up_trunk: Option<u32>,
-    /// Rack downlink consumed on the receive side (dst's rack).
-    down_trunk: Option<u32>,
+    route: Route,
+}
+
+/// The resources a channel consumes: its source NIC's transmit side, its
+/// destination NIC's receive side, then any rack trunks it crosses.
+#[derive(Clone, Copy, Debug)]
+struct Route {
+    res: [u32; 4],
+    len: u8,
+}
+
+impl Route {
+    fn resources(&self) -> &[u32] {
+        &self.res[..usize::from(self.len)]
+    }
 }
 
 impl Channel {
@@ -150,37 +168,54 @@ impl Channel {
     fn start_head(&mut self, t: SimTime) {
         self.remaining = self.queue.front().map_or(0.0, |s| s.bytes as f64);
         self.since = t;
+        self.refresh_head_done();
+    }
+
+    fn refresh_head_done(&mut self) {
         self.head_done = if self.rate > 0.0 {
-            t + SimDuration::from_secs_f64(self.remaining / self.rate)
+            self.since + SimDuration::from_secs_f64(self.remaining / self.rate)
         } else {
             SimTime::MAX
         };
     }
-}
 
-#[derive(Clone, Copy, Debug, Default)]
-struct NodeCounters {
-    tx_bytes: u64,
-    rx_bytes: u64,
+    /// Take the allocation `rate` computed at `t`. Only when the rate moved
+    /// by more than [`RATE_EPS`] is the head's progress at the old rate
+    /// settled up to `t` and its completion instant refreshed; an unchanged
+    /// channel keeps its scheduled completion. This is the one place
+    /// `remaining` is recomputed.
+    fn set_rate(&mut self, t: SimTime, rate: f64) {
+        if (rate - self.rate).abs() <= RATE_EPS {
+            return;
+        }
+        self.remaining = self.head_remaining(t);
+        self.since = t;
+        self.rate = rate;
+        self.refresh_head_done();
+    }
 }
 
 #[derive(Clone, Debug)]
 struct Node {
-    tx_bw: f64,
-    rx_bw: f64,
-    counters: NodeCounters,
     /// The rack this NIC sits in, if the topology is hierarchical.
     rack: Option<u32>,
+    /// Resource id of the transmit side; the receive side is `res + 1`.
+    res: u32,
 }
 
-/// A ToR uplink: aggregate capacity shared by every channel crossing the
-/// rack boundary, in each direction.
+/// One entry of the flat resource table. Resources come in pairs: a NIC's
+/// transmit then receive side, a rack's uplink then downlink (the ToR
+/// trunk shared by every channel crossing the rack boundary). Even ids
+/// carry outgoing traffic, odd ids incoming.
 #[derive(Clone, Debug)]
-struct Rack {
-    up_bw: f64,
-    down_bw: f64,
-    up_bytes: u64,
-    down_bytes: u64,
+struct Resource {
+    /// Capacity in bytes/sec.
+    bw: f64,
+    /// Cumulative bytes: counted on outgoing resources when a segment
+    /// finishes serializing, on incoming ones when it is delivered.
+    bytes: u64,
+    /// Active channels using this resource (unordered; swap-removed).
+    users: Vec<u32>,
 }
 
 /// An in-flight (fully serialized, propagating) segment.
@@ -209,20 +244,37 @@ impl Ord for InFlight {
     }
 }
 
+/// Water-filling state of one resource, valid while its component fills.
+#[derive(Clone, Copy, Debug, Default)]
+struct ResFill {
+    /// Capacity not yet handed to frozen channels.
+    cap: f64,
+    /// Unfrozen channels drawing on the resource.
+    load: u32,
+    /// The resource's fair share is this round's bottleneck share.
+    saturated: bool,
+    /// Search epoch that last reached the resource.
+    seen: u64,
+}
+
 /// Persistent scratch for the water-filling pass, reused across calls so
 /// steady-state recomputation performs no allocation.
 #[derive(Debug, Default)]
 struct Waterfill {
-    tx_cap: Vec<f64>,
-    rx_cap: Vec<f64>,
-    tx_load: Vec<u32>,
-    rx_load: Vec<u32>,
-    up_cap: Vec<f64>,
-    down_cap: Vec<f64>,
-    up_load: Vec<u32>,
-    down_load: Vec<u32>,
+    /// Channels whose components the next pass re-fills.
+    seeds: Vec<u32>,
+    epoch: u64,
+    /// Channel index → search epoch that last reached it.
+    chan_seen: Vec<u64>,
+    /// Resource id → its fill state.
+    res: Vec<ResFill>,
+    /// The component being filled: its resources, and its channels not yet
+    /// frozen.
+    comp_res: Vec<u32>,
     unfrozen: Vec<u32>,
     capped: Vec<u32>,
+    /// `(channel, rate)` for every channel the last pass filled.
+    frozen: Vec<(u32, f64)>,
 }
 
 /// The cluster network: NICs plus channels plus in-flight segments.
@@ -230,7 +282,9 @@ struct Waterfill {
 pub struct Network {
     nodes: Vec<Node>,
     channels: Vec<Channel>,
-    racks: Vec<Rack>,
+    /// Rack → resource id of its uplink; the downlink is the next id.
+    racks: Vec<u32>,
+    resources: Vec<Resource>,
     prop_delay: SimDuration,
     last_update: SimTime,
     in_flight: BinaryHeap<InFlight>,
@@ -251,6 +305,7 @@ impl Network {
             nodes: Vec::new(),
             channels: Vec::new(),
             racks: Vec::new(),
+            resources: Vec::new(),
             prop_delay,
             last_update: SimTime::ZERO,
             in_flight: BinaryHeap::new(),
@@ -264,13 +319,20 @@ impl Network {
 
     /// Add a NIC with the given full-duplex capacities.
     pub fn add_node(&mut self, tx: Bandwidth, rx: Bandwidth) -> NodeId {
-        self.nodes.push(Node {
-            tx_bw: tx.as_bytes_per_sec(),
-            rx_bw: rx.as_bytes_per_sec(),
-            counters: NodeCounters::default(),
-            rack: None,
-        });
+        let res = self.add_resource_pair(tx, rx);
+        self.nodes.push(Node { rack: None, res });
         NodeId(self.nodes.len() - 1)
+    }
+
+    /// Append two resources to the table; returns the first one's id.
+    fn add_resource_pair(&mut self, a: Bandwidth, b: Bandwidth) -> u32 {
+        let id = self.resources.len() as u32;
+        self.resources.extend([a, b].map(|bw| Resource {
+            bw: bw.as_bytes_per_sec(),
+            bytes: 0,
+            users: Vec::new(),
+        }));
+        id
     }
 
     /// Add a symmetric full-duplex NIC.
@@ -281,12 +343,8 @@ impl Network {
     /// Add a rack with the given ToR trunk capacities (rack→spine uplink,
     /// spine→rack downlink). Populate it with [`Network::set_node_rack`].
     pub fn add_rack(&mut self, up: Bandwidth, down: Bandwidth) -> RackId {
-        self.racks.push(Rack {
-            up_bw: up.as_bytes_per_sec(),
-            down_bw: down.as_bytes_per_sec(),
-            up_bytes: 0,
-            down_bytes: 0,
-        });
+        let res = self.add_resource_pair(up, down);
+        self.racks.push(res);
         RackId(self.racks.len() - 1)
     }
 
@@ -296,34 +354,55 @@ impl Network {
     pub fn set_node_rack(&mut self, n: NodeId, r: RackId) {
         assert!(r.0 < self.racks.len());
         self.nodes[n.0].rack = Some(r.0 as u32);
-        let nodes = &self.nodes;
-        for ch in &mut self.channels {
-            if ch.src == n || ch.dst == n {
-                let (up, down) = trunk_membership(nodes[ch.src.0].rack, nodes[ch.dst.0].rack);
-                ch.up_trunk = up;
-                ch.down_trunk = down;
+        for ci in 0..self.channels.len() {
+            let Channel { src, dst, .. } = self.channels[ci];
+            if src != n && dst != n {
+                continue;
+            }
+            let active = self.active_pos[ci] != NO_POS;
+            if active {
+                self.unlink(ci);
+            }
+            self.channels[ci].route = self.route(src, dst);
+            if active {
+                self.link(ci);
             }
         }
-        if !self.active.is_empty() {
-            self.recompute_rates();
+        self.scratch.seeds.extend_from_slice(&self.active);
+        self.recompute_rates();
+    }
+
+    /// The resources a `src → dst` channel consumes under the current rack
+    /// assignment.
+    fn route(&self, src: NodeId, dst: NodeId) -> Route {
+        let (up, down) = trunk_membership(self.nodes[src.0].rack, self.nodes[dst.0].rack);
+        let mut route = Route {
+            res: [self.nodes[src.0].res, self.nodes[dst.0].res + 1, 0, 0],
+            len: 2,
+        };
+        let up = up.map(|r| self.racks[r as usize]);
+        let down = down.map(|r| self.racks[r as usize] + 1);
+        for res in [up, down].into_iter().flatten() {
+            route.res[usize::from(route.len)] = res;
+            route.len += 1;
         }
+        route
     }
 
     /// Cumulative bytes that left rack `r` over its uplink.
     pub fn rack_up_bytes(&self, r: RackId) -> u64 {
-        self.racks[r.0].up_bytes
+        self.resources[self.racks[r.0] as usize].bytes
     }
 
     /// Cumulative bytes that entered rack `r` over its downlink.
     pub fn rack_down_bytes(&self, r: RackId) -> u64 {
-        self.racks[r.0].down_bytes
+        self.resources[self.racks[r.0] as usize + 1].bytes
     }
 
     /// Open a connection from `src` to `dst`.
     pub fn open_channel(&mut self, src: NodeId, dst: NodeId) -> ChannelId {
         assert!(src.0 < self.nodes.len() && dst.0 < self.nodes.len());
-        let (up_trunk, down_trunk) =
-            trunk_membership(self.nodes[src.0].rack, self.nodes[dst.0].rack);
+        let route = self.route(src, dst);
         self.channels.push(Channel {
             src,
             dst,
@@ -335,8 +414,7 @@ impl Network {
             head_done: SimTime::MAX,
             delivered_bytes: 0,
             closed: false,
-            up_trunk,
-            down_trunk,
+            route,
         });
         self.active_pos.push(NO_POS);
         ChannelId(self.channels.len() - 1)
@@ -347,6 +425,7 @@ impl Network {
         debug_assert_eq!(self.active_pos[ci], NO_POS);
         self.active_pos[ci] = self.active.len() as u32;
         self.active.push(ci as u32);
+        self.link(ci);
     }
 
     /// Swap-remove `ci` from the active set and zero its allocation.
@@ -358,9 +437,39 @@ impl Network {
             self.active_pos[moved as usize] = pos;
         }
         self.active_pos[ci] = NO_POS;
+        self.unlink(ci);
         let ch = &mut self.channels[ci];
         ch.rate = 0.0;
         ch.head_done = SimTime::MAX;
+    }
+
+    /// Add active channel `ci` to the users of its resources and seed the
+    /// next fill with it.
+    fn link(&mut self, ci: usize) {
+        for &r in self.channels[ci].route.resources() {
+            self.resources[r as usize].users.push(ci as u32);
+        }
+        self.scratch.seeds.push(ci as u32);
+    }
+
+    /// Remove `ci` from the users of its resources and seed the next fill
+    /// with the channels left on them, which may now get more.
+    fn unlink(&mut self, ci: usize) {
+        let route = self.channels[ci].route;
+        for &r in route.resources() {
+            let users = &mut self.resources[r as usize].users;
+            let k = users.iter().position(|&u| u as usize == ci);
+            users.swap_remove(k.expect("linked"));
+            self.seed_users(r);
+        }
+    }
+
+    /// Seed the next fill with resource `r`'s component, if it has one: all
+    /// of a resource's users share a component, so one of them suffices.
+    fn seed_users(&mut self, r: u32) {
+        if let Some(&user) = self.resources[r as usize].users.first() {
+            self.scratch.seeds.push(user);
+        }
     }
 
     /// Set (or clear) a rate cap on a channel, e.g. QEMU's
@@ -368,6 +477,7 @@ impl Network {
     pub fn set_channel_cap(&mut self, now: SimTime, ch: ChannelId, cap: Option<Bandwidth>) {
         self.advance_to(now);
         self.channels[ch.0].cap = cap.map(|b| b.as_bytes_per_sec());
+        self.scratch.seeds.push(ch.0 as u32);
         self.recompute_rates();
     }
 
@@ -377,8 +487,11 @@ impl Network {
     /// later restore lets them proceed.
     pub fn set_node_bw(&mut self, now: SimTime, n: NodeId, tx: Bandwidth, rx: Bandwidth) {
         self.advance_to(now);
-        self.nodes[n.0].tx_bw = tx.as_bytes_per_sec();
-        self.nodes[n.0].rx_bw = rx.as_bytes_per_sec();
+        let tx_res = self.nodes[n.0].res;
+        for (r, bw) in [(tx_res, tx), (tx_res + 1, rx)] {
+            self.resources[r as usize].bw = bw.as_bytes_per_sec();
+            self.seed_users(r);
+        }
         self.recompute_rates();
     }
 
@@ -449,12 +562,12 @@ impl Network {
 
     /// Cumulative transmit bytes for a node.
     pub fn node_tx_bytes(&self, n: NodeId) -> u64 {
-        self.nodes[n.0].counters.tx_bytes
+        self.resources[self.nodes[n.0].res as usize].bytes
     }
 
     /// Cumulative receive bytes for a node.
     pub fn node_rx_bytes(&self, n: NodeId) -> u64 {
-        self.nodes[n.0].counters.rx_bytes
+        self.resources[self.nodes[n.0].res as usize + 1].bytes
     }
 
     /// Debug snapshot: `(channel index, src, dst, rate B/s, queued bytes)`
@@ -515,11 +628,17 @@ impl Network {
             let f = self.in_flight.pop().expect("peeked");
             let ch = &mut self.channels[f.delivery.channel.0];
             ch.delivered_bytes += f.delivery.bytes;
-            self.nodes[ch.dst.0].counters.rx_bytes += f.delivery.bytes;
-            if let Some(r) = ch.down_trunk {
-                self.racks[r as usize].down_bytes += f.delivery.bytes;
-            }
+            let route = ch.route;
+            self.count_bytes(route, 1, f.delivery.bytes);
             out.push(f.delivery);
+        }
+    }
+
+    /// Add `bytes` to the counters of `route`'s outgoing (`side` 0) or
+    /// incoming (`side` 1) resources.
+    fn count_bytes(&mut self, route: Route, side: u32, bytes: u64) {
+        for &r in route.resources().iter().filter(|&&r| r % 2 == side) {
+            self.resources[r as usize].bytes += bytes;
         }
     }
 
@@ -539,11 +658,10 @@ impl Network {
     }
 
     /// Move every head segment that has finished serializing by `t` into
-    /// flight; recompute rates if channel membership changed (a head
+    /// flight; re-fill the components of channels that went idle (a head
     /// completing with more queued behind it leaves every allocation
     /// untouched).
     fn complete_ready(&mut self, t: SimTime) {
-        let mut membership_changed = false;
         let mut i = 0;
         while i < self.active.len() {
             let ci = self.active[i] as usize;
@@ -556,12 +674,8 @@ impl Network {
                 let seg = ch.queue.pop_front().expect("non-empty");
                 // The next segment starts serializing now.
                 ch.start_head(t);
-                let src = ch.src;
-                let up_trunk = ch.up_trunk;
-                self.nodes[src.0].counters.tx_bytes += seg.bytes;
-                if let Some(r) = up_trunk {
-                    self.racks[r as usize].up_bytes += seg.bytes;
-                }
+                let route = ch.route;
+                self.count_bytes(route, 0, seg.bytes);
                 let delivery = Delivery {
                     channel: ChannelId(ci),
                     tag: seg.tag,
@@ -581,148 +695,38 @@ impl Network {
                 // Swap-remove puts an unvisited channel at `i`; don't
                 // advance.
                 self.deactivate(ci);
-                membership_changed = true;
             } else {
                 i += 1;
             }
         }
-        if membership_changed {
-            self.recompute_rates();
+        self.recompute_rates();
+    }
+
+    /// Re-fill the components of the pending seeds and apply the new
+    /// rates; a no-op without seeds.
+    fn recompute_rates(&mut self) {
+        if self.scratch.seeds.is_empty() {
+            return;
+        }
+        self.scratch.fill(&self.channels, &self.resources);
+        for &(ci, rate) in &self.scratch.frozen {
+            self.channels[ci as usize].set_rate(self.last_update, rate);
         }
     }
 
-    /// Water-filling max-min fair allocation across active channels,
-    /// constrained by per-node tx/rx capacity and per-channel caps. Scratch
-    /// buffers persist across calls; a channel whose allocation does not
-    /// move by more than [`RATE_EPS`] keeps its cached completion time.
-    fn recompute_rates(&mut self) {
-        let Network {
-            nodes,
-            channels,
-            racks,
-            scratch,
-            active,
-            last_update,
-            ..
-        } = self;
-        let n_nodes = nodes.len();
-        let n_racks = racks.len();
-        scratch.tx_cap.clear();
-        scratch.tx_cap.extend(nodes.iter().map(|n| n.tx_bw));
-        scratch.rx_cap.clear();
-        scratch.rx_cap.extend(nodes.iter().map(|n| n.rx_bw));
-        scratch.tx_load.clear();
-        scratch.tx_load.resize(n_nodes, 0);
-        scratch.rx_load.clear();
-        scratch.rx_load.resize(n_nodes, 0);
-        scratch.up_cap.clear();
-        scratch.up_cap.extend(racks.iter().map(|r| r.up_bw));
-        scratch.down_cap.clear();
-        scratch.down_cap.extend(racks.iter().map(|r| r.down_bw));
-        scratch.up_load.clear();
-        scratch.up_load.resize(n_racks, 0);
-        scratch.down_load.clear();
-        scratch.down_load.resize(n_racks, 0);
-        scratch.unfrozen.clear();
-        for &ci in active.iter() {
-            let ch = &channels[ci as usize];
-            debug_assert!(ch.is_active());
-            scratch.unfrozen.push(ci);
-            scratch.tx_load[ch.src.0] += 1;
-            scratch.rx_load[ch.dst.0] += 1;
-            if let Some(r) = ch.up_trunk {
-                scratch.up_load[r as usize] += 1;
-            }
-            if let Some(r) = ch.down_trunk {
-                scratch.down_load[r as usize] += 1;
-            }
+    /// The rate every channel would hold after a fill seeded with every
+    /// active channel, from the current state. Scoped recomputation must
+    /// leave exactly these rates; a read-only hook for tests.
+    #[doc(hidden)]
+    pub fn full_waterfill_rates(&self) -> Vec<f64> {
+        let mut fill = Waterfill::default();
+        fill.seeds.extend_from_slice(&self.active);
+        fill.fill(&self.channels, &self.resources);
+        let mut channels = self.channels.clone();
+        for &(ci, rate) in &fill.frozen {
+            channels[ci as usize].set_rate(self.last_update, rate);
         }
-
-        while !scratch.unfrozen.is_empty() {
-            // Candidate fair share at each saturated resource.
-            let mut min_share = f64::INFINITY;
-            for n in 0..n_nodes {
-                if scratch.tx_load[n] > 0 {
-                    min_share = min_share.min(scratch.tx_cap[n] / f64::from(scratch.tx_load[n]));
-                }
-                if scratch.rx_load[n] > 0 {
-                    min_share = min_share.min(scratch.rx_cap[n] / f64::from(scratch.rx_load[n]));
-                }
-            }
-            // Rack trunks participate exactly like NICs: an aggregate
-            // capacity divided among the channels crossing them.
-            for r in 0..n_racks {
-                if scratch.up_load[r] > 0 {
-                    min_share = min_share.min(scratch.up_cap[r] / f64::from(scratch.up_load[r]));
-                }
-                if scratch.down_load[r] > 0 {
-                    min_share =
-                        min_share.min(scratch.down_cap[r] / f64::from(scratch.down_load[r]));
-                }
-            }
-            // A capped channel below the fair share freezes at its cap.
-            scratch.capped.clear();
-            let mut k = 0;
-            while k < scratch.unfrozen.len() {
-                let ci = scratch.unfrozen[k];
-                let below_cap = channels[ci as usize].cap.is_some_and(|cap| cap < min_share);
-                if below_cap {
-                    scratch.unfrozen.swap_remove(k);
-                    scratch.capped.push(ci);
-                } else {
-                    k += 1;
-                }
-            }
-            if !scratch.capped.is_empty() {
-                for idx in 0..scratch.capped.len() {
-                    let ci = scratch.capped[idx];
-                    let cap = channels[ci as usize].cap.expect("capped");
-                    freeze(channels, scratch, *last_update, ci, cap);
-                }
-                continue;
-            }
-            if !min_share.is_finite() {
-                break;
-            }
-            // Freeze every channel touching a bottleneck resource.
-            let share = min_share;
-            let mut frozen_any = false;
-            let mut k = 0;
-            while k < scratch.unfrozen.len() {
-                let ci = scratch.unfrozen[k];
-                let (s, d, up, down) = {
-                    let ch = &channels[ci as usize];
-                    (ch.src.0, ch.dst.0, ch.up_trunk, ch.down_trunk)
-                };
-                let saturated = share * (1.0 + 1e-12);
-                let tx_share = scratch.tx_cap[s] / f64::from(scratch.tx_load[s]);
-                let rx_share = scratch.rx_cap[d] / f64::from(scratch.rx_load[d]);
-                let mut bottleneck = tx_share <= saturated || rx_share <= saturated;
-                if let Some(r) = up {
-                    bottleneck |= scratch.up_cap[r as usize]
-                        / f64::from(scratch.up_load[r as usize])
-                        <= saturated;
-                }
-                if let Some(r) = down {
-                    bottleneck |= scratch.down_cap[r as usize]
-                        / f64::from(scratch.down_load[r as usize])
-                        <= saturated;
-                }
-                if bottleneck {
-                    scratch.unfrozen.swap_remove(k);
-                    freeze(channels, scratch, *last_update, ci, share);
-                    frozen_any = true;
-                } else {
-                    k += 1;
-                }
-            }
-            if !frozen_any {
-                // Numerical safety valve: freeze everything at the share.
-                while let Some(ci) = scratch.unfrozen.pop() {
-                    freeze(channels, scratch, *last_update, ci, share);
-                }
-            }
-        }
+        channels.iter().map(|c| c.rate).collect()
     }
 }
 
@@ -738,43 +742,140 @@ fn trunk_membership(src_rack: Option<u32>, dst_rack: Option<u32>) -> (Option<u32
     }
 }
 
-/// Fix channel `ci`'s allocation at `rate`, consuming capacity at both
-/// endpoints. Only when the rate moved by more than [`RATE_EPS`] is the
-/// head's progress at the old rate settled up to `last_update` and its
-/// completion instant refreshed; unchanged channels keep their scheduled
-/// completion. This is the one place `remaining` is recomputed.
-fn freeze(
-    channels: &mut [Channel],
-    scratch: &mut Waterfill,
-    last_update: SimTime,
-    ci: u32,
-    rate: f64,
-) {
-    let ch = &mut channels[ci as usize];
-    let new_rate = rate.max(0.0);
-    scratch.tx_cap[ch.src.0] = (scratch.tx_cap[ch.src.0] - new_rate).max(0.0);
-    scratch.rx_cap[ch.dst.0] = (scratch.rx_cap[ch.dst.0] - new_rate).max(0.0);
-    scratch.tx_load[ch.src.0] -= 1;
-    scratch.rx_load[ch.dst.0] -= 1;
-    if let Some(r) = ch.up_trunk {
-        scratch.up_cap[r as usize] = (scratch.up_cap[r as usize] - new_rate).max(0.0);
-        scratch.up_load[r as usize] -= 1;
+impl Waterfill {
+    /// Water-fill the component of every active seed (its channels linked
+    /// through shared resources), each on its own, leaving the new rates in
+    /// `frozen`. Consumes the seeds.
+    fn fill(&mut self, channels: &[Channel], resources: &[Resource]) {
+        self.frozen.clear();
+        self.epoch += 1;
+        self.chan_seen.resize(channels.len(), 0);
+        self.res.resize(resources.len(), ResFill::default());
+        for i in 0..self.seeds.len() {
+            let seed = self.seeds[i] as usize;
+            // A seed may have gone idle since it was pushed, or been reached
+            // from an earlier seed.
+            if self.chan_seen[seed] != self.epoch && channels[seed].is_active() {
+                self.collect(seed as u32, channels, resources);
+                self.fill_component(channels);
+            }
+        }
+        self.seeds.clear();
     }
-    if let Some(r) = ch.down_trunk {
-        scratch.down_cap[r as usize] = (scratch.down_cap[r as usize] - new_rate).max(0.0);
-        scratch.down_load[r as usize] -= 1;
+
+    /// Breadth-first search channel → resource → channel from `seed`,
+    /// loading every resource reached with its capacity and load.
+    fn collect(&mut self, seed: u32, channels: &[Channel], resources: &[Resource]) {
+        let epoch = self.epoch;
+        self.comp_res.clear();
+        self.unfrozen.clear();
+        self.unfrozen.push(seed);
+        self.chan_seen[seed as usize] = epoch;
+        let mut i = 0;
+        while let Some(&ci) = self.unfrozen.get(i) {
+            i += 1;
+            for &r in channels[ci as usize].route.resources() {
+                let state = &mut self.res[r as usize];
+                if state.seen == epoch {
+                    continue;
+                }
+                let Resource { bw, users, .. } = &resources[r as usize];
+                *state = ResFill {
+                    cap: *bw,
+                    load: users.len() as u32,
+                    saturated: false,
+                    seen: epoch,
+                };
+                self.comp_res.push(r);
+                for &u in users {
+                    debug_assert!(channels[u as usize].is_active());
+                    if self.chan_seen[u as usize] != epoch {
+                        self.chan_seen[u as usize] = epoch;
+                        self.unfrozen.push(u);
+                    }
+                }
+            }
+        }
     }
-    if (new_rate - ch.rate).abs() <= RATE_EPS {
-        return;
+
+    /// Max-min fair allocation over the collected component, constrained
+    /// by resource capacities and per-channel caps. Each round takes the
+    /// smallest fair share among the resources; capped channels below it
+    /// freeze at their cap, otherwise every channel on a resource at that
+    /// share freezes at it. Bottlenecks are marked before any channel
+    /// freezes, and capped channels freeze in index order, so the outcome
+    /// does not depend on the order the search collected the channels in.
+    fn fill_component(&mut self, channels: &[Channel]) {
+        while !self.unfrozen.is_empty() {
+            let mut min_share = f64::INFINITY;
+            for &r in &self.comp_res {
+                let state = &self.res[r as usize];
+                if state.load > 0 {
+                    min_share = min_share.min(state.cap / f64::from(state.load));
+                }
+            }
+            // A capped channel below the fair share freezes at its cap.
+            self.capped.clear();
+            let mut k = 0;
+            while k < self.unfrozen.len() {
+                let ci = self.unfrozen[k];
+                if channels[ci as usize].cap.is_some_and(|cap| cap < min_share) {
+                    self.unfrozen.swap_remove(k);
+                    self.capped.push(ci);
+                } else {
+                    k += 1;
+                }
+            }
+            if !self.capped.is_empty() {
+                self.capped.sort_unstable();
+                for idx in 0..self.capped.len() {
+                    let ci = self.capped[idx];
+                    let cap = channels[ci as usize].cap.expect("capped");
+                    self.freeze(channels, ci, cap);
+                }
+                continue;
+            }
+            if !min_share.is_finite() {
+                break;
+            }
+            // Freeze every channel touching a bottleneck resource.
+            let saturated = min_share * (1.0 + 1e-12);
+            for &r in &self.comp_res {
+                let state = &mut self.res[r as usize];
+                state.saturated = state.load > 0 && state.cap / f64::from(state.load) <= saturated;
+            }
+            let unfrozen_before = self.unfrozen.len();
+            let mut k = 0;
+            while k < self.unfrozen.len() {
+                let ci = self.unfrozen[k];
+                let res = channels[ci as usize].route.resources();
+                if res.iter().any(|&r| self.res[r as usize].saturated) {
+                    self.unfrozen.swap_remove(k);
+                    self.freeze(channels, ci, min_share);
+                } else {
+                    k += 1;
+                }
+            }
+            if self.unfrozen.len() == unfrozen_before {
+                // Numerical safety valve: freeze everything at the share.
+                while let Some(ci) = self.unfrozen.pop() {
+                    self.freeze(channels, ci, min_share);
+                }
+            }
+        }
     }
-    ch.remaining = ch.head_remaining(last_update);
-    ch.since = last_update;
-    ch.rate = new_rate;
-    ch.head_done = if new_rate > 0.0 {
-        last_update + SimDuration::from_secs_f64(ch.remaining / new_rate)
-    } else {
-        SimTime::MAX
-    };
+
+    /// Fix channel `ci`'s allocation at `rate`, consuming it from each of
+    /// the channel's resources.
+    fn freeze(&mut self, channels: &[Channel], ci: u32, rate: f64) {
+        let rate = rate.max(0.0);
+        for &r in channels[ci as usize].route.resources() {
+            let state = &mut self.res[r as usize];
+            state.cap = (state.cap - rate).max(0.0);
+            state.load -= 1;
+        }
+        self.frozen.push((ci, rate));
+    }
 }
 
 #[cfg(test)]
@@ -1169,6 +1270,61 @@ mod tests {
         assert!((net.channel_rate(ch) - 0.5 * GBPS).abs() < 1.0);
         drain(&mut net);
         assert_eq!(net.rack_up_bytes(rack), 62_500_000);
+    }
+
+    /// Whether the last water-fill pass gave channel `ch` a rate.
+    fn refilled(net: &Network, ch: ChannelId) -> bool {
+        net.scratch
+            .frozen
+            .iter()
+            .any(|&(ci, _)| ci as usize == ch.0)
+    }
+
+    #[test]
+    fn disjoint_flows_are_not_refilled() {
+        let mut net = Network::new(SimDuration::from_micros(50));
+        let n: Vec<_> = (0..4)
+            .map(|_| net.add_symmetric_node(Bandwidth::gbps(1.0)))
+            .collect();
+        let a = net.open_channel(n[0], n[1]);
+        let b = net.open_channel(n[2], n[3]);
+        net.send(SimTime::ZERO, a, 250_000_000, 1);
+        let before = (net.channel_rate(a).to_bits(), net.channels[a.0].head_done);
+        // B starts, serializes alone, and goes idle while A keeps sending.
+        net.send(SimTime::from_millis(100), b, 1_000_000, 2);
+        assert!(refilled(&net, b) && !refilled(&net, a));
+        let mut out = Vec::new();
+        net.poll(SimTime::from_millis(200), &mut out);
+        assert_eq!(out.len(), 1);
+        assert_eq!(net.channel_rate(b), 0.0);
+        assert!(!refilled(&net, a));
+        let after = (net.channel_rate(a).to_bits(), net.channels[a.0].head_done);
+        assert_eq!(before, after);
+    }
+
+    #[test]
+    fn shared_trunk_joins_components() {
+        // Two racked hosts send to two different spine nodes: no NIC in
+        // common, but both flows cross the rack's 1 Gbps uplink.
+        let mut net = Network::new(SimDuration::from_micros(50));
+        let h1 = net.add_symmetric_node(Bandwidth::gbps(1.0));
+        let h2 = net.add_symmetric_node(Bandwidth::gbps(1.0));
+        let s1 = net.add_symmetric_node(Bandwidth::gbps(10.0));
+        let s2 = net.add_symmetric_node(Bandwidth::gbps(10.0));
+        let rack = net.add_rack(Bandwidth::gbps(1.0), Bandwidth::gbps(1.0));
+        net.set_node_rack(h1, rack);
+        net.set_node_rack(h2, rack);
+        let c1 = net.open_channel(h1, s1);
+        let c2 = net.open_channel(h2, s2);
+        net.send(SimTime::ZERO, c1, 62_500_000, 1);
+        assert!((net.channel_rate(c1) - GBPS).abs() < 1.0);
+        net.send(SimTime::ZERO, c2, 125_000_000, 2);
+        assert!(refilled(&net, c1) && refilled(&net, c2));
+        assert_eq!(net.channel_rate(c1), net.channel_rate(c2));
+        assert!((net.channel_rate(c1) - GBPS / 2.0).abs() < 1.0);
+        // c1 finishes at 1 s; c2 alone gets the whole trunk.
+        net.poll(SimTime::from_secs_f64(1.2), &mut Vec::new());
+        assert!((net.channel_rate(c2) - GBPS).abs() < 1.0);
     }
 
     #[test]

@@ -349,3 +349,104 @@ fn network_rates_respect_capacity() {
         }
     }
 }
+
+/// Component-scoped recomputation leaves every channel at exactly the rate
+/// a water-fill seeded with every active channel gives, bit for bit.
+/// Random racked topologies (some nodes behind rack trunks, some
+/// spine-attached) take random staggered sends (zero-byte ones too),
+/// closes, cap changes and NIC speed changes (partitions to zero and later
+/// restores); the check runs after every mutation and every poll.
+#[test]
+fn scoped_rates_equal_a_full_water_fill() {
+    fn check(net: &Network, chans: &[agile_sim_core::ChannelId], case: u64, step: usize) {
+        let full = net.full_waterfill_rates();
+        for &ch in chans {
+            assert_eq!(
+                net.channel_rate(ch).to_bits(),
+                full[ch.0].to_bits(),
+                "case {case} step {step}: {ch:?} at {} vs full fill {}",
+                net.channel_rate(ch),
+                full[ch.0]
+            );
+        }
+    }
+
+    for case in 0..240u64 {
+        let mut rng = DetRng::seed_from(0xe8e8 * 23 + case);
+        let mut net = Network::new(SimDuration::from_micros(50));
+        let n_nodes = 3 + rng.index(8) as usize;
+        let nodes: Vec<_> = (0..n_nodes)
+            .map(|_| net.add_symmetric_node(Bandwidth::gbps(0.5 + rng.index(4) as f64 * 0.5)))
+            .collect();
+        let n_racks = 1 + rng.index(3) as usize;
+        let racks: Vec<_> = (0..n_racks)
+            .map(|_| {
+                net.add_rack(
+                    Bandwidth::gbps(0.25 + rng.index(8) as f64 * 0.25),
+                    Bandwidth::gbps(0.25 + rng.index(8) as f64 * 0.25),
+                )
+            })
+            .collect();
+        for &n in &nodes {
+            if rng.chance(0.75) {
+                net.set_node_rack(n, racks[rng.index(n_racks as u64) as usize]);
+            }
+        }
+        let mut chans = Vec::new();
+        let mut open = Vec::new();
+        for _ in 0..4 + rng.index(12) {
+            let s = nodes[rng.index(n_nodes as u64) as usize];
+            let d = nodes[rng.index(n_nodes as u64) as usize];
+            chans.push(net.open_channel(s, d));
+            open.push(true);
+        }
+        let mut now = SimTime::ZERO;
+        let mut out = Vec::new();
+        for step in 0..80 {
+            now += SimDuration::from_nanos(rng.index(3_000_000));
+            while let Some(t) = net.next_event_time().filter(|&t| t <= now) {
+                net.poll(t, &mut out);
+                check(&net, &chans, case, step);
+            }
+            let k = rng.index(chans.len() as u64) as usize;
+            let n = nodes[rng.index(n_nodes as u64) as usize];
+            match rng.index(10) {
+                0..=5 => {
+                    let bytes = if rng.chance(0.15) {
+                        0
+                    } else {
+                        1 + rng.index(4_000_000)
+                    };
+                    if open[k] {
+                        net.send(now, chans[k], bytes, step as u64);
+                    }
+                }
+                6 => {
+                    net.close_channel(now, chans[k]);
+                    open[k] = false;
+                }
+                7 => {
+                    let cap = rng
+                        .chance(0.7)
+                        .then(|| Bandwidth::mb_per_sec(1.0 + rng.index(150) as f64));
+                    net.set_channel_cap(now, chans[k], cap);
+                }
+                8 => {
+                    let bw = match rng.index(3) {
+                        0 => Bandwidth::bytes_per_sec(0.0),
+                        1 => Bandwidth::gbps(0.1 + rng.index(10) as f64 * 0.1),
+                        _ => Bandwidth::gbps(1.0),
+                    };
+                    net.set_node_bw(now, n, bw, bw);
+                }
+                _ => {
+                    // A later restore of every NIC.
+                    for &m in &nodes {
+                        net.set_node_bw(now, m, Bandwidth::gbps(1.0), Bandwidth::gbps(1.0));
+                    }
+                }
+            }
+            check(&net, &chans, case, step);
+        }
+    }
+}
