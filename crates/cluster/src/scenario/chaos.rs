@@ -12,7 +12,7 @@
 
 use agile_chaos::ChaosSchedule;
 use agile_migration::{SourceConfig, Technique};
-use agile_sim_core::{SimDuration, SimTime, GIB, MIB};
+use agile_sim_core::{SimTime, GIB, MIB};
 use agile_vm::VmConfig;
 
 use crate::build::{start_all_workloads, ClusterBuilder, SwapKind};
@@ -192,16 +192,11 @@ pub fn run(cfg: &ChaosScenarioConfig) -> ChaosScenarioResult {
         .map(|e| e.at)
         .max()
         .unwrap_or(SimTime::ZERO);
-    loop {
-        let next = sim.now() + SimDuration::from_secs(5);
-        sim.run_until(next.min(deadline));
+    super::run_sliced(&mut sim, deadline, |sim| {
         let w = sim.state();
         let mig_done = w.migrations.first().map(|m| m.finished).unwrap_or(false);
-        let repair_done = w.chaos.repair_queue.is_empty();
-        if (mig_done && repair_done && sim.now() >= horizon) || sim.now() >= deadline {
-            break;
-        }
-    }
+        mig_done && w.chaos.repair_queue.is_empty() && sim.now() >= horizon
+    });
 
     let events_executed = sim.events_executed();
     let w = sim.state();

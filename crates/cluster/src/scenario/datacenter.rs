@@ -410,24 +410,6 @@ fn build_rack(cfg: &DatacenterConfig, rack: usize, seq: &SeedSequence) -> RackSe
     }
 }
 
-/// The per-rack convergence predicate (same shape as multihost):
-/// rebalanced and quiescent after the ramp, or out of time.
-fn rack_converged(
-    sim: &Simulation<World>,
-    managed: &[ManagedHost],
-    ramp_end: SimTime,
-    deadline: SimTime,
-) -> bool {
-    let w = sim.state();
-    let s = w.sched.as_ref().expect("scheduler armed");
-    let below = managed
-        .iter()
-        .all(|mh| sched::host_aggregate(w, mh.host) <= mh.trigger.high_bytes);
-    let quiescent =
-        s.queue.is_empty() && s.inflight.is_empty() && w.migrations.iter().all(|m| m.finished);
-    (sim.now() > ramp_end && below && quiescent) || sim.now() >= deadline
-}
-
 /// Run one datacenter scenario.
 pub fn run(cfg: &DatacenterConfig) -> DatacenterResult {
     assert!(cfg.racks >= 1);
@@ -449,7 +431,7 @@ pub fn run(cfg: &DatacenterConfig) -> DatacenterResult {
     let mut coord = DatacenterCoordinator::new(cfg.racks);
     let t0 = Instant::now();
     let stats = sharded.run(cfg.workers, deadline, &mut coord, |i, sim| {
-        rack_converged(sim, &meta[i].0, ramp_end, deadline)
+        super::sched_settled(sim, &meta[i].0, ramp_end)
     });
     let wall = t0.elapsed();
 
@@ -491,7 +473,7 @@ pub fn run(cfg: &DatacenterConfig) -> DatacenterResult {
                 .iter()
                 .filter(|mh| sched::host_aggregate(w, mh.host) > mh.trigger.high_bytes)
                 .count();
-            let converged = rack_converged(sim, managed, ramp_end, deadline)
+            let converged = super::sched_settled(sim, managed, ramp_end)
                 && sim.now() < deadline
                 && final_hot == 0;
             let _ = writeln!(

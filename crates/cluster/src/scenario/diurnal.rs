@@ -30,8 +30,8 @@ use agile_wss::WatermarkTrigger;
 use crate::build::{start_all_workloads, ClusterBuilder, SwapKind};
 use crate::config::ClusterConfig;
 use crate::predict::{PredictConfig, PredictCounters};
+use crate::scenario::Scenario;
 use crate::sched::{self, ManagedHost, PlacementPolicy, SchedConfig, SchedCounters};
-use crate::shard::{NullCoordinator, ShardedRun};
 use crate::wlctl;
 use crate::world::{WorkloadKind, World};
 
@@ -127,11 +127,8 @@ pub struct DiurnalResult {
     pub trace_jsonl: Option<String>,
 }
 
-/// A built, armed diurnal world plus the fixed deadline, ready to be
-/// driven sequentially ([`run`]) or as one shard of a replicated run
-/// ([`run_replicated`]).
-struct DiurnalSetup {
-    sim: Simulation<World>,
+/// What a diurnal run keeps from set-up for its report.
+struct Diurnal {
     managed: Vec<ManagedHost>,
     deadline: SimTime,
 }
@@ -149,400 +146,370 @@ fn percentile(samples: &[u64], p: f64) -> u64 {
 
 /// Run one diurnal scenario to its deadline.
 pub fn run(cfg: &DiurnalConfig) -> DiurnalResult {
-    let DiurnalSetup {
-        mut sim,
-        managed,
-        deadline,
-    } = setup(cfg);
-    loop {
-        let next = sim.now() + SimDuration::from_secs(5);
-        sim.run_until(next.min(deadline));
-        if sim.now() >= deadline {
-            break;
-        }
-    }
-    finish(sim, cfg, &managed)
+    super::run::<Diurnal>(cfg)
 }
 
 /// Run several independent diurnal scenarios as shards of one parallel
-/// epoch harness (lookahead = the sequential driver's 5-second slice).
-/// Every replica's result is byte-identical to [`run`] of its config at
-/// any `workers` count.
+/// epoch harness. Every replica's result is byte-identical to [`run`] of
+/// its config at any `workers` count.
 pub fn run_replicated(cfgs: &[DiurnalConfig], workers: usize) -> Vec<DiurnalResult> {
-    assert!(!cfgs.is_empty());
-    assert!(
-        cfgs.iter()
-            .all(|c| c.deadline_secs == cfgs[0].deadline_secs),
-        "replicated runs share one deadline (epoch targets must coincide)"
-    );
-    let mut meta = Vec::with_capacity(cfgs.len());
-    let mut worlds = Vec::with_capacity(cfgs.len());
-    for cfg in cfgs {
-        let s = setup(cfg);
-        meta.push((s.managed, s.deadline));
-        worlds.push(s.sim);
-    }
-    let deadline = meta[0].1;
-    let mut sharded = ShardedRun::new(worlds, SimDuration::from_secs(5));
-    sharded.run(workers, deadline, &mut NullCoordinator, |i, sim| {
-        sim.now() >= meta[i].1
-    });
-    sharded
-        .into_worlds()
-        .into_iter()
-        .zip(cfgs)
-        .zip(&meta)
-        .map(|((sim, cfg), (managed, _))| finish(sim, cfg, managed))
-        .collect()
+    super::run_replicated::<Diurnal>(cfgs, workers)
 }
 
-/// Build the world: hosts, VMD pool, packed YCSB guests, signal-driven
-/// workload knobs, watermark scheduler, and (optionally) the predictor.
-fn setup(cfg: &DiurnalConfig) -> DiurnalSetup {
-    let sc = cfg.scale.max(1);
-    let host_mem = 24 * GIB / sc;
-    let host_os = 300 * MIB / sc;
-    let vm_mem = 8 * GIB / sc;
-    let guest_os = 300 * MIB / sc;
-    let dataset_bytes = 6 * GIB / sc;
-    // Reservation signal: mid ± amp diurnal swing. Four guests per
-    // packed host peak at 4 × (mid + amp) = 16 GiB — under the 0.75
-    // high watermark (~17.8 GiB) — so only a flash crowd breaches.
-    let resv_mid = 3328 * MIB / sc;
-    let resv_amp = 768 * MIB / sc;
-    let flash_peak = 3 * GIB / sc;
-    // Decay fast enough that the residual is gone by the next diurnal
-    // trough: the deferred reservation then undercuts the resident set
-    // and the cold tail spills to the VMD pool before the migration
-    // fires.
-    let flash_decay = SimDuration::from_secs(15);
-    // Active window tracks the reservation shape minus the OS/index
-    // overhead, so the guest actually touches (and re-faults) what the
-    // reservation admits.
-    let active_mid = 2560 * MIB / sc;
-    let think_base_ns: u64 = 4_000_000;
-    let period = SimDuration::from_secs(cfg.period_secs);
+impl Scenario for Diurnal {
+    type Config = DiurnalConfig;
+    type Output = DiurnalResult;
 
-    let cluster_cfg = ClusterConfig {
-        seed: cfg.seed,
-        ..ClusterConfig::default()
-    };
-    let page = cluster_cfg.page_size;
-    let mut b = ClusterBuilder::new(cluster_cfg);
+    /// Build the world: hosts, VMD pool, packed YCSB guests, signal-driven
+    /// workload knobs, watermark scheduler, and (optionally) the predictor.
+    fn setup(cfg: &DiurnalConfig) -> (Simulation<World>, Self) {
+        let sc = cfg.scale.max(1);
+        let host_mem = 24 * GIB / sc;
+        let host_os = 300 * MIB / sc;
+        let vm_mem = 8 * GIB / sc;
+        let guest_os = 300 * MIB / sc;
+        let dataset_bytes = 6 * GIB / sc;
+        // Reservation signal: mid ± amp diurnal swing. Four guests per
+        // packed host peak at 4 × (mid + amp) = 16 GiB — under the 0.75
+        // high watermark (~17.8 GiB) — so only a flash crowd breaches.
+        let resv_mid = 3328 * MIB / sc;
+        let resv_amp = 768 * MIB / sc;
+        let flash_peak = 3 * GIB / sc;
+        // Decay fast enough that the residual is gone by the next diurnal
+        // trough: the deferred reservation then undercuts the resident set
+        // and the cold tail spills to the VMD pool before the migration
+        // fires.
+        let flash_decay = SimDuration::from_secs(15);
+        // Active window tracks the reservation shape minus the OS/index
+        // overhead, so the guest actually touches (and re-faults) what the
+        // reservation admits.
+        let active_mid = 2560 * MIB / sc;
+        let think_base_ns: u64 = 4_000_000;
+        let period = SimDuration::from_secs(cfg.period_secs);
 
-    let working: Vec<usize> = (0..4)
-        .map(|i| b.add_host(&format!("host{i}"), host_mem, host_os, false))
-        .collect();
-    let client_host = b.add_host("client", 16 * GIB / sc, host_os, false);
-    for i in 0..2 {
-        let im = b.add_host(&format!("intermediate{i}"), 48 * GIB / sc, host_os, false);
-        b.add_vmd_server(im, 40 * GIB / sc, 0);
-    }
-    for &h in &working {
-        b.ensure_vmd_client(h);
-    }
-
-    // Eight guests, four per packed host, each with a YCSB/Redis-style
-    // dataset and a uniform-prefix key mix (the Zipfian resize-
-    // determinism audit lives in the workload crate's own tests).
-    let mut vms = Vec::new();
-    for i in 0..8usize {
-        let host = working[i / 4];
-        let vm = b.add_vm(
-            host,
-            VmConfig {
-                mem_bytes: vm_mem,
-                page_size: page,
-                vcpus: 2,
-                reservation_bytes: resv_mid,
-                guest_os_bytes: guest_os,
-            },
-            SwapKind::PerVmVmd,
-        );
-        let index_pages = ((dataset_bytes / 50) / page).max(4) as u32;
-        let data_pages = (dataset_bytes / page) as u32;
-        let (index_region, data_region) = {
-            let world = b.world_mut();
-            let layout = world.vms[vm].vm.layout_mut();
-            let idx = layout.alloc_region("redis-index", index_pages);
-            let dat = layout.alloc_region("redis-data", data_pages);
-            (idx, dat)
+        let cluster_cfg = ClusterConfig {
+            seed: cfg.seed,
+            ..ClusterConfig::default()
         };
-        let dataset = Dataset::new(data_region, dataset_bytes / 1024, 1024, page);
-        let model = YcsbRedis::new(
-            dataset,
-            index_region,
-            KeyDist::UniformPrefix,
-            YcsbParams {
-                client_threads: 4,
-                ..YcsbParams::default()
-            },
-        );
-        b.attach_workload(vm, client_host, WorkloadKind::Ycsb(model));
-        b.preload_pages(vm, 0, (vm_mem / page) as u32);
-        vms.push(vm);
-    }
+        let page = cluster_cfg.page_size;
+        let mut b = ClusterBuilder::new(cluster_cfg);
 
-    let mut sim = b.build();
-    if cfg.trace {
-        sim.state_mut().trace = agile_trace::Tracer::with_capacity(1 << 17);
-    }
+        let working: Vec<usize> = (0..4)
+            .map(|i| b.add_host(&format!("host{i}"), host_mem, host_os, false))
+            .collect();
+        let client_host = b.add_host("client", 16 * GIB / sc, host_os, false);
+        for i in 0..2 {
+            let im = b.add_host(&format!("intermediate{i}"), 48 * GIB / sc, host_os, false);
+            b.add_vmd_server(im, 40 * GIB / sc, 0);
+        }
+        for &h in &working {
+            b.ensure_vmd_client(h);
+        }
 
-    // The temporal workload: every guest's reservation and active
-    // fraction follow the host's diurnal phase; two guests per packed
-    // host additionally catch a flash crowd (reservation spike + think
-    // collapse), and one guest per host remaps its working-set window
-    // on a slow phase-change cycle.
-    let stride = (dataset_bytes / 1024 / 8).max(1);
-    let mut bindings = Vec::new();
-    for (i, &vm) in vms.iter().enumerate() {
-        let host_idx = i / 4;
-        let phase = SimDuration::from_secs(15 * host_idx as u64);
-        let arrival = SimTime::from_secs(if host_idx == 0 {
-            cfg.flash1_secs
-        } else {
-            cfg.flash2_secs
-        });
-        let flashy = i % 4 < 2;
-        let diurnal = |amp: f64| Signal::diurnal(period, amp, phase);
-        let mut resv = Signal::constant(resv_mid as f64).sum(diurnal(resv_amp as f64));
-        let mut active = Signal::constant(active_mid as f64).sum(diurnal(resv_amp as f64));
-        if flashy {
-            // The crowd hits the *guest* first (think collapse + active
-            // window blown out to the whole dataset, scattering resident
-            // pages across the scan order); the operator's elastic
-            // reservation response lags by 15 s — and that lagged spike
-            // is what breaches the watermark.
-            let crowd_at = SimTime::from_nanos(
-                arrival
-                    .as_nanos()
-                    .saturating_sub(SimDuration::from_secs(15).as_nanos()),
+        // Eight guests, four per packed host, each with a YCSB/Redis-style
+        // dataset and a uniform-prefix key mix (the Zipfian resize-
+        // determinism audit lives in the workload crate's own tests).
+        let mut vms = Vec::new();
+        for i in 0..8usize {
+            let host = working[i / 4];
+            let vm = b.add_vm(
+                host,
+                VmConfig {
+                    mem_bytes: vm_mem,
+                    page_size: page,
+                    vcpus: 2,
+                    reservation_bytes: resv_mid,
+                    guest_os_bytes: guest_os,
+                },
+                SwapKind::PerVmVmd,
             );
-            let crowd = Signal::flash_crowd(crowd_at, flash_peak as f64, flash_decay);
-            resv = resv.sum(Signal::flash_crowd(arrival, flash_peak as f64, flash_decay));
-            active = active.sum(crowd);
-            bindings.push(Binding {
-                vm,
-                knob: Knob::ThinkNanos {
-                    base_ns: think_base_ns,
+            let index_pages = ((dataset_bytes / 50) / page).max(4) as u32;
+            let data_pages = (dataset_bytes / page) as u32;
+            let (index_region, data_region) = {
+                let world = b.world_mut();
+                let layout = world.vms[vm].vm.layout_mut();
+                let idx = layout.alloc_region("redis-index", index_pages);
+                let dat = layout.alloc_region("redis-data", data_pages);
+                (idx, dat)
+            };
+            let dataset = Dataset::new(data_region, dataset_bytes / 1024, 1024, page);
+            let model = YcsbRedis::new(
+                dataset,
+                index_region,
+                KeyDist::UniformPrefix,
+                YcsbParams {
+                    client_threads: 4,
+                    ..YcsbParams::default()
                 },
-                signal: Signal::constant(1.0)
-                    .sum(Signal::flash_crowd(crowd_at, -0.8, flash_decay))
-                    .clamp(0.2, 1.0),
-            });
-        } else {
-            bindings.push(Binding {
-                vm,
-                knob: Knob::ThinkNanos {
-                    base_ns: think_base_ns,
-                },
-                signal: Signal::constant(1.0),
-            });
+            );
+            b.attach_workload(vm, client_host, WorkloadKind::Ycsb(model));
+            b.preload_pages(vm, 0, (vm_mem / page) as u32);
+            vms.push(vm);
         }
-        bindings.push(Binding {
-            vm,
-            knob: Knob::ReservationBytes,
-            signal: resv,
-        });
-        bindings.push(Binding {
-            vm,
-            knob: Knob::ActiveBytes,
-            signal: active.clamp((128 * MIB / sc) as f64, dataset_bytes as f64),
-        });
-        if i % 4 == 3 {
-            bindings.push(Binding {
-                vm,
-                knob: Knob::WindowPhase {
-                    stride_records: stride,
-                },
-                signal: Signal::phase_change(SimDuration::from_secs(150), 4),
-            });
+
+        let mut sim = b.build();
+        if cfg.trace {
+            sim.state_mut().trace = agile_trace::Tracer::with_capacity(1 << 17);
         }
-    }
-    wlctl::arm_driver(
-        &mut sim,
-        WorkloadDriver::new(bindings),
-        SimDuration::from_secs(5),
-    );
-    start_all_workloads(&mut sim, SimTime::from_secs(1));
 
-    let managed: Vec<ManagedHost> = working
-        .iter()
-        .map(|&h| ManagedHost {
-            host: h,
-            trigger: WatermarkTrigger::fractions(
-                sim.state().hosts[h].mem.available_for_vms(),
-                0.60,
-                0.75,
-            ),
-        })
-        .collect();
-    let sched_cfg = SchedConfig {
-        policy: PlacementPolicy::LeastLoaded,
-        max_in_flight: 2,
-        hysteresis: 0.25,
-        cooldown: SimDuration::from_secs(600),
-        src_cfg: SourceConfig {
-            precopy_threshold_pages: (9_000 / sc as u32).max(64),
-            ..SourceConfig::new(Technique::Agile)
-        },
-        verify_content: true,
-        ..SchedConfig::new(SourceConfig::new(Technique::Agile))
-    };
-    sched::arm_scheduler(&mut sim, managed.clone(), sched_cfg);
-    if cfg.predict {
-        sched::arm_predictor(
-            &mut sim,
-            PredictConfig {
-                min_confidence: 0.4,
-                max_defer: SimDuration::from_secs(120),
-                ..PredictConfig::default()
-            },
-        );
-    }
-
-    DiurnalSetup {
-        sim,
-        managed,
-        deadline: SimTime::from_secs(cfg.deadline_secs),
-    }
-}
-
-/// Disarm everything and assemble the deterministic result.
-fn finish(
-    mut sim: Simulation<World>,
-    cfg: &DiurnalConfig,
-    managed: &[ManagedHost],
-) -> DiurnalResult {
-    sched::disarm_scheduler(&mut sim);
-    wlctl::disarm_driver(&mut sim);
-
-    let events_executed = sim.events_executed();
-    let w = sim.state();
-    let s = w.sched.as_ref().expect("scheduler armed");
-
-    let migrations: Vec<DiurnalMig> = w
-        .migrations
-        .iter()
-        .map(|m| {
-            let met = m.src.metrics();
-            DiurnalMig {
-                vm: m.vm,
-                src: m.source_host,
-                dest: m.dest_host,
-                start_ns: met.started_at.as_nanos(),
-                end_ns: met.completed_at.map(|t| t.as_nanos()).unwrap_or(u64::MAX),
-                bytes: met.migration_bytes,
-                pages_full: met.pages_sent_full,
-                downtime_ns: met.downtime().map(|d| d.as_nanos()).unwrap_or(u64::MAX),
-                finished: m.finished,
+        // The temporal workload: every guest's reservation and active
+        // fraction follow the host's diurnal phase; two guests per packed
+        // host additionally catch a flash crowd (reservation spike + think
+        // collapse), and one guest per host remaps its working-set window
+        // on a slow phase-change cycle.
+        let stride = (dataset_bytes / 1024 / 8).max(1);
+        let mut bindings = Vec::new();
+        for (i, &vm) in vms.iter().enumerate() {
+            let host_idx = i / 4;
+            let phase = SimDuration::from_secs(15 * host_idx as u64);
+            let arrival = SimTime::from_secs(if host_idx == 0 {
+                cfg.flash1_secs
+            } else {
+                cfg.flash2_secs
+            });
+            let flashy = i % 4 < 2;
+            let diurnal = |amp: f64| Signal::diurnal(period, amp, phase);
+            let mut resv = Signal::constant(resv_mid as f64).sum(diurnal(resv_amp as f64));
+            let mut active = Signal::constant(active_mid as f64).sum(diurnal(resv_amp as f64));
+            if flashy {
+                // The crowd hits the *guest* first (think collapse + active
+                // window blown out to the whole dataset, scattering resident
+                // pages across the scan order); the operator's elastic
+                // reservation response lags by 15 s — and that lagged spike
+                // is what breaches the watermark.
+                let crowd_at = SimTime::from_nanos(
+                    arrival
+                        .as_nanos()
+                        .saturating_sub(SimDuration::from_secs(15).as_nanos()),
+                );
+                let crowd = Signal::flash_crowd(crowd_at, flash_peak as f64, flash_decay);
+                resv = resv.sum(Signal::flash_crowd(arrival, flash_peak as f64, flash_decay));
+                active = active.sum(crowd);
+                bindings.push(Binding {
+                    vm,
+                    knob: Knob::ThinkNanos {
+                        base_ns: think_base_ns,
+                    },
+                    signal: Signal::constant(1.0)
+                        .sum(Signal::flash_crowd(crowd_at, -0.8, flash_decay))
+                        .clamp(0.2, 1.0),
+                });
+            } else {
+                bindings.push(Binding {
+                    vm,
+                    knob: Knob::ThinkNanos {
+                        base_ns: think_base_ns,
+                    },
+                    signal: Signal::constant(1.0),
+                });
             }
-        })
-        .collect();
-    let total_bytes: u64 = migrations.iter().map(|m| m.bytes).sum();
-    let total_pages_full: u64 = migrations.iter().map(|m| m.pages_full).sum();
-    let downtimes: Vec<u64> = migrations
-        .iter()
-        .filter(|m| m.downtime_ns != u64::MAX)
-        .map(|m| m.downtime_ns)
-        .collect();
-    let downtime_p99_ns = percentile(&downtimes, 0.99);
-    let predict = s.predict.as_ref().map(|p| p.counters);
-    let metrics_json = crate::report::metrics_registry(w).to_json();
+            bindings.push(Binding {
+                vm,
+                knob: Knob::ReservationBytes,
+                signal: resv,
+            });
+            bindings.push(Binding {
+                vm,
+                knob: Knob::ActiveBytes,
+                signal: active.clamp((128 * MIB / sc) as f64, dataset_bytes as f64),
+            });
+            if i % 4 == 3 {
+                bindings.push(Binding {
+                    vm,
+                    knob: Knob::WindowPhase {
+                        stride_records: stride,
+                    },
+                    signal: Signal::phase_change(SimDuration::from_secs(150), 4),
+                });
+            }
+        }
+        wlctl::arm_driver(
+            &mut sim,
+            WorkloadDriver::new(bindings),
+            SimDuration::from_secs(5),
+        );
+        start_all_workloads(&mut sim, SimTime::from_secs(1));
 
-    let mut report = String::new();
-    {
-        use std::fmt::Write;
-        let _ = writeln!(report, "# diurnal cycle-prediction report");
-        let _ = writeln!(
-            report,
-            "seed={} scale={} predict={} period_secs={} flash1={} flash2={} deadline={}",
-            cfg.seed,
-            cfg.scale.max(1),
-            cfg.predict,
-            cfg.period_secs,
-            cfg.flash1_secs,
-            cfg.flash2_secs,
-            cfg.deadline_secs,
-        );
-        let _ = writeln!(report, "watermarks:");
-        for mh in managed {
-            let _ = writeln!(
-                report,
-                "  host{} low={} high={}",
-                mh.host, mh.trigger.low_bytes, mh.trigger.high_bytes
+        let managed: Vec<ManagedHost> = working
+            .iter()
+            .map(|&h| ManagedHost {
+                host: h,
+                trigger: WatermarkTrigger::fractions(
+                    sim.state().hosts[h].mem.available_for_vms(),
+                    0.60,
+                    0.75,
+                ),
+            })
+            .collect();
+        let sched_cfg = SchedConfig {
+            policy: PlacementPolicy::LeastLoaded,
+            max_in_flight: 2,
+            hysteresis: 0.25,
+            cooldown: SimDuration::from_secs(600),
+            src_cfg: SourceConfig {
+                precopy_threshold_pages: (9_000 / sc as u32).max(64),
+                ..SourceConfig::new(Technique::Agile)
+            },
+            verify_content: true,
+            ..SchedConfig::new(SourceConfig::new(Technique::Agile))
+        };
+        sched::arm_scheduler(&mut sim, managed.clone(), sched_cfg);
+        if cfg.predict {
+            sched::arm_predictor(
+                &mut sim,
+                PredictConfig {
+                    min_confidence: 0.4,
+                    max_defer: SimDuration::from_secs(120),
+                    ..PredictConfig::default()
+                },
             );
         }
-        let _ = writeln!(report, "decisions:");
-        for d in &s.decisions {
+
+        (
+            sim,
+            Diurnal {
+                managed,
+                deadline: SimTime::from_secs(cfg.deadline_secs),
+            },
+        )
+    }
+
+    fn deadline(&self) -> SimTime {
+        self.deadline
+    }
+
+    /// Disarm everything and assemble the deterministic result.
+    fn finish(&self, mut sim: Simulation<World>, cfg: &DiurnalConfig) -> DiurnalResult {
+        sched::disarm_scheduler(&mut sim);
+        wlctl::disarm_driver(&mut sim);
+
+        let events_executed = sim.events_executed();
+        let w = sim.state();
+        let s = w.sched.as_ref().expect("scheduler armed");
+
+        let migrations: Vec<DiurnalMig> = w
+            .migrations
+            .iter()
+            .map(|m| {
+                let met = m.src.metrics();
+                DiurnalMig {
+                    vm: m.vm,
+                    src: m.source_host,
+                    dest: m.dest_host,
+                    start_ns: met.started_at.as_nanos(),
+                    end_ns: met.completed_at.map(|t| t.as_nanos()).unwrap_or(u64::MAX),
+                    bytes: met.migration_bytes,
+                    pages_full: met.pages_sent_full,
+                    downtime_ns: met.downtime().map(|d| d.as_nanos()).unwrap_or(u64::MAX),
+                    finished: m.finished,
+                }
+            })
+            .collect();
+        let total_bytes: u64 = migrations.iter().map(|m| m.bytes).sum();
+        let total_pages_full: u64 = migrations.iter().map(|m| m.pages_full).sum();
+        let downtimes: Vec<u64> = migrations
+            .iter()
+            .filter(|m| m.downtime_ns != u64::MAX)
+            .map(|m| m.downtime_ns)
+            .collect();
+        let downtime_p99_ns = percentile(&downtimes, 0.99);
+        let predict = s.predict.as_ref().map(|p| p.counters);
+        let metrics_json = crate::report::metrics_registry(w).to_json();
+
+        let mut report = String::new();
+        {
+            use std::fmt::Write;
+            let _ = writeln!(report, "# diurnal cycle-prediction report");
             let _ = writeln!(
                 report,
-                "  t_ns={} vm={} src={} dest={} action={}",
-                d.at.as_nanos(),
-                d.vm,
-                d.src,
-                d.dest.map(|h| h as i64).unwrap_or(-1),
-                d.action.name(),
+                "seed={} scale={} predict={} period_secs={} flash1={} flash2={} deadline={}",
+                cfg.seed,
+                cfg.scale.max(1),
+                cfg.predict,
+                cfg.period_secs,
+                cfg.flash1_secs,
+                cfg.flash2_secs,
+                cfg.deadline_secs,
             );
-        }
-        let _ = writeln!(report, "migrations:");
-        for (i, m) in migrations.iter().enumerate() {
-            let _ = writeln!(
-                report,
-                "  mig={} vm={} src={} dest={} start_ns={} end_ns={} bytes={} \
+            let _ = writeln!(report, "watermarks:");
+            for mh in &self.managed {
+                let _ = writeln!(
+                    report,
+                    "  host{} low={} high={}",
+                    mh.host, mh.trigger.low_bytes, mh.trigger.high_bytes
+                );
+            }
+            let _ = writeln!(report, "decisions:");
+            for d in &s.decisions {
+                let _ = writeln!(
+                    report,
+                    "  t_ns={} vm={} src={} dest={} action={}",
+                    d.at.as_nanos(),
+                    d.vm,
+                    d.src,
+                    d.dest.map(|h| h as i64).unwrap_or(-1),
+                    d.action.name(),
+                );
+            }
+            let _ = writeln!(report, "migrations:");
+            for (i, m) in migrations.iter().enumerate() {
+                let _ = writeln!(
+                    report,
+                    "  mig={} vm={} src={} dest={} start_ns={} end_ns={} bytes={} \
                  pages_full={} downtime_ns={} finished={}",
-                i,
-                m.vm,
-                m.src,
-                m.dest,
-                m.start_ns,
-                m.end_ns,
-                m.bytes,
-                m.pages_full,
-                m.downtime_ns,
-                m.finished,
-            );
-        }
-        let c = s.counters;
-        let _ = writeln!(
-            report,
-            "counters: started={} queued={} deferred_no_dest={} completed={} max_in_flight={}",
-            c.started, c.queued, c.deferred_no_dest, c.completed, c.max_in_flight_observed,
-        );
-        if let Some(p) = predict {
+                    i,
+                    m.vm,
+                    m.src,
+                    m.dest,
+                    m.start_ns,
+                    m.end_ns,
+                    m.bytes,
+                    m.pages_full,
+                    m.downtime_ns,
+                    m.finished,
+                );
+            }
+            let c = s.counters;
             let _ = writeln!(
                 report,
-                "predict: cycles={} deferrals={} expiries={} hits={} misses={} cancelled={}",
-                p.cycles_detected,
-                p.deferrals,
-                p.window_expiries,
-                p.trough_hits,
-                p.trough_misses,
-                p.cancelled,
+                "counters: started={} queued={} deferred_no_dest={} completed={} max_in_flight={}",
+                c.started, c.queued, c.deferred_no_dest, c.completed, c.max_in_flight_observed,
+            );
+            if let Some(p) = predict {
+                let _ = writeln!(
+                    report,
+                    "predict: cycles={} deferrals={} expiries={} hits={} misses={} cancelled={}",
+                    p.cycles_detected,
+                    p.deferrals,
+                    p.window_expiries,
+                    p.trough_hits,
+                    p.trough_misses,
+                    p.cancelled,
+                );
+            }
+            let _ = writeln!(
+                report,
+                "totals: migrations={} bytes={} pages_full={} downtime_p99_ns={} \
+             events_executed={}",
+                migrations.len(),
+                total_bytes,
+                total_pages_full,
+                downtime_p99_ns,
+                events_executed,
             );
         }
-        let _ = writeln!(
+
+        DiurnalResult {
             report,
-            "totals: migrations={} bytes={} pages_full={} downtime_p99_ns={} \
-             events_executed={}",
-            migrations.len(),
+            migrations,
             total_bytes,
             total_pages_full,
             downtime_p99_ns,
+            counters: s.counters,
+            predict,
+            metrics_json,
             events_executed,
-        );
-    }
-
-    DiurnalResult {
-        report,
-        migrations,
-        total_bytes,
-        total_pages_full,
-        downtime_p99_ns,
-        counters: s.counters,
-        predict,
-        metrics_json,
-        events_executed,
-        trace_jsonl: cfg.trace.then(|| w.trace.to_jsonl()),
+            trace_jsonl: cfg.trace.then(|| w.trace.to_jsonl()),
+        }
     }
 }

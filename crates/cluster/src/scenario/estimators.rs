@@ -40,8 +40,8 @@ use agile_wss::{ControllerParams, WatermarkTrigger};
 
 use crate::build::{start_all_workloads, ClusterBuilder, SwapKind};
 use crate::config::{ClusterConfig, WssEstimatorKind};
+use crate::scenario::Scenario;
 use crate::sched::{self, ManagedHost, PlacementPolicy, SchedConfig, SchedCounters};
-use crate::shard::{NullCoordinator, ShardedRun};
 use crate::wlctl;
 use crate::world::{WorkloadKind, World, WssCounters};
 use crate::wssctl;
@@ -130,9 +130,8 @@ pub struct EstimatorsResult {
     pub trace_jsonl: Option<String>,
 }
 
-/// A built, armed estimator world plus its deadline.
-struct EstimatorsSetup {
-    sim: Simulation<World>,
+/// What an estimator run keeps from set-up for its report.
+struct Estimators {
     vms: Vec<usize>,
     managed: Vec<ManagedHost>,
     deadline: SimTime,
@@ -140,52 +139,14 @@ struct EstimatorsSetup {
 
 /// Run one estimator arm to its deadline.
 pub fn run(cfg: &EstimatorsConfig) -> EstimatorsResult {
-    let EstimatorsSetup {
-        mut sim,
-        vms,
-        managed,
-        deadline,
-    } = setup(cfg);
-    loop {
-        let next = sim.now() + SimDuration::from_secs(5);
-        sim.run_until(next.min(deadline));
-        if sim.now() >= deadline {
-            break;
-        }
-    }
-    finish(sim, cfg, &vms, &managed)
+    super::run::<Estimators>(cfg)
 }
 
 /// Run several independent estimator arms as shards of one parallel
-/// epoch harness (lookahead = the sequential driver's 5-second slice).
-/// Every replica's result is byte-identical to [`run`] of its config at
-/// any `workers` count.
+/// epoch harness. Every replica's result is byte-identical to [`run`] of
+/// its config at any `workers` count.
 pub fn run_replicated(cfgs: &[EstimatorsConfig], workers: usize) -> Vec<EstimatorsResult> {
-    assert!(!cfgs.is_empty());
-    assert!(
-        cfgs.iter()
-            .all(|c| c.deadline_secs == cfgs[0].deadline_secs),
-        "replicated runs share one deadline (epoch targets must coincide)"
-    );
-    let mut meta = Vec::with_capacity(cfgs.len());
-    let mut worlds = Vec::with_capacity(cfgs.len());
-    for cfg in cfgs {
-        let s = setup(cfg);
-        meta.push((s.vms, s.managed, s.deadline));
-        worlds.push(s.sim);
-    }
-    let deadline = meta[0].2;
-    let mut sharded = ShardedRun::new(worlds, SimDuration::from_secs(5));
-    sharded.run(workers, deadline, &mut NullCoordinator, |i, sim| {
-        sim.now() >= meta[i].2
-    });
-    sharded
-        .into_worlds()
-        .into_iter()
-        .zip(cfgs)
-        .zip(&meta)
-        .map(|((sim, cfg), (vms, managed, _))| finish(sim, cfg, vms, managed))
-        .collect()
+    super::run_replicated::<Estimators>(cfgs, workers)
 }
 
 /// Run the full A/B (both arms sequentially, same seed) and render the
@@ -240,377 +201,383 @@ pub fn ab_summary(swap: &EstimatorsResult, pml: &EstimatorsResult) -> String {
     s
 }
 
-/// Build the world: one packed host, one spare destination, three
-/// ramping YCSB guests, estimator-tracked reservations, the ground-truth
-/// oracle, and the watermark scheduler.
-fn setup(cfg: &EstimatorsConfig) -> EstimatorsSetup {
-    let sc = cfg.scale.max(1);
-    let host_mem = 10240 * MIB / sc;
-    let host_os = 256 * MIB / sc;
-    let vm_mem = 4096 * MIB / sc;
-    let guest_os = 256 * MIB / sc;
-    let dataset_bytes = 2560 * MIB / sc;
-    let resv_init = 2304 * MIB / sc;
-    // The operator floor: the α-shrink converges here while the rate
-    // reads zero, and the no-swap phase is exactly the ramp staying
-    // under it (minus guest-OS overhead).
-    let resv_floor = 2048 * MIB / sc;
-    // Active window: ramp from idle to just under the dataset over
-    // [10 s, 130 s] (then hold), plus a small diurnal wobble. The ramp
-    // crosses the reservation floor around t ≈ 100 s > `no_swap_secs`.
-    let active_lo = 256 * MIB / sc;
-    let active_hi = 2304 * MIB / sc;
-    let diurnal_amp = 128 * MIB / sc;
-    // Closed loop: 4 threads × ~0.25 ms think sweeps the active window
-    // inside one 4 s PML epoch (the estimator measures what the guest
-    // *touches* — too slow a loop and per-epoch distinct pages read the
-    // op rate, not the window, and the sized reservation undercuts the
-    // demand it is supposed to admit).
-    let think_base_ns: u64 = 250_000;
+impl Scenario for Estimators {
+    type Config = EstimatorsConfig;
+    type Output = EstimatorsResult;
 
-    let cluster_cfg = ClusterConfig {
-        seed: cfg.seed,
-        wss_estimator: cfg.estimator,
-        pml_epoch: SimDuration::from_secs(4),
-        ..ClusterConfig::default()
-    };
-    let page = cluster_cfg.page_size;
-    let pml_log_cap = cluster_cfg.pml_log_cap as usize;
-    let mut b = ClusterBuilder::new(cluster_cfg);
+    /// Build the world: one packed host, one spare destination, three
+    /// ramping YCSB guests, estimator-tracked reservations, the ground-truth
+    /// oracle, and the watermark scheduler.
+    fn setup(cfg: &EstimatorsConfig) -> (Simulation<World>, Self) {
+        let sc = cfg.scale.max(1);
+        let host_mem = 10240 * MIB / sc;
+        let host_os = 256 * MIB / sc;
+        let vm_mem = 4096 * MIB / sc;
+        let guest_os = 256 * MIB / sc;
+        let dataset_bytes = 2560 * MIB / sc;
+        let resv_init = 2304 * MIB / sc;
+        // The operator floor: the α-shrink converges here while the rate
+        // reads zero, and the no-swap phase is exactly the ramp staying
+        // under it (minus guest-OS overhead).
+        let resv_floor = 2048 * MIB / sc;
+        // Active window: ramp from idle to just under the dataset over
+        // [10 s, 130 s] (then hold), plus a small diurnal wobble. The ramp
+        // crosses the reservation floor around t ≈ 100 s > `no_swap_secs`.
+        let active_lo = 256 * MIB / sc;
+        let active_hi = 2304 * MIB / sc;
+        let diurnal_amp = 128 * MIB / sc;
+        // Closed loop: 4 threads × ~0.25 ms think sweeps the active window
+        // inside one 4 s PML epoch (the estimator measures what the guest
+        // *touches* — too slow a loop and per-epoch distinct pages read the
+        // op rate, not the window, and the sized reservation undercuts the
+        // demand it is supposed to admit).
+        let think_base_ns: u64 = 250_000;
 
-    let packed = b.add_host("host0", host_mem, host_os, false);
-    let spare = b.add_host("host1", host_mem, host_os, false);
-    let client_host = b.add_host("client", 4 * GIB / sc, host_os, false);
-    let im = b.add_host("intermediate", 16 * GIB / sc, host_os, false);
-    b.add_vmd_server(im, 12 * GIB / sc, 0);
-    b.ensure_vmd_client(packed);
-    b.ensure_vmd_client(spare);
-
-    // Three identical guests, demand-filled (no preload): until the
-    // ramp outgrows the floor nothing ever reaches the swap device.
-    let mut vms = Vec::new();
-    for _ in 0..3usize {
-        let vm = b.add_vm(
-            packed,
-            VmConfig {
-                mem_bytes: vm_mem,
-                page_size: page,
-                vcpus: 2,
-                reservation_bytes: resv_init,
-                guest_os_bytes: guest_os,
-            },
-            SwapKind::PerVmVmd,
-        );
-        let index_pages = ((dataset_bytes / 50) / page).max(4) as u32;
-        let data_pages = (dataset_bytes / page) as u32;
-        let (index_region, data_region) = {
-            let world = b.world_mut();
-            let layout = world.vms[vm].vm.layout_mut();
-            let idx = layout.alloc_region("redis-index", index_pages);
-            let dat = layout.alloc_region("redis-data", data_pages);
-            (idx, dat)
+        let cluster_cfg = ClusterConfig {
+            seed: cfg.seed,
+            wss_estimator: cfg.estimator,
+            pml_epoch: SimDuration::from_secs(4),
+            ..ClusterConfig::default()
         };
-        let dataset = Dataset::new(data_region, dataset_bytes / 1024, 1024, page);
-        let model = YcsbRedis::new(
-            dataset,
-            index_region,
-            KeyDist::UniformPrefix,
-            YcsbParams {
-                client_threads: 4,
-                ..YcsbParams::default()
-            },
-        );
-        b.attach_workload(vm, client_host, WorkloadKind::Ycsb(model));
-        b.enable_os_background(vm);
-        vms.push(vm);
-    }
+        let page = cluster_cfg.page_size;
+        let pml_log_cap = cluster_cfg.pml_log_cap as usize;
+        let mut b = ClusterBuilder::new(cluster_cfg);
 
-    let mut sim = b.build();
-    // The tracer is always on here: the accuracy analysis folds the
-    // `wss_estimate`/`wss_sample` stream. `cfg.trace` only gates whether
-    // the JSONL export is kept in the result.
-    sim.state_mut().trace = agile_trace::Tracer::with_capacity(1 << 18);
+        let packed = b.add_host("host0", host_mem, host_os, false);
+        let spare = b.add_host("host1", host_mem, host_os, false);
+        let client_host = b.add_host("client", 4 * GIB / sc, host_os, false);
+        let im = b.add_host("intermediate", 16 * GIB / sc, host_os, false);
+        b.add_vmd_server(im, 12 * GIB / sc, 0);
+        b.ensure_vmd_client(packed);
+        b.ensure_vmd_client(spare);
 
-    let mut bindings = Vec::new();
-    for (i, &vm) in vms.iter().enumerate() {
-        let phase = SimDuration::from_secs(7 * i as u64);
-        let active = Signal::ramp(
-            SimTime::from_secs(10),
-            SimDuration::from_secs(2),
-            60,
-            active_lo as f64,
-            active_hi as f64,
-        )
-        .sum(Signal::diurnal(
-            SimDuration::from_secs(60),
-            diurnal_amp as f64,
-            phase,
-        ));
-        bindings.push(Binding {
-            vm,
-            knob: Knob::ActiveBytes,
-            signal: active.clamp((128 * MIB / sc) as f64, dataset_bytes as f64),
-        });
-        bindings.push(Binding {
-            vm,
-            knob: Knob::ThinkNanos {
-                base_ns: think_base_ns,
-            },
-            signal: Signal::constant(1.0),
-        });
-    }
-    wlctl::arm_driver(
-        &mut sim,
-        WorkloadDriver::new(bindings),
-        SimDuration::from_secs(2),
-    );
-    start_all_workloads(&mut sim, SimTime::from_secs(1));
-
-    // Estimator-tracked reservations (the arm under test), plus the
-    // ground-truth oracle on the swap-I/O arm (the PML arm's tracker is
-    // already armed by `enable_tracking`).
-    let params = ControllerParams::paper(resv_floor, vm_mem);
-    for &vm in &vms {
-        wssctl::enable_tracking(&mut sim, vm, params, SimTime::from_secs(2));
-        if cfg.estimator == WssEstimatorKind::SwapIo {
-            wssctl::arm_oracle(&mut sim, vm, pml_log_cap);
+        // Three identical guests, demand-filled (no preload): until the
+        // ramp outgrows the floor nothing ever reaches the swap device.
+        let mut vms = Vec::new();
+        for _ in 0..3usize {
+            let vm = b.add_vm(
+                packed,
+                VmConfig {
+                    mem_bytes: vm_mem,
+                    page_size: page,
+                    vcpus: 2,
+                    reservation_bytes: resv_init,
+                    guest_os_bytes: guest_os,
+                },
+                SwapKind::PerVmVmd,
+            );
+            let index_pages = ((dataset_bytes / 50) / page).max(4) as u32;
+            let data_pages = (dataset_bytes / page) as u32;
+            let (index_region, data_region) = {
+                let world = b.world_mut();
+                let layout = world.vms[vm].vm.layout_mut();
+                let idx = layout.alloc_region("redis-index", index_pages);
+                let dat = layout.alloc_region("redis-data", data_pages);
+                (idx, dat)
+            };
+            let dataset = Dataset::new(data_region, dataset_bytes / 1024, 1024, page);
+            let model = YcsbRedis::new(
+                dataset,
+                index_region,
+                KeyDist::UniformPrefix,
+                YcsbParams {
+                    client_threads: 4,
+                    ..YcsbParams::default()
+                },
+            );
+            b.attach_workload(vm, client_host, WorkloadKind::Ycsb(model));
+            b.enable_os_background(vm);
+            vms.push(vm);
         }
+
+        let mut sim = b.build();
+        // The tracer is always on here: the accuracy analysis folds the
+        // `wss_estimate`/`wss_sample` stream. `cfg.trace` only gates whether
+        // the JSONL export is kept in the result.
+        sim.state_mut().trace = agile_trace::Tracer::with_capacity(1 << 18);
+
+        let mut bindings = Vec::new();
+        for (i, &vm) in vms.iter().enumerate() {
+            let phase = SimDuration::from_secs(7 * i as u64);
+            let active = Signal::ramp(
+                SimTime::from_secs(10),
+                SimDuration::from_secs(2),
+                60,
+                active_lo as f64,
+                active_hi as f64,
+            )
+            .sum(Signal::diurnal(
+                SimDuration::from_secs(60),
+                diurnal_amp as f64,
+                phase,
+            ));
+            bindings.push(Binding {
+                vm,
+                knob: Knob::ActiveBytes,
+                signal: active.clamp((128 * MIB / sc) as f64, dataset_bytes as f64),
+            });
+            bindings.push(Binding {
+                vm,
+                knob: Knob::ThinkNanos {
+                    base_ns: think_base_ns,
+                },
+                signal: Signal::constant(1.0),
+            });
+        }
+        wlctl::arm_driver(
+            &mut sim,
+            WorkloadDriver::new(bindings),
+            SimDuration::from_secs(2),
+        );
+        start_all_workloads(&mut sim, SimTime::from_secs(1));
+
+        // Estimator-tracked reservations (the arm under test), plus the
+        // ground-truth oracle on the swap-I/O arm (the PML arm's tracker is
+        // already armed by `enable_tracking`).
+        let params = ControllerParams::paper(resv_floor, vm_mem);
+        for &vm in &vms {
+            wssctl::enable_tracking(&mut sim, vm, params, SimTime::from_secs(2));
+            if cfg.estimator == WssEstimatorKind::SwapIo {
+                wssctl::arm_oracle(&mut sim, vm, pml_log_cap);
+            }
+        }
+
+        let managed: Vec<ManagedHost> = [packed, spare]
+            .iter()
+            .map(|&h| ManagedHost {
+                host: h,
+                trigger: WatermarkTrigger::fractions(
+                    sim.state().hosts[h].mem.available_for_vms(),
+                    0.55,
+                    0.72,
+                ),
+            })
+            .collect();
+        let sched_cfg = SchedConfig {
+            policy: PlacementPolicy::LeastLoaded,
+            max_in_flight: 1,
+            hysteresis: 0.25,
+            cooldown: SimDuration::from_secs(600),
+            src_cfg: SourceConfig {
+                precopy_threshold_pages: (9_000 / sc as u32).max(64),
+                ..SourceConfig::new(Technique::Agile)
+            },
+            verify_content: true,
+            ..SchedConfig::new(SourceConfig::new(Technique::Agile))
+        };
+        sched::arm_scheduler(&mut sim, managed.clone(), sched_cfg);
+
+        (
+            sim,
+            Estimators {
+                vms,
+                managed,
+                deadline: SimTime::from_secs(cfg.deadline_secs),
+            },
+        )
     }
 
-    let managed: Vec<ManagedHost> = [packed, spare]
-        .iter()
-        .map(|&h| ManagedHost {
-            host: h,
-            trigger: WatermarkTrigger::fractions(
-                sim.state().hosts[h].mem.available_for_vms(),
-                0.55,
-                0.72,
-            ),
-        })
-        .collect();
-    let sched_cfg = SchedConfig {
-        policy: PlacementPolicy::LeastLoaded,
-        max_in_flight: 1,
-        hysteresis: 0.25,
-        cooldown: SimDuration::from_secs(600),
-        src_cfg: SourceConfig {
-            precopy_threshold_pages: (9_000 / sc as u32).max(64),
-            ..SourceConfig::new(Technique::Agile)
-        },
-        verify_content: true,
-        ..SchedConfig::new(SourceConfig::new(Technique::Agile))
-    };
-    sched::arm_scheduler(&mut sim, managed.clone(), sched_cfg);
-
-    EstimatorsSetup {
-        sim,
-        vms,
-        managed,
-        deadline: SimTime::from_secs(cfg.deadline_secs),
+    fn deadline(&self) -> SimTime {
+        self.deadline
     }
-}
 
-/// Disarm everything, fold the estimate-vs-truth stream, and assemble
-/// the deterministic result.
-fn finish(
-    mut sim: Simulation<World>,
-    cfg: &EstimatorsConfig,
-    vms: &[usize],
-    managed: &[ManagedHost],
-) -> EstimatorsResult {
-    sched::disarm_scheduler(&mut sim);
-    wlctl::disarm_driver(&mut sim);
+    /// Disarm everything, fold the estimate-vs-truth stream, and assemble
+    /// the deterministic result.
+    fn finish(&self, mut sim: Simulation<World>, cfg: &EstimatorsConfig) -> EstimatorsResult {
+        sched::disarm_scheduler(&mut sim);
+        wlctl::disarm_driver(&mut sim);
 
-    let sc = cfg.scale.max(1);
-    let detect_bytes = cfg.detect_bytes / sc;
-    let tau_kbps = ControllerParams::paper(0, u64::MAX).tau_kbps;
-    let no_swap_ns = SimTime::from_secs(cfg.no_swap_secs).as_nanos();
-    let deadline = SimTime::from_secs(cfg.deadline_secs);
-    let events_executed = sim.events_executed();
-    let w = sim.state();
-    let s = w.sched.as_ref().expect("scheduler armed");
-    let estimator = match cfg.estimator {
-        WssEstimatorKind::SwapIo => "swap_io",
-        WssEstimatorKind::Pml => "pml",
-    };
+        let sc = cfg.scale.max(1);
+        let detect_bytes = cfg.detect_bytes / sc;
+        let tau_kbps = ControllerParams::paper(0, u64::MAX).tau_kbps;
+        let no_swap_ns = SimTime::from_secs(cfg.no_swap_secs).as_nanos();
+        let deadline = self.deadline;
+        let events_executed = sim.events_executed();
+        let w = sim.state();
+        let s = w.sched.as_ref().expect("scheduler armed");
+        let estimator = match cfg.estimator {
+            WssEstimatorKind::SwapIo => "swap_io",
+            WssEstimatorKind::Pml => "pml",
+        };
 
-    // Fold the trace: per-epoch |estimate − truth| (histograms observe
-    // error *bytes* through the nanosecond-keyed log₂ buckets — same
-    // data-independent layout, quantiles read as byte ceilings) and the
-    // arm's detection time.
-    let mut err_hist_no_swap = FixedHistogram::new();
-    let mut err_hist_total = FixedHistogram::new();
-    let (mut sum_no_swap, mut n_no_swap) = (0u128, 0u64);
-    let (mut sum_total, mut n_total) = (0u128, 0u64);
-    let mut detect_ns = u64::MAX;
-    for (t, ev) in w.trace.events() {
-        match *ev {
-            agile_trace::TraceEvent::WssEstimate {
-                est_bytes,
-                truth_bytes,
-                ..
-            } => {
-                let err = est_bytes.abs_diff(truth_bytes);
-                err_hist_total.observe(SimDuration::from_nanos(err));
-                sum_total += err as u128;
-                n_total += 1;
-                if t.as_nanos() < no_swap_ns {
-                    err_hist_no_swap.observe(SimDuration::from_nanos(err));
-                    sum_no_swap += err as u128;
-                    n_no_swap += 1;
+        // Fold the trace: per-epoch |estimate − truth| (histograms observe
+        // error *bytes* through the nanosecond-keyed log₂ buckets — same
+        // data-independent layout, quantiles read as byte ceilings) and the
+        // arm's detection time.
+        let mut err_hist_no_swap = FixedHistogram::new();
+        let mut err_hist_total = FixedHistogram::new();
+        let (mut sum_no_swap, mut n_no_swap) = (0u128, 0u64);
+        let (mut sum_total, mut n_total) = (0u128, 0u64);
+        let mut detect_ns = u64::MAX;
+        for (t, ev) in w.trace.events() {
+            match *ev {
+                agile_trace::TraceEvent::WssEstimate {
+                    est_bytes,
+                    truth_bytes,
+                    ..
+                } => {
+                    let err = est_bytes.abs_diff(truth_bytes);
+                    err_hist_total.observe(SimDuration::from_nanos(err));
+                    sum_total += err as u128;
+                    n_total += 1;
+                    if t.as_nanos() < no_swap_ns {
+                        err_hist_no_swap.observe(SimDuration::from_nanos(err));
+                        sum_no_swap += err as u128;
+                        n_no_swap += 1;
+                    }
+                    if cfg.estimator == WssEstimatorKind::Pml
+                        && detect_ns == u64::MAX
+                        && est_bytes >= detect_bytes
+                    {
+                        detect_ns = t.as_nanos();
+                    }
                 }
-                if cfg.estimator == WssEstimatorKind::Pml
-                    && detect_ns == u64::MAX
-                    && est_bytes >= detect_bytes
+                agile_trace::TraceEvent::WssSample { rate_kbps, .. }
+                    if cfg.estimator == WssEstimatorKind::SwapIo
+                        && detect_ns == u64::MAX
+                        && rate_kbps > tau_kbps =>
                 {
                     detect_ns = t.as_nanos();
                 }
-            }
-            agile_trace::TraceEvent::WssSample { rate_kbps, .. }
-                if cfg.estimator == WssEstimatorKind::SwapIo
-                    && detect_ns == u64::MAX
-                    && rate_kbps > tau_kbps =>
-            {
-                detect_ns = t.as_nanos();
-            }
-            _ => {}
-        }
-    }
-    let mae_no_swap_bytes = (sum_no_swap / u128::from(n_no_swap.max(1))) as u64;
-    let mae_total_bytes = (sum_total / u128::from(n_total.max(1))) as u64;
-
-    // Time-weighted mean reservation across the tracked VMs (integer
-    // arithmetic: Σ bytes·ns / Σ ns, piecewise-constant between samples).
-    let mut resv_weighted = 0u128;
-    let mut resv_span = 0u128;
-    let (mut major_faults, mut minor_faults, mut completions) = (0u64, 0u64, 0u64);
-    for &vm in vms {
-        let slot = &w.vms[vm];
-        let c = slot.vm.memory().counters();
-        major_faults += c.major_faults;
-        minor_faults += c.minor_faults;
-        completions += slot.meter.total();
-        let pts = slot.reservation_series.points();
-        for (i, &(t, v)) in pts.iter().enumerate() {
-            let end = pts
-                .get(i + 1)
-                .map(|&(t2, _)| t2)
-                .unwrap_or(deadline)
-                .min(deadline);
-            if end > t {
-                let span = (end.as_nanos() - t.as_nanos()) as u128;
-                resv_weighted += (v as u64) as u128 * span;
-                resv_span += span;
+                _ => {}
             }
         }
-    }
-    let reservation_avg_bytes = (resv_weighted / resv_span.max(1)) as u64;
+        let mae_no_swap_bytes = (sum_no_swap / u128::from(n_no_swap.max(1))) as u64;
+        let mae_total_bytes = (sum_total / u128::from(n_total.max(1))) as u64;
 
-    let migs: Vec<(usize, usize, usize, u64)> = w
-        .migrations
-        .iter()
-        .map(|m| {
-            (
-                m.vm,
-                m.source_host,
-                m.dest_host,
-                m.src.metrics().started_at.as_nanos(),
-            )
-        })
-        .collect();
-    let first_migration_ns = migs.iter().map(|&(_, _, _, t)| t).min().unwrap_or(u64::MAX);
-    let metrics_json = crate::report::metrics_registry(w).to_json();
+        // Time-weighted mean reservation across the tracked VMs (integer
+        // arithmetic: Σ bytes·ns / Σ ns, piecewise-constant between samples).
+        let mut resv_weighted = 0u128;
+        let mut resv_span = 0u128;
+        let (mut major_faults, mut minor_faults, mut completions) = (0u64, 0u64, 0u64);
+        for &vm in &self.vms {
+            let slot = &w.vms[vm];
+            let c = slot.vm.memory().counters();
+            major_faults += c.major_faults;
+            minor_faults += c.minor_faults;
+            completions += slot.meter.total();
+            let pts = slot.reservation_series.points();
+            for (i, &(t, v)) in pts.iter().enumerate() {
+                let end = pts
+                    .get(i + 1)
+                    .map(|&(t2, _)| t2)
+                    .unwrap_or(deadline)
+                    .min(deadline);
+                if end > t {
+                    let span = (end.as_nanos() - t.as_nanos()) as u128;
+                    resv_weighted += (v as u64) as u128 * span;
+                    resv_span += span;
+                }
+            }
+        }
+        let reservation_avg_bytes = (resv_weighted / resv_span.max(1)) as u64;
 
-    let mut report = String::new();
-    {
-        use std::fmt::Write;
-        let _ = writeln!(report, "# wss estimator accuracy report");
-        let _ = writeln!(
-            report,
-            "seed={} scale={} estimator={} no_swap_secs={} detect_bytes={} deadline={}",
-            cfg.seed, sc, estimator, cfg.no_swap_secs, detect_bytes, cfg.deadline_secs,
-        );
-        let _ = writeln!(report, "watermarks:");
-        for mh in managed {
+        let migs: Vec<(usize, usize, usize, u64)> = w
+            .migrations
+            .iter()
+            .map(|m| {
+                (
+                    m.vm,
+                    m.source_host,
+                    m.dest_host,
+                    m.src.metrics().started_at.as_nanos(),
+                )
+            })
+            .collect();
+        let first_migration_ns = migs.iter().map(|&(_, _, _, t)| t).min().unwrap_or(u64::MAX);
+        let metrics_json = crate::report::metrics_registry(w).to_json();
+
+        let mut report = String::new();
+        {
+            use std::fmt::Write;
+            let _ = writeln!(report, "# wss estimator accuracy report");
             let _ = writeln!(
                 report,
-                "  host{} low={} high={}",
-                mh.host, mh.trigger.low_bytes, mh.trigger.high_bytes
+                "seed={} scale={} estimator={} no_swap_secs={} detect_bytes={} deadline={}",
+                cfg.seed, sc, estimator, cfg.no_swap_secs, detect_bytes, cfg.deadline_secs,
             );
-        }
-        let _ = writeln!(
+            let _ = writeln!(report, "watermarks:");
+            for mh in &self.managed {
+                let _ = writeln!(
+                    report,
+                    "  host{} low={} high={}",
+                    mh.host, mh.trigger.low_bytes, mh.trigger.high_bytes
+                );
+            }
+            let _ = writeln!(
             report,
             "accuracy: epochs_no_swap={} mae_no_swap_bytes={} epochs_total={} mae_total_bytes={}",
             n_no_swap, mae_no_swap_bytes, n_total, mae_total_bytes,
         );
-        let _ = writeln!(
-            report,
-            "error_quantiles_no_swap: p50<={} p90<={} max={}",
-            err_hist_no_swap.quantile_ceil_ns(0.50),
-            err_hist_no_swap.quantile_ceil_ns(0.90),
-            err_hist_no_swap.max_ns(),
-        );
-        let _ = writeln!(
-            report,
-            "error_quantiles_total: p50<={} p90<={} max={}",
-            err_hist_total.quantile_ceil_ns(0.50),
-            err_hist_total.quantile_ceil_ns(0.90),
-            err_hist_total.max_ns(),
-        );
-        let _ = writeln!(report, "detect_ns={detect_ns}");
-        let _ = writeln!(
-            report,
-            "reservations: avg_bytes={} samples={} epoch_drains={} pml_overflows={}",
-            reservation_avg_bytes,
-            w.wss_counters.samples,
-            w.wss_counters.epoch_drains,
-            w.wss_counters.pml_overflows,
-        );
-        let _ = writeln!(
-            report,
-            "guest: major_faults={major_faults} minor_faults={minor_faults} \
-             completions={completions}",
-        );
-        let _ = writeln!(report, "migrations:");
-        for (i, &(vm, src, dest, start_ns)) in migs.iter().enumerate() {
             let _ = writeln!(
                 report,
-                "  mig={i} vm={vm} src={src} dest={dest} start_ns={start_ns}"
+                "error_quantiles_no_swap: p50<={} p90<={} max={}",
+                err_hist_no_swap.quantile_ceil_ns(0.50),
+                err_hist_no_swap.quantile_ceil_ns(0.90),
+                err_hist_no_swap.max_ns(),
+            );
+            let _ = writeln!(
+                report,
+                "error_quantiles_total: p50<={} p90<={} max={}",
+                err_hist_total.quantile_ceil_ns(0.50),
+                err_hist_total.quantile_ceil_ns(0.90),
+                err_hist_total.max_ns(),
+            );
+            let _ = writeln!(report, "detect_ns={detect_ns}");
+            let _ = writeln!(
+                report,
+                "reservations: avg_bytes={} samples={} epoch_drains={} pml_overflows={}",
+                reservation_avg_bytes,
+                w.wss_counters.samples,
+                w.wss_counters.epoch_drains,
+                w.wss_counters.pml_overflows,
+            );
+            let _ = writeln!(
+                report,
+                "guest: major_faults={major_faults} minor_faults={minor_faults} \
+             completions={completions}",
+            );
+            let _ = writeln!(report, "migrations:");
+            for (i, &(vm, src, dest, start_ns)) in migs.iter().enumerate() {
+                let _ = writeln!(
+                    report,
+                    "  mig={i} vm={vm} src={src} dest={dest} start_ns={start_ns}"
+                );
+            }
+            let c = s.counters;
+            let _ = writeln!(
+                report,
+                "counters: started={} queued={} deferred_no_dest={} completed={}",
+                c.started, c.queued, c.deferred_no_dest, c.completed,
+            );
+            let _ = writeln!(
+                report,
+                "totals: migrations={} trace_dropped={} events_executed={}",
+                migs.len(),
+                w.trace.dropped(),
+                events_executed,
             );
         }
-        let c = s.counters;
-        let _ = writeln!(
-            report,
-            "counters: started={} queued={} deferred_no_dest={} completed={}",
-            c.started, c.queued, c.deferred_no_dest, c.completed,
-        );
-        let _ = writeln!(
-            report,
-            "totals: migrations={} trace_dropped={} events_executed={}",
-            migs.len(),
-            w.trace.dropped(),
-            events_executed,
-        );
-    }
 
-    EstimatorsResult {
-        report,
-        estimator,
-        mae_no_swap_bytes,
-        mae_total_bytes,
-        detect_ns,
-        epochs_no_swap: n_no_swap,
-        epochs_total: n_total,
-        major_faults,
-        minor_faults,
-        completions,
-        reservation_avg_bytes,
-        migrations: migs.len() as u64,
-        first_migration_ns,
-        counters: s.counters,
-        wss_counters: w.wss_counters,
-        metrics_json,
-        events_executed,
-        trace_jsonl: cfg.trace.then(|| w.trace.to_jsonl()),
+        EstimatorsResult {
+            report,
+            estimator,
+            mae_no_swap_bytes,
+            mae_total_bytes,
+            detect_ns,
+            epochs_no_swap: n_no_swap,
+            epochs_total: n_total,
+            major_faults,
+            minor_faults,
+            completions,
+            reservation_avg_bytes,
+            migrations: migs.len() as u64,
+            first_migration_ns,
+            counters: s.counters,
+            wss_counters: w.wss_counters,
+            metrics_json,
+            events_executed,
+            trace_jsonl: cfg.trace.then(|| w.trace.to_jsonl()),
+        }
     }
 }

@@ -12,6 +12,23 @@
 //! tests use `scale = 32`+ so they run in milliseconds. Scaling divides
 //! every byte quantity, which preserves the *ratios* that drive the
 //! qualitative results.
+//!
+//! # Driving a scenario
+//!
+//! The cluster-scale scenarios ([`multihost`], [`pressure`], [`diurnal`],
+//! [`estimators`], [`tiers`], [`scaleout`]) plug in by implementing the
+//! crate-private `Scenario` trait: `setup` builds and arms the world
+//! and returns what the scenario keeps from set-up, `settled` says when a
+//! run may stop early, and `finish` turns the final world into the
+//! result. Their `pub fn run` and `pub fn run_replicated` are one-line
+//! calls into the two generic drivers here: the sequential reference
+//! `run` and the sharded `run_replicated`, which runs many configs
+//! as shards of one epoch harness. Both advance every world through the
+//! same `SLICE`-spaced `run_until` targets, so a replica's result is
+//! byte-identical to the sequential run of its config at any worker
+//! count. [`datacenter`] keeps its own coordinated driver (one config,
+//! many rack worlds, a real coordinator); [`chaos`] and [`single_vm`]
+//! call `run_sliced` with their own predicate.
 
 pub mod chaos;
 pub mod datacenter;
@@ -26,11 +43,114 @@ pub mod tiers;
 pub mod wss;
 pub mod ycsb;
 
-use agile_sim_core::{SimTime, Simulation};
+use agile_sim_core::{SimDuration, SimTime, Simulation};
 use agile_workload::Signal;
 
 use crate::guest::{charge_evictions, EvictTarget};
+use crate::sched::{self, ManagedHost};
+use crate::shard::{NullCoordinator, ShardedRun};
 use crate::world::{WorkloadKind, World};
+
+/// The driver slice: the sequential drivers advance in steps of this
+/// much simulated time, and it is also the sharded harness's lookahead,
+/// so both drivers stop at the same `run_until` targets.
+pub(crate) const SLICE: SimDuration = SimDuration::from_secs(5);
+
+/// A scripted cluster scenario the generic drivers can run. `Self` is
+/// what the scenario keeps from set-up for its predicate and report.
+pub(crate) trait Scenario: Sized {
+    /// The run's parameters.
+    type Config;
+    /// The run's deterministic result.
+    type Output;
+    /// Build and arm the world.
+    fn setup(cfg: &Self::Config) -> (Simulation<World>, Self);
+    /// Hard end of the run.
+    fn deadline(&self) -> SimTime;
+    /// Checked at every slice boundary: the run may stop before its
+    /// deadline. Scenarios that always run to the deadline keep the
+    /// default.
+    fn settled(&self, _sim: &Simulation<World>) -> bool {
+        false
+    }
+    /// Disarm controllers and assemble the result.
+    fn finish(&self, sim: Simulation<World>, cfg: &Self::Config) -> Self::Output;
+}
+
+/// Advance `sim` in [`SLICE`] steps until `settled` holds at a slice
+/// boundary or the deadline is reached.
+pub(crate) fn run_sliced(
+    sim: &mut Simulation<World>,
+    deadline: SimTime,
+    settled: impl Fn(&Simulation<World>) -> bool,
+) {
+    loop {
+        let next = sim.now() + SLICE;
+        sim.run_until(next.min(deadline));
+        if sim.now() >= deadline || settled(sim) {
+            break;
+        }
+    }
+}
+
+/// Run one scenario sequentially: the reference the sharded driver must
+/// reproduce.
+pub(crate) fn run<S: Scenario>(cfg: &S::Config) -> S::Output {
+    let (mut sim, s) = S::setup(cfg);
+    run_sliced(&mut sim, s.deadline(), |sim| s.settled(sim));
+    s.finish(sim, cfg)
+}
+
+/// Run several independent configs of one scenario as shards of one
+/// parallel epoch harness (lookahead = [`SLICE`], so the `run_until`
+/// targets coincide with [`run`]'s). Every replica's result is
+/// byte-identical to [`run`] of its config at any `workers` count.
+pub(crate) fn run_replicated<S: Scenario>(cfgs: &[S::Config], workers: usize) -> Vec<S::Output> {
+    assert!(!cfgs.is_empty());
+    let (worlds, states): (Vec<_>, Vec<S>) = cfgs.iter().map(S::setup).unzip();
+    let deadline = states[0].deadline();
+    assert!(
+        states.iter().all(|s| s.deadline() == deadline),
+        "replicated runs share one deadline (epoch targets must coincide)"
+    );
+    let mut sharded = ShardedRun::new(worlds, SLICE);
+    sharded.run(workers, deadline, &mut NullCoordinator, |i, sim| {
+        states[i].settled(sim)
+    });
+    sharded
+        .into_worlds()
+        .into_iter()
+        .zip(&states)
+        .zip(cfgs)
+        .map(|((sim, s), cfg)| s.finish(sim, cfg))
+        .collect()
+}
+
+/// The watermark scheduler has settled: past the load ramp, every
+/// managed host at or below its high watermark, nothing queued or in
+/// flight, and every migration finished.
+pub(crate) fn sched_settled(
+    sim: &Simulation<World>,
+    managed: &[ManagedHost],
+    ramp_end: SimTime,
+) -> bool {
+    let w = sim.state();
+    let s = w.sched.as_ref().expect("scheduler armed");
+    let below = managed
+        .iter()
+        .all(|mh| sched::host_aggregate(w, mh.host) <= mh.trigger.high_bytes);
+    let quiescent =
+        s.queue.is_empty() && s.inflight.is_empty() && w.migrations.iter().all(|m| m.finished);
+    sim.now() > ramp_end && below && quiescent
+}
+
+/// FNV-1a over `u64` words: the order-sensitive digest the scenario
+/// reports print.
+pub(crate) fn fnv1a(words: impl IntoIterator<Item = u64>) -> u64 {
+    words.into_iter().fold(0xcbf2_9ce4_8422_2325, |digest, v| {
+        (digest ^ v).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
 
 /// Schedule piecewise-constant [`Signal`]s as discrete DES events.
 ///
@@ -160,6 +280,28 @@ pub fn rebalance_host(sim: &mut Simulation<World>, host: usize, slack: u64) {
     }
 }
 
+/// Poll every second until migration `mig` finishes, then re-balance
+/// the source host.
+pub(crate) fn watch_completion(
+    sim: &mut Simulation<World>,
+    mig: usize,
+    src_host: usize,
+    slack: u64,
+) {
+    sim.schedule_every(
+        sim.now() + SimDuration::from_secs(1),
+        SimDuration::from_secs(1),
+        move |sim| {
+            if sim.state().migrations[mig].finished {
+                rebalance_host(sim, src_host, slack);
+                false
+            } else {
+                true
+            }
+        },
+    );
+}
+
 /// Set a YCSB workload's active query window at runtime (the ramp knob of
 /// Fig. 4–6).
 pub fn set_ycsb_active_bytes(sim: &mut Simulation<World>, vm_idx: usize, bytes: u64) {
@@ -167,5 +309,21 @@ pub fn set_ycsb_active_bytes(sim: &mut Simulation<World>, vm_idx: usize, bytes: 
         y.set_active_bytes(bytes);
     } else {
         panic!("VM {vm_idx} does not run YCSB");
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::tiers::{self, TiersConfig};
+
+    #[test]
+    #[should_panic(expected = "share one deadline")]
+    fn replicated_runs_must_share_one_deadline() {
+        let cfg = |deadline_secs| TiersConfig {
+            scale: 64,
+            deadline_secs,
+            ..TiersConfig::default()
+        };
+        tiers::run_replicated(&[cfg(2000), cfg(1000)], 1);
     }
 }

@@ -24,9 +24,8 @@ use agile_wss::WatermarkTrigger;
 
 use crate::build::{ClusterBuilder, SwapKind};
 use crate::config::ClusterConfig;
-use crate::scenario::set_reservation;
+use crate::scenario::{set_reservation, Scenario};
 use crate::sched::{self, ManagedHost, PlacementPolicy, SchedConfig, SchedCounters};
-use crate::shard::{NullCoordinator, ShardedRun};
 use crate::world::World;
 
 /// One multihost rebalancing run.
@@ -132,343 +131,292 @@ pub struct MultihostResult {
     pub trace_jsonl: Option<String>,
 }
 
-/// A built, armed, ramped multihost world, ready to be driven — either
-/// sequentially ([`run`]) or as one shard of a replicated sharded run
-/// ([`run_replicated`]). Both drivers advance the world through the same
-/// 5-second `run_until` targets, so they produce byte-identical results.
-struct MultihostSetup {
-    sim: Simulation<World>,
+/// What a multihost run keeps from set-up for its predicate and report.
+struct Multihost {
     managed: Vec<ManagedHost>,
     ramp_end: SimTime,
     deadline: SimTime,
 }
 
-/// The convergence predicate, evaluated at every 5-second boundary:
-/// rebalanced and quiescent after the ramp, or out of time.
-fn converged_now(
-    sim: &Simulation<World>,
-    managed: &[ManagedHost],
-    ramp_end: SimTime,
-    deadline: SimTime,
-) -> bool {
-    let w = sim.state();
-    let s = w.sched.as_ref().expect("scheduler armed");
-    let below = managed
-        .iter()
-        .all(|mh| sched::host_aggregate(w, mh.host) <= mh.trigger.high_bytes);
-    let quiescent =
-        s.queue.is_empty() && s.inflight.is_empty() && w.migrations.iter().all(|m| m.finished);
-    (sim.now() > ramp_end && below && quiescent) || sim.now() >= deadline
-}
-
 /// Run one multihost rebalancing scenario.
 pub fn run(cfg: &MultihostConfig) -> MultihostResult {
-    let MultihostSetup {
-        mut sim,
-        managed,
-        ramp_end,
-        deadline,
-    } = setup(cfg);
-    // Run in slices until the cluster is rebalanced and quiescent.
-    loop {
-        let next = sim.now() + SimDuration::from_secs(5);
-        sim.run_until(next.min(deadline));
-        if converged_now(&sim, &managed, ramp_end, deadline) {
-            break;
-        }
-    }
-    finish(sim, cfg, &managed, deadline)
+    super::run::<Multihost>(cfg)
 }
 
 /// Run several independent multihost scenarios as shards of one parallel
-/// epoch harness (lookahead = the sequential driver's 5-second slice, so
-/// the `run_until` targets coincide). Every replica's result is
-/// byte-identical to [`run`] of its config at any `workers` count — the
-/// equivalence tests pin this.
+/// epoch harness. Every replica's result is byte-identical to [`run`] of
+/// its config at any `workers` count — the equivalence tests pin this.
 pub fn run_replicated(cfgs: &[MultihostConfig], workers: usize) -> Vec<MultihostResult> {
-    assert!(!cfgs.is_empty());
-    assert!(
-        cfgs.iter()
-            .all(|c| c.deadline_secs == cfgs[0].deadline_secs),
-        "replicated runs share one deadline (epoch targets must coincide)"
-    );
-    let mut meta = Vec::with_capacity(cfgs.len());
-    let mut worlds = Vec::with_capacity(cfgs.len());
-    for cfg in cfgs {
-        let s = setup(cfg);
-        meta.push((s.managed, s.ramp_end, s.deadline));
-        worlds.push(s.sim);
-    }
-    let deadline = meta[0].2;
-    let mut sharded = ShardedRun::new(worlds, SimDuration::from_secs(5));
-    sharded.run(workers, deadline, &mut NullCoordinator, |i, sim| {
-        let (managed, ramp_end, dl) = &meta[i];
-        converged_now(sim, managed, *ramp_end, *dl)
-    });
-    sharded
-        .into_worlds()
-        .into_iter()
-        .zip(cfgs)
-        .zip(&meta)
-        .map(|((sim, cfg), (managed, _, dl))| finish(sim, cfg, managed, *dl))
-        .collect()
+    super::run_replicated::<Multihost>(cfgs, workers)
 }
 
-/// Build the world: hosts, VMD pool, packed VMs, scheduler, load ramp.
-fn setup(cfg: &MultihostConfig) -> MultihostSetup {
-    assert!(cfg.hosts >= 2, "need at least two working hosts");
-    assert!(cfg.vms >= 1);
-    let sc = cfg.scale.max(1);
-    let host_mem = 24 * GIB / sc;
-    let host_os = 300 * MIB / sc;
-    let vm_mem = 8 * GIB / sc;
-    let guest_os = 300 * MIB / sc;
-    let resv_start = 2 * GIB / sc;
-    let resv_target = 5632 * MIB / sc; // 5.5 GiB: 4 ramped VMs overflow a host
+impl Scenario for Multihost {
+    type Config = MultihostConfig;
+    type Output = MultihostResult;
 
-    let cluster_cfg = ClusterConfig {
-        seed: cfg.seed,
-        ..ClusterConfig::default()
-    };
-    let page = cluster_cfg.page_size;
-    let mut b = ClusterBuilder::new(cluster_cfg);
+    /// Build the world: hosts, VMD pool, packed VMs, scheduler, load ramp.
+    fn setup(cfg: &MultihostConfig) -> (Simulation<World>, Self) {
+        assert!(cfg.hosts >= 2, "need at least two working hosts");
+        assert!(cfg.vms >= 1);
+        let sc = cfg.scale.max(1);
+        let host_mem = 24 * GIB / sc;
+        let host_os = 300 * MIB / sc;
+        let vm_mem = 8 * GIB / sc;
+        let guest_os = 300 * MIB / sc;
+        let resv_start = 2 * GIB / sc;
+        let resv_target = 5632 * MIB / sc; // 5.5 GiB: 4 ramped VMs overflow a host
 
-    let working: Vec<usize> = (0..cfg.hosts)
-        .map(|i| b.add_host(&format!("host{i}"), host_mem, host_os, false))
-        .collect();
-    // Intermediate hosts whose spare memory backs the VMD pool (large
-    // enough for every VM's cold spill plus destination-side evictions).
-    for i in 0..2 {
-        let im = b.add_host(&format!("intermediate{i}"), 48 * GIB / sc, host_os, false);
-        b.add_vmd_server(im, 40 * GIB / sc, 0);
+        let cluster_cfg = ClusterConfig {
+            seed: cfg.seed,
+            ..ClusterConfig::default()
+        };
+        let page = cluster_cfg.page_size;
+        let mut b = ClusterBuilder::new(cluster_cfg);
+
+        let working: Vec<usize> = (0..cfg.hosts)
+            .map(|i| b.add_host(&format!("host{i}"), host_mem, host_os, false))
+            .collect();
+        // Intermediate hosts whose spare memory backs the VMD pool (large
+        // enough for every VM's cold spill plus destination-side evictions).
+        for i in 0..2 {
+            let im = b.add_host(&format!("intermediate{i}"), 48 * GIB / sc, host_os, false);
+            b.add_vmd_server(im, 40 * GIB / sc, 0);
+        }
+        // Every working host can bind portable namespaces (placement
+        // feasibility requires the destination to run a VMD client).
+        for &h in &working {
+            b.ensure_vmd_client(h);
+        }
+
+        // Pack the VMs contiguously onto the first half of the working hosts.
+        let packed = (cfg.hosts / 2).max(1);
+        let per_host = cfg.vms.div_ceil(packed);
+        let vms: Vec<usize> = (0..cfg.vms)
+            .map(|i| {
+                let host = working[(i / per_host).min(packed - 1)];
+                let vm = b.add_vm(
+                    host,
+                    VmConfig {
+                        mem_bytes: vm_mem,
+                        page_size: page,
+                        vcpus: 2,
+                        reservation_bytes: resv_start,
+                        guest_os_bytes: guest_os,
+                    },
+                    SwapKind::PerVmVmd,
+                );
+                b.preload_pages(vm, 0, (vm_mem / page) as u32);
+                vm
+            })
+            .collect();
+
+        let mut sim = b.build();
+        if cfg.trace {
+            sim.state_mut().trace = agile_trace::Tracer::with_capacity(1 << 17);
+        }
+
+        // Watermarks per managed host, from its VM-available memory.
+        let managed: Vec<ManagedHost> = working
+            .iter()
+            .map(|&h| ManagedHost {
+                host: h,
+                trigger: WatermarkTrigger::fractions(
+                    sim.state().hosts[h].mem.available_for_vms(),
+                    cfg.low_frac,
+                    cfg.high_frac,
+                ),
+            })
+            .collect();
+        let sched_cfg = SchedConfig {
+            policy: cfg.policy,
+            max_in_flight: cfg.max_in_flight,
+            hysteresis: cfg.hysteresis,
+            cooldown: SimDuration::from_secs(600),
+            src_cfg: SourceConfig {
+                precopy_threshold_pages: (9_000 / sc as u32).max(64),
+                ..SourceConfig::new(Technique::Agile)
+            },
+            verify_content: true,
+            ..SchedConfig::new(SourceConfig::new(Technique::Agile))
+        };
+        sched::arm_scheduler(&mut sim, managed.clone(), sched_cfg);
+
+        // The load ramp, expressed as a staircase signal: every VM's
+        // reservation steps toward the target in `ramp_steps` equal
+        // increments (integer-exact, see `Signal::Ramp`). VMs caught
+        // mid-migration skip the step; with the default single-step ramp
+        // nothing is migrating yet.
+        let steps = cfg.ramp_steps.max(1);
+        let ramp = Signal::ramp(
+            SimTime::from_secs(cfg.ramp_start_secs),
+            SimDuration::from_secs(cfg.ramp_interval_secs),
+            steps,
+            resv_start as f64,
+            resv_target as f64,
+        );
+        let bindings: Vec<(usize, Signal)> = vms.iter().map(|&vm| (vm, ramp.clone())).collect();
+        super::schedule_step_signals(
+            &mut sim,
+            bindings,
+            SimTime::from_nanos(u64::MAX),
+            |sim, vm, v| {
+                if sim.state().vms[vm].migration.is_some() {
+                    return;
+                }
+                set_reservation(sim, vm, v as u64);
+            },
+        );
+
+        let ramp_end =
+            SimTime::from_secs(cfg.ramp_start_secs + u64::from(steps - 1) * cfg.ramp_interval_secs);
+        let deadline = SimTime::from_secs(cfg.deadline_secs);
+        (
+            sim,
+            Multihost {
+                managed,
+                ramp_end,
+                deadline,
+            },
+        )
     }
-    // Every working host can bind portable namespaces (placement
-    // feasibility requires the destination to run a VMD client).
-    for &h in &working {
-        b.ensure_vmd_client(h);
+
+    fn deadline(&self) -> SimTime {
+        self.deadline
     }
 
-    // Pack the VMs contiguously onto the first half of the working hosts.
-    let packed = (cfg.hosts / 2).max(1);
-    let per_host = cfg.vms.div_ceil(packed);
-    let vms: Vec<usize> = (0..cfg.vms)
-        .map(|i| {
-            let host = working[(i / per_host).min(packed - 1)];
-            let vm = b.add_vm(
-                host,
-                VmConfig {
-                    mem_bytes: vm_mem,
-                    page_size: page,
-                    vcpus: 2,
-                    reservation_bytes: resv_start,
-                    guest_os_bytes: guest_os,
-                },
-                SwapKind::PerVmVmd,
-            );
-            b.preload_pages(vm, 0, (vm_mem / page) as u32);
-            vm
-        })
-        .collect();
-
-    let mut sim = b.build();
-    if cfg.trace {
-        sim.state_mut().trace = agile_trace::Tracer::with_capacity(1 << 17);
+    /// Rebalanced and quiescent after the ramp.
+    fn settled(&self, sim: &Simulation<World>) -> bool {
+        super::sched_settled(sim, &self.managed, self.ramp_end)
     }
 
-    // Watermarks per managed host, from its VM-available memory.
-    let managed: Vec<ManagedHost> = working
-        .iter()
-        .map(|&h| ManagedHost {
-            host: h,
-            trigger: WatermarkTrigger::fractions(
-                sim.state().hosts[h].mem.available_for_vms(),
+    /// Disarm the scheduler and assemble the deterministic result.
+    fn finish(&self, mut sim: Simulation<World>, cfg: &MultihostConfig) -> MultihostResult {
+        let managed = &self.managed;
+        let sc = cfg.scale.max(1);
+        sched::disarm_scheduler(&mut sim);
+
+        let events_executed = sim.events_executed();
+        let w = sim.state();
+        let s = w.sched.as_ref().expect("scheduler armed");
+
+        let migrations: Vec<MigRecord> = w
+            .migrations
+            .iter()
+            .map(|m| {
+                let met = m.src.metrics();
+                MigRecord {
+                    vm: m.vm,
+                    src: m.source_host,
+                    dest: m.dest_host,
+                    start_ns: met.started_at.as_nanos(),
+                    end_ns: met.completed_at.map(|t| t.as_nanos()).unwrap_or(u64::MAX),
+                    bytes: met.migration_bytes,
+                    finished: m.finished,
+                }
+            })
+            .collect();
+        let final_aggregates: Vec<u64> = managed
+            .iter()
+            .map(|mh| sched::host_aggregate(w, mh.host))
+            .collect();
+        let high_bytes: Vec<u64> = managed.iter().map(|mh| mh.trigger.high_bytes).collect();
+        let converged = sim.now() < self.deadline
+            && final_aggregates
+                .iter()
+                .zip(&high_bytes)
+                .all(|(agg, high)| agg <= high)
+            && s.queue.is_empty()
+            && s.inflight.is_empty();
+        let max_vm_migrations = s.times_migrated.iter().copied().max().unwrap_or(0);
+        let metrics_json = crate::report::metrics_registry(w).to_json();
+
+        let mut report = String::new();
+        {
+            use std::fmt::Write;
+            let _ = writeln!(report, "# multihost rebalance report");
+            let _ = writeln!(
+                report,
+                "seed={} scale={} hosts={} vms={} policy={} cap={} hysteresis={:?} \
+             low_frac={:?} high_frac={:?}",
+                cfg.seed,
+                sc,
+                cfg.hosts,
+                cfg.vms,
+                cfg.policy.name(),
+                cfg.max_in_flight,
+                cfg.hysteresis,
                 cfg.low_frac,
                 cfg.high_frac,
-            ),
-        })
-        .collect();
-    let sched_cfg = SchedConfig {
-        policy: cfg.policy,
-        max_in_flight: cfg.max_in_flight,
-        hysteresis: cfg.hysteresis,
-        cooldown: SimDuration::from_secs(600),
-        src_cfg: SourceConfig {
-            precopy_threshold_pages: (9_000 / sc as u32).max(64),
-            ..SourceConfig::new(Technique::Agile)
-        },
-        verify_content: true,
-        ..SchedConfig::new(SourceConfig::new(Technique::Agile))
-    };
-    sched::arm_scheduler(&mut sim, managed.clone(), sched_cfg);
-
-    // The load ramp, expressed as a staircase signal: every VM's
-    // reservation steps toward the target in `ramp_steps` equal
-    // increments (integer-exact, see `Signal::Ramp`). VMs caught
-    // mid-migration skip the step; with the default single-step ramp
-    // nothing is migrating yet.
-    let steps = cfg.ramp_steps.max(1);
-    let ramp = Signal::ramp(
-        SimTime::from_secs(cfg.ramp_start_secs),
-        SimDuration::from_secs(cfg.ramp_interval_secs),
-        steps,
-        resv_start as f64,
-        resv_target as f64,
-    );
-    let bindings: Vec<(usize, Signal)> = vms.iter().map(|&vm| (vm, ramp.clone())).collect();
-    super::schedule_step_signals(
-        &mut sim,
-        bindings,
-        SimTime::from_nanos(u64::MAX),
-        |sim, vm, v| {
-            if sim.state().vms[vm].migration.is_some() {
-                return;
+            );
+            let _ = writeln!(report, "watermarks:");
+            for mh in managed {
+                let _ = writeln!(
+                    report,
+                    "  host{} low={} high={}",
+                    mh.host, mh.trigger.low_bytes, mh.trigger.high_bytes
+                );
             }
-            set_reservation(sim, vm, v as u64);
-        },
-    );
-
-    let ramp_end =
-        SimTime::from_secs(cfg.ramp_start_secs + u64::from(steps - 1) * cfg.ramp_interval_secs);
-    let deadline = SimTime::from_secs(cfg.deadline_secs);
-    MultihostSetup {
-        sim,
-        managed,
-        ramp_end,
-        deadline,
-    }
-}
-
-/// Disarm the scheduler and assemble the deterministic result.
-fn finish(
-    mut sim: Simulation<World>,
-    cfg: &MultihostConfig,
-    managed: &[ManagedHost],
-    deadline: SimTime,
-) -> MultihostResult {
-    let sc = cfg.scale.max(1);
-    sched::disarm_scheduler(&mut sim);
-
-    let events_executed = sim.events_executed();
-    let w = sim.state();
-    let s = w.sched.as_ref().expect("scheduler armed");
-
-    let migrations: Vec<MigRecord> = w
-        .migrations
-        .iter()
-        .map(|m| {
-            let met = m.src.metrics();
-            MigRecord {
-                vm: m.vm,
-                src: m.source_host,
-                dest: m.dest_host,
-                start_ns: met.started_at.as_nanos(),
-                end_ns: met.completed_at.map(|t| t.as_nanos()).unwrap_or(u64::MAX),
-                bytes: met.migration_bytes,
-                finished: m.finished,
+            let _ = writeln!(report, "decisions:");
+            for d in &s.decisions {
+                let _ = writeln!(
+                    report,
+                    "  t_ns={} vm={} src={} dest={} action={}",
+                    d.at.as_nanos(),
+                    d.vm,
+                    d.src,
+                    d.dest.map(|h| h as i64).unwrap_or(-1),
+                    d.action.name(),
+                );
             }
-        })
-        .collect();
-    let final_aggregates: Vec<u64> = managed
-        .iter()
-        .map(|mh| sched::host_aggregate(w, mh.host))
-        .collect();
-    let high_bytes: Vec<u64> = managed.iter().map(|mh| mh.trigger.high_bytes).collect();
-    let converged = sim.now() < deadline
-        && final_aggregates
-            .iter()
-            .zip(&high_bytes)
-            .all(|(agg, high)| agg <= high)
-        && s.queue.is_empty()
-        && s.inflight.is_empty();
-    let max_vm_migrations = s.times_migrated.iter().copied().max().unwrap_or(0);
-    let metrics_json = crate::report::metrics_registry(w).to_json();
-
-    let mut report = String::new();
-    {
-        use std::fmt::Write;
-        let _ = writeln!(report, "# multihost rebalance report");
-        let _ = writeln!(
-            report,
-            "seed={} scale={} hosts={} vms={} policy={} cap={} hysteresis={:?} \
-             low_frac={:?} high_frac={:?}",
-            cfg.seed,
-            sc,
-            cfg.hosts,
-            cfg.vms,
-            cfg.policy.name(),
-            cfg.max_in_flight,
-            cfg.hysteresis,
-            cfg.low_frac,
-            cfg.high_frac,
-        );
-        let _ = writeln!(report, "watermarks:");
-        for mh in managed {
+            let _ = writeln!(report, "migrations:");
+            for (i, m) in migrations.iter().enumerate() {
+                let _ = writeln!(
+                    report,
+                    "  mig={} vm={} src={} dest={} start_ns={} end_ns={} bytes={} finished={}",
+                    i, m.vm, m.src, m.dest, m.start_ns, m.end_ns, m.bytes, m.finished,
+                );
+            }
+            let _ = writeln!(report, "final:");
+            for (i, mh) in managed.iter().enumerate() {
+                let _ = writeln!(
+                    report,
+                    "  host{} aggregate={} high={} ok={}",
+                    mh.host,
+                    final_aggregates[i],
+                    high_bytes[i],
+                    final_aggregates[i] <= high_bytes[i],
+                );
+            }
+            let c = s.counters;
             let _ = writeln!(
                 report,
-                "  host{} low={} high={}",
-                mh.host, mh.trigger.low_bytes, mh.trigger.high_bytes
-            );
-        }
-        let _ = writeln!(report, "decisions:");
-        for d in &s.decisions {
-            let _ = writeln!(
-                report,
-                "  t_ns={} vm={} src={} dest={} action={}",
-                d.at.as_nanos(),
-                d.vm,
-                d.src,
-                d.dest.map(|h| h as i64).unwrap_or(-1),
-                d.action.name(),
-            );
-        }
-        let _ = writeln!(report, "migrations:");
-        for (i, m) in migrations.iter().enumerate() {
-            let _ = writeln!(
-                report,
-                "  mig={} vm={} src={} dest={} start_ns={} end_ns={} bytes={} finished={}",
-                i, m.vm, m.src, m.dest, m.start_ns, m.end_ns, m.bytes, m.finished,
-            );
-        }
-        let _ = writeln!(report, "final:");
-        for (i, mh) in managed.iter().enumerate() {
-            let _ = writeln!(
-                report,
-                "  host{} aggregate={} high={} ok={}",
-                mh.host,
-                final_aggregates[i],
-                high_bytes[i],
-                final_aggregates[i] <= high_bytes[i],
-            );
-        }
-        let c = s.counters;
-        let _ = writeln!(
-            report,
-            "counters: started={} queued={} deferred={} dropped={} completed={} \
+                "counters: started={} queued={} deferred={} dropped={} completed={} \
              max_in_flight={}",
-            c.started,
-            c.queued,
-            c.deferred_no_dest,
-            c.dropped_recovered,
-            c.completed,
-            c.max_in_flight_observed,
-        );
-        let _ = writeln!(
-            report,
-            "converged={converged} max_vm_migrations={max_vm_migrations} \
+                c.started,
+                c.queued,
+                c.deferred_no_dest,
+                c.dropped_recovered,
+                c.completed,
+                c.max_in_flight_observed,
+            );
+            let _ = writeln!(
+                report,
+                "converged={converged} max_vm_migrations={max_vm_migrations} \
              events_executed={events_executed}",
-        );
-    }
+            );
+        }
 
-    MultihostResult {
-        report,
-        converged,
-        migrations,
-        final_aggregates,
-        high_bytes,
-        max_vm_migrations,
-        counters: s.counters,
-        metrics_json,
-        events_executed,
-        trace_jsonl: cfg.trace.then(|| w.trace.to_jsonl()),
+        MultihostResult {
+            report,
+            converged,
+            migrations,
+            final_aggregates,
+            high_bytes,
+            max_vm_migrations,
+            counters: s.counters,
+            metrics_json,
+            events_executed,
+            trace_jsonl: cfg.trace.then(|| w.trace.to_jsonl()),
+        }
     }
 }

@@ -175,19 +175,13 @@ pub fn run(cfg: &SingleVmConfig) -> SingleVmResult {
 
     // Run until the migration completes (or the deadline).
     let deadline = SimTime::from_secs(cfg.deadline_secs);
-    loop {
-        let next = sim.now() + agile_sim_core::SimDuration::from_secs(5);
-        sim.run_until(next.min(deadline));
-        let done = sim
-            .state()
+    super::run_sliced(&mut sim, deadline, |sim| {
+        sim.state()
             .migrations
             .first()
             .map(|m| m.finished)
-            .unwrap_or(false);
-        if done || sim.now() >= deadline {
-            break;
-        }
-    }
+            .unwrap_or(false)
+    });
 
     let metrics = sim.state().migrations[0].src.metrics().clone();
     let timeline = crate::report::phase_timeline(sim.state(), 0, "single_vm", cfg.seed);

@@ -9,7 +9,7 @@
 //! migration.
 
 use agile_migration::{SourceConfig, Technique};
-use agile_sim_core::{SimDuration, SimTime, Simulation, GIB, MIB};
+use agile_sim_core::{SimTime, GIB, MIB};
 use agile_vm::VmConfig;
 use agile_workload::{Dataset, KeyDist, OltpParams, SysbenchOltp};
 
@@ -17,8 +17,8 @@ use crate::build::{start_all_workloads, ClusterBuilder, SwapKind};
 use crate::config::ClusterConfig;
 use crate::migrate;
 use crate::report;
-use crate::scenario::rebalance_host;
-use crate::world::{WorkloadKind, World};
+use crate::scenario::watch_completion;
+use crate::world::WorkloadKind;
 
 /// Configuration (defaults = the paper's §V-C setup).
 #[derive(Clone, Copy, Debug)]
@@ -174,20 +174,4 @@ pub fn run(cfg: &SysbenchScenarioConfig) -> SysbenchScenarioResult {
         metrics,
         avg_during_window,
     }
-}
-
-/// Poll until the migration finishes, then re-balance the source host.
-fn watch_completion(sim: &mut Simulation<World>, mig: usize, src_host: usize, slack: u64) {
-    sim.schedule_every(
-        sim.now() + SimDuration::from_secs(1),
-        SimDuration::from_secs(1),
-        move |sim| {
-            if sim.state().migrations[mig].finished {
-                rebalance_host(sim, src_host, slack);
-                false
-            } else {
-                true
-            }
-        },
-    );
 }

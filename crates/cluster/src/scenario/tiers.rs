@@ -39,7 +39,7 @@ use crate::build::{start_all_workloads, ClusterBuilder, SwapKind};
 use crate::config::ClusterConfig;
 use crate::guest;
 use crate::migrate;
-use crate::shard::{NullCoordinator, ShardedRun};
+use crate::scenario::Scenario;
 use crate::world::{OpExec, World};
 
 /// Which spill stack backs a sweep point.
@@ -170,18 +170,21 @@ pub struct TiersResult {
     pub events_executed: u64,
 }
 
-/// A built tier-sweep world, ready for the sequential or sharded driver.
-struct TiersSetup {
-    sim: Simulation<World>,
+/// What a tier-sweep point keeps from set-up.
+struct Tiers {
     deadline: SimTime,
 }
 
-/// The settle predicate at every 5-second boundary: migration done and
-/// every swap I/O drained, or out of time.
-fn settled(sim: &Simulation<World>, deadline: SimTime) -> bool {
-    let w = sim.state();
-    let mig_done = w.migrations.first().map(|m| m.finished).unwrap_or(false);
-    (mig_done && w.swap_reqs.is_empty() && w.chaos.repair_queue.is_empty()) || sim.now() >= deadline
+/// Run one tier-sweep point sequentially.
+pub fn run(cfg: &TiersConfig) -> TiersResult {
+    super::run::<Tiers>(cfg)
+}
+
+/// Run several sweep points as shards of one parallel epoch harness.
+/// Every point's result is byte-identical to [`run`] at any `workers`
+/// count.
+pub fn run_replicated(cfgs: &[TiersConfig], workers: usize) -> Vec<TiersResult> {
+    super::run_replicated::<Tiers>(cfgs, workers)
 }
 
 /// One scripted-scan touch: a write sweeping the spilled pfn range. The
@@ -220,231 +223,198 @@ fn scan_tick(sim: &mut Simulation<World>, vm: usize, range: u32, cursor: u32, pe
     });
 }
 
-/// Build one sweep point: the tier stack, the over-committed VM, the
-/// armed histogram, the scripted scan, and the scheduled migration.
-fn setup(cfg: &TiersConfig) -> TiersSetup {
-    let sc = cfg.scale.max(1);
-    let host_mem = cfg.host_mem / sc;
-    let vm_mem = cfg.vm_mem / sc;
-    let host_os = 128 * MIB / sc;
-    let guest_os = 128 * MIB / sc;
-    let reservation = (host_mem - host_os).min(vm_mem);
+impl Scenario for Tiers {
+    type Config = TiersConfig;
+    type Output = TiersResult;
 
-    let mut cluster_cfg = ClusterConfig {
-        seed: cfg.seed,
-        ..ClusterConfig::default()
-    };
-    let page = cluster_cfg.page_size;
-    // The VM's spilled state: everything its reservation cannot hold.
-    let spill_pages = (vm_mem.saturating_sub(reservation) / page).max(1);
-    let dram_pages = (spill_pages * cfg.dram_pct / 100).max(2);
-    let spill_tier = |spec: TierSpec| -> Vec<TierSpec> {
-        if cfg.split_spill {
-            // Two equal-cost halves of the same spill capacity; the
-            // cost-ordered placement must make this invisible.
-            let mut half = spec;
-            half.capacity = TierCapacity::Pages(2 * spill_pages);
-            vec![half, half]
-        } else {
-            let mut whole = spec;
-            whole.capacity = TierCapacity::Pages(4 * spill_pages);
-            vec![whole]
-        }
-    };
-    let (spill_specs, mem_bytes) = match cfg.arm {
-        TierArm::ScarceDram => (spill_tier(TierSpec::host_ssd()), dram_pages * page),
-        TierArm::FarMemory => (
-            // ~2 µs CXL load/store latency + 4 KiB at 16 GiB/s.
-            spill_tier(TierSpec::far_memory(
-                0, // capacity overridden by spill_tier
-                SimDuration::from_micros(2),
-                16 << 30,
-                page,
-            )),
-            (dram_pages / 4).max(1) * page,
-        ),
-    };
-    let mut tiers = vec![TierSpec::dram()];
-    tiers.extend(spill_specs);
-    cluster_cfg.vmd_tiers = TierStackConfig::new(&tiers, HeatPolicy::heat_driven());
+    /// Build one sweep point: the tier stack, the over-committed VM, the
+    /// armed histogram, the scripted scan, and the scheduled migration.
+    fn setup(cfg: &TiersConfig) -> (Simulation<World>, Self) {
+        let sc = cfg.scale.max(1);
+        let host_mem = cfg.host_mem / sc;
+        let vm_mem = cfg.vm_mem / sc;
+        let host_os = 128 * MIB / sc;
+        let guest_os = 128 * MIB / sc;
+        let reservation = (host_mem - host_os).min(vm_mem);
 
-    let mut b = ClusterBuilder::new(cluster_cfg);
-    let src_host = b.add_host("source", host_mem, host_os, true);
-    let dst_host = b.add_host("dest", host_mem, host_os, true);
-    let im = b.add_host("intermediate", 64 * GIB / sc, host_os, true);
-    b.add_vmd_server(im, mem_bytes, 0);
-    b.ensure_vmd_client(dst_host);
-
-    let vm = b.add_vm(
-        src_host,
-        VmConfig {
-            mem_bytes: vm_mem,
-            page_size: page,
-            vcpus: 2,
-            reservation_bytes: reservation,
-            guest_os_bytes: guest_os,
-        },
-        SwapKind::PerVmVmd,
-    );
-    b.preload_pages(vm, 0, (vm_mem / page) as u32);
-
-    let mut sim = b.build();
-    sim.state_mut().fault_hist = Some(Box::new(FixedHistogram::new()));
-    start_all_workloads(&mut sim, SimTime::from_secs(1));
-
-    // The scripted write scan over the spilled range: every touch is a
-    // major fault through the tier stack, every fault-in evicts a
-    // recently-dirtied page back into it.
-    let scan_range = spill_pages as u32;
-    let period = SimDuration::from_micros(cfg.scan_period_us.max(1));
-    sim.schedule_at(SimTime::from_secs(1) + period, move |sim| {
-        scan_tick(sim, vm, scan_range, 0, period);
-    });
-
-    sim.schedule_at(SimTime::from_secs(cfg.warmup_secs), move |sim| {
-        let dest_resv = {
-            let w = sim.state();
-            w.hosts[dst_host]
-                .mem
-                .available_for_vms()
-                .min(w.vms[vm].vm.config().mem_bytes)
+        let mut cluster_cfg = ClusterConfig {
+            seed: cfg.seed,
+            ..ClusterConfig::default()
         };
-        // Round-capped pre-copy: one warm-up pass, then stop-and-copy.
-        // The final pass pulls dirtied-then-evicted pages back through
-        // the tier stack while the VM is suspended.
-        let src_cfg = SourceConfig {
-            precopy_threshold_pages: 64,
-            precopy_max_rounds: 1,
-            ..SourceConfig::new(Technique::PreCopy)
+        let page = cluster_cfg.page_size;
+        // The VM's spilled state: everything its reservation cannot hold.
+        let spill_pages = (vm_mem.saturating_sub(reservation) / page).max(1);
+        let dram_pages = (spill_pages * cfg.dram_pct / 100).max(2);
+        let spill_tier = |spec: TierSpec| -> Vec<TierSpec> {
+            if cfg.split_spill {
+                // Two equal-cost halves of the same spill capacity; the
+                // cost-ordered placement must make this invisible.
+                let mut half = spec;
+                half.capacity = TierCapacity::Pages(2 * spill_pages);
+                vec![half, half]
+            } else {
+                let mut whole = spec;
+                whole.capacity = TierCapacity::Pages(4 * spill_pages);
+                vec![whole]
+            }
         };
-        migrate::start_migration(sim, vm, dst_host, src_cfg, dest_resv);
-    });
+        let (spill_specs, mem_bytes) = match cfg.arm {
+            TierArm::ScarceDram => (spill_tier(TierSpec::host_ssd()), dram_pages * page),
+            TierArm::FarMemory => (
+                // ~2 µs CXL load/store latency + 4 KiB at 16 GiB/s.
+                spill_tier(TierSpec::far_memory(
+                    0, // capacity overridden by spill_tier
+                    SimDuration::from_micros(2),
+                    16 << 30,
+                    page,
+                )),
+                (dram_pages / 4).max(1) * page,
+            ),
+        };
+        let mut tiers = vec![TierSpec::dram()];
+        tiers.extend(spill_specs);
+        cluster_cfg.vmd_tiers = TierStackConfig::new(&tiers, HeatPolicy::heat_driven());
 
-    TiersSetup {
-        sim,
-        deadline: SimTime::from_secs(cfg.deadline_secs),
-    }
-}
+        let mut b = ClusterBuilder::new(cluster_cfg);
+        let src_host = b.add_host("source", host_mem, host_os, true);
+        let dst_host = b.add_host("dest", host_mem, host_os, true);
+        let im = b.add_host("intermediate", 64 * GIB / sc, host_os, true);
+        b.add_vmd_server(im, mem_bytes, 0);
+        b.ensure_vmd_client(dst_host);
 
-/// Run one tier-sweep point sequentially.
-pub fn run(cfg: &TiersConfig) -> TiersResult {
-    let TiersSetup { mut sim, deadline } = setup(cfg);
-    loop {
-        let next = sim.now() + SimDuration::from_secs(5);
-        sim.run_until(next.min(deadline));
-        if settled(&sim, deadline) {
-            break;
-        }
-    }
-    finish(sim, cfg)
-}
-
-/// Run several sweep points as shards of one parallel epoch harness
-/// (lookahead = the sequential driver's 5-second slice). Every point's
-/// result is byte-identical to [`run`] at any `workers` count.
-pub fn run_replicated(cfgs: &[TiersConfig], workers: usize) -> Vec<TiersResult> {
-    assert!(!cfgs.is_empty());
-    assert!(
-        cfgs.iter()
-            .all(|c| c.deadline_secs == cfgs[0].deadline_secs),
-        "replicated runs share one deadline (epoch targets must coincide)"
-    );
-    let mut worlds = Vec::with_capacity(cfgs.len());
-    let mut deadlines = Vec::with_capacity(cfgs.len());
-    for cfg in cfgs {
-        let s = setup(cfg);
-        deadlines.push(s.deadline);
-        worlds.push(s.sim);
-    }
-    let deadline = deadlines[0];
-    let mut sharded = ShardedRun::new(worlds, SimDuration::from_secs(5));
-    sharded.run(workers, deadline, &mut NullCoordinator, |i, sim| {
-        settled(sim, deadlines[i])
-    });
-    sharded
-        .into_worlds()
-        .into_iter()
-        .zip(cfgs)
-        .map(|(sim, cfg)| finish(sim, cfg))
-        .collect()
-}
-
-/// Assemble the deterministic per-point result.
-fn finish(sim: Simulation<World>, cfg: &TiersConfig) -> TiersResult {
-    let events_executed = sim.events_executed();
-    let w = sim.state();
-    let finished = w.migrations.first().map(|m| m.finished).unwrap_or(false);
-    let metrics = w.migrations[0].src.metrics();
-    let migration_ns = metrics
-        .total_time()
-        .map(|d| d.as_nanos())
-        .unwrap_or(u64::MAX);
-    let downtime_ns = metrics.downtime().map(|d| d.as_nanos()).unwrap_or(u64::MAX);
-    let hist = w.fault_hist.as_deref().expect("histogram armed in setup");
-    let server = &w.vmd.servers[0].server;
-    let tier_pages: Vec<u64> = (0..server.tier_count())
-        .map(|t| server.tier_used_pages(t as u8))
-        .collect();
-
-    let mut digest: u64 = 0xcbf2_9ce4_8422_2325; // FNV-1a offset basis
-    let mut fold = |v: u64| {
-        digest ^= v;
-        digest = digest.wrapping_mul(0x0000_0100_0000_01b3);
-    };
-    for &b in hist.buckets() {
-        fold(b);
-    }
-    fold(hist.max_ns());
-
-    let faults = hist.count();
-    let fault_mean_ns = hist.sum_ns() / faults.max(1);
-    let fault_p50_ns = hist.quantile_ceil_ns(50.0);
-    let fault_p99_ns = hist.quantile_ceil_ns(99.0);
-    let fault_max_ns = hist.max_ns();
-
-    let mut report = String::new();
-    {
-        use std::fmt::Write;
-        let _ = writeln!(
-            report,
-            "# tiers arm={} dram_pct={} split={} scale={} seed={}",
-            cfg.arm.label(),
-            cfg.dram_pct,
-            cfg.split_spill,
-            cfg.scale.max(1),
-            cfg.seed,
+        let vm = b.add_vm(
+            src_host,
+            VmConfig {
+                mem_bytes: vm_mem,
+                page_size: page,
+                vcpus: 2,
+                reservation_bytes: reservation,
+                guest_os_bytes: guest_os,
+            },
+            SwapKind::PerVmVmd,
         );
-        let _ = writeln!(
-            report,
-            "migration: finished={finished} total_ns={migration_ns} downtime_ns={downtime_ns} \
+        b.preload_pages(vm, 0, (vm_mem / page) as u32);
+
+        let mut sim = b.build();
+        sim.state_mut().fault_hist = Some(Box::new(FixedHistogram::new()));
+        start_all_workloads(&mut sim, SimTime::from_secs(1));
+
+        // The scripted write scan over the spilled range: every touch is a
+        // major fault through the tier stack, every fault-in evicts a
+        // recently-dirtied page back into it.
+        let scan_range = spill_pages as u32;
+        let period = SimDuration::from_micros(cfg.scan_period_us.max(1));
+        sim.schedule_at(SimTime::from_secs(1) + period, move |sim| {
+            scan_tick(sim, vm, scan_range, 0, period);
+        });
+
+        sim.schedule_at(SimTime::from_secs(cfg.warmup_secs), move |sim| {
+            let dest_resv = {
+                let w = sim.state();
+                w.hosts[dst_host]
+                    .mem
+                    .available_for_vms()
+                    .min(w.vms[vm].vm.config().mem_bytes)
+            };
+            // Round-capped pre-copy: one warm-up pass, then stop-and-copy.
+            // The final pass pulls dirtied-then-evicted pages back through
+            // the tier stack while the VM is suspended.
+            let src_cfg = SourceConfig {
+                precopy_threshold_pages: 64,
+                precopy_max_rounds: 1,
+                ..SourceConfig::new(Technique::PreCopy)
+            };
+            migrate::start_migration(sim, vm, dst_host, src_cfg, dest_resv);
+        });
+
+        (
+            sim,
+            Tiers {
+                deadline: SimTime::from_secs(cfg.deadline_secs),
+            },
+        )
+    }
+
+    fn deadline(&self) -> SimTime {
+        self.deadline
+    }
+
+    /// The migration finished and every swap I/O and repair drained.
+    fn settled(&self, sim: &Simulation<World>) -> bool {
+        let w = sim.state();
+        let mig_done = w.migrations.first().map(|m| m.finished).unwrap_or(false);
+        mig_done && w.swap_reqs.is_empty() && w.chaos.repair_queue.is_empty()
+    }
+
+    /// Assemble the deterministic per-point result.
+    fn finish(&self, sim: Simulation<World>, cfg: &TiersConfig) -> TiersResult {
+        let events_executed = sim.events_executed();
+        let w = sim.state();
+        let finished = w.migrations.first().map(|m| m.finished).unwrap_or(false);
+        let metrics = w.migrations[0].src.metrics();
+        let migration_ns = metrics
+            .total_time()
+            .map(|d| d.as_nanos())
+            .unwrap_or(u64::MAX);
+        let downtime_ns = metrics.downtime().map(|d| d.as_nanos()).unwrap_or(u64::MAX);
+        let hist = w.fault_hist.as_deref().expect("histogram armed in setup");
+        let server = &w.vmd.servers[0].server;
+        let tier_pages: Vec<u64> = (0..server.tier_count())
+            .map(|t| server.tier_used_pages(t as u8))
+            .collect();
+
+        let digest = super::fnv1a(hist.buckets().iter().copied().chain([hist.max_ns()]));
+
+        let faults = hist.count();
+        let fault_mean_ns = hist.sum_ns() / faults.max(1);
+        let fault_p50_ns = hist.quantile_ceil_ns(50.0);
+        let fault_p99_ns = hist.quantile_ceil_ns(99.0);
+        let fault_max_ns = hist.max_ns();
+
+        let mut report = String::new();
+        {
+            use std::fmt::Write;
+            let _ = writeln!(
+                report,
+                "# tiers arm={} dram_pct={} split={} scale={} seed={}",
+                cfg.arm.label(),
+                cfg.dram_pct,
+                cfg.split_spill,
+                cfg.scale.max(1),
+                cfg.seed,
+            );
+            let _ = writeln!(
+                report,
+                "migration: finished={finished} total_ns={migration_ns} downtime_ns={downtime_ns} \
              bytes={}",
-            metrics.migration_bytes,
-        );
-        let _ = writeln!(
-            report,
-            "faults: n={faults} mean_ns={fault_mean_ns} p50_ns={fault_p50_ns} \
+                metrics.migration_bytes,
+            );
+            let _ = writeln!(
+                report,
+                "faults: n={faults} mean_ns={fault_mean_ns} p50_ns={fault_p50_ns} \
              p99_ns={fault_p99_ns} max_ns={fault_max_ns}",
-        );
-        let _ = writeln!(
-            report,
-            "tiers: pages={tier_pages:?} hist_digest={digest:#018x} \
+            );
+            let _ = writeln!(
+                report,
+                "tiers: pages={tier_pages:?} hist_digest={digest:#018x} \
              events_executed={events_executed}",
-        );
-    }
+            );
+        }
 
-    TiersResult {
-        report,
-        finished,
-        migration_ns,
-        downtime_ns,
-        migration_bytes: metrics.migration_bytes,
-        faults,
-        fault_mean_ns,
-        fault_p50_ns,
-        fault_p99_ns,
-        fault_max_ns,
-        tier_pages,
-        hist_digest: digest,
-        events_executed,
+        TiersResult {
+            report,
+            finished,
+            migration_ns,
+            downtime_ns,
+            migration_bytes: metrics.migration_bytes,
+            faults,
+            fault_mean_ns,
+            fault_p50_ns,
+            fault_p99_ns,
+            fault_max_ns,
+            tier_pages,
+            hist_digest: digest,
+            events_executed,
+        }
     }
 }

@@ -12,7 +12,7 @@
 //! average throughput recovers — how fast depends on the technique.
 
 use agile_migration::{SourceConfig, Technique};
-use agile_sim_core::{SimDuration, SimTime, GIB, MIB};
+use agile_sim_core::{SimTime, GIB, MIB};
 use agile_vm::VmConfig;
 use agile_workload::{Dataset, KeyDist, YcsbParams, YcsbRedis};
 
@@ -20,10 +20,8 @@ use crate::build::{start_all_workloads, ClusterBuilder, SwapKind};
 use crate::config::ClusterConfig;
 use crate::migrate;
 use crate::report;
-use crate::scenario::{rebalance_host, set_ycsb_active_bytes};
+use crate::scenario::{rebalance_host, set_ycsb_active_bytes, watch_completion};
 use crate::world::WorkloadKind;
-use crate::world::World;
-use agile_sim_core::Simulation;
 
 /// Configuration (defaults = the paper's §V-A setup).
 #[derive(Clone, Copy, Debug)]
@@ -247,20 +245,4 @@ pub fn run(cfg: &YcsbScenarioConfig) -> YcsbScenarioResult {
         recovery_at_secs,
         events_executed,
     }
-}
-
-/// Poll until the migration finishes, then re-balance the source host.
-fn watch_completion(sim: &mut Simulation<World>, mig: usize, src_host: usize, slack: u64) {
-    sim.schedule_every(
-        sim.now() + SimDuration::from_secs(1),
-        SimDuration::from_secs(1),
-        move |sim| {
-            if sim.state().migrations[mig].finished {
-                rebalance_host(sim, src_host, slack);
-                false
-            } else {
-                true
-            }
-        },
-    );
 }
