@@ -209,10 +209,23 @@ fn bench_touch_path() {
     });
 }
 
+fn bench_build_sparse_vm() {
+    // World set-up per VM: a 64 MiB guest with 8 MiB preloaded. The
+    // previous image is dropped only once the next is built, so the heap
+    // is reused rather than trimmed and faulted back in.
+    let mut evs = Vec::new();
+    let mut prev = agile_bench::build_sparse_vm(&mut evs);
+    bench("vmmemory/build_sparse_vm", || {
+        prev = agile_bench::build_sparse_vm(&mut evs);
+        black_box(&prev);
+    });
+}
+
 fn main() {
     bench_event_queue();
     bench_lru();
     bench_bitmap();
     bench_zipfian();
     bench_touch_path();
+    bench_build_sparse_vm();
 }

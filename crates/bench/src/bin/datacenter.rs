@@ -9,8 +9,10 @@
 //!
 //! `DATACENTER_report.txt` is deterministic (same seed ⇒ byte-identical
 //! at any `--workers`; CI runs small twice and diffs). The wall-clock
-//! scaling lines go to stdout and `DATACENTER_scaling.csv` only — they
-//! are measurement, not part of the determinism surface.
+//! scaling lines and the process's peak RSS (`VmHWM` from
+//! `/proc/self/status`, blank where that file does not exist) go to stdout
+//! and `DATACENTER_scaling.csv` only — they are measurement, not part of
+//! the determinism surface.
 
 use agile_bench::{write_csv, Args};
 use agile_cluster::scenario::datacenter::{self, DatacenterConfig};
@@ -39,15 +41,16 @@ fn main() {
     let out = args.out_dir();
 
     let r = datacenter::run(&cfg);
+    let peak_rss = agile_bench::peak_rss_mb().map_or(String::new(), |mb| format!("{mb:.1}"));
     print!("{}", r.report);
 
     let mut csv = String::from(
         "racks,hosts,vms,workers,host_cpus,sim_secs,wall_secs,sims_per_wall,\
-         busy_secs,critical_path_secs,available_parallelism\n",
+         busy_secs,critical_path_secs,available_parallelism,peak_rss_mb\n",
     );
     let sims_per_wall = r.sim_secs / r.wall.wall_secs.max(1e-9);
     csv.push_str(&format!(
-        "{},{},{},{},{},{:.3},{:.6},{:.1},{:.6},{:.6},{:.3}\n",
+        "{},{},{},{},{},{:.3},{:.6},{:.1},{:.6},{:.6},{:.3},{}\n",
         r.racks,
         r.hosts,
         r.vms,
@@ -59,10 +62,11 @@ fn main() {
         r.wall.busy_secs,
         r.wall.critical_path_secs,
         r.wall.available_parallelism,
+        peak_rss,
     ));
     println!(
         "wall: hosts={} vms={} workers={} host_cpus={} sim_secs={:.1} wall_secs={:.3} \
-         sims_per_wall={:.0} available_parallelism={:.2}",
+         sims_per_wall={:.0} available_parallelism={:.2} peak_rss_mb={}",
         r.hosts,
         r.vms,
         r.wall.workers,
@@ -71,6 +75,7 @@ fn main() {
         r.wall.wall_secs,
         sims_per_wall,
         r.wall.available_parallelism,
+        peak_rss,
     );
 
     let report = write_csv(&out, "DATACENTER_report.txt", &r.report).expect("write report");

@@ -254,6 +254,20 @@ fn kernel_touch_path() -> BenchResult {
     })
 }
 
+/// World set-up per VM: build a 16,384-page memory image and fault in
+/// its first 2,048 pages ([`agile_bench::build_sparse_vm`]). The previous
+/// image is dropped only once the next is built, so its memory is reused
+/// instead of being returned to the OS and faulted back in: the kernel
+/// times the build, not the host's page faults.
+fn kernel_build_sparse_vm() -> BenchResult {
+    let mut evs = Vec::new();
+    let mut prev = agile_bench::build_sparse_vm(&mut evs);
+    bench("vmmemory/build_sparse_vm", || {
+        prev = agile_bench::build_sparse_vm(&mut evs);
+        black_box(&prev);
+    })
+}
+
 /// One reduced Figure-7 sweep (3 techniques × 2 VM sizes, idle, scale
 /// 1/64): end-to-end wall-clock, plus total simulator events.
 fn end_to_end_sweep() -> (f64, f64) {
@@ -341,6 +355,7 @@ fn kernel_by_name(name: &str) -> Option<fn() -> BenchResult> {
         "bitmap/for_each_set_sparse_2.6M" => kernel_bitmap_scan,
         "bitmap/for_each_set_ultra_sparse_2.6M" => kernel_bitmap_scan_ultra,
         "vmmemory/touch_fault_evict_cycle" => kernel_touch_path,
+        "vmmemory/build_sparse_vm" => kernel_build_sparse_vm,
         _ => return None,
     })
 }
@@ -414,6 +429,7 @@ fn main() {
         kernel_bitmap_scan(),
         kernel_bitmap_scan_ultra(),
         kernel_touch_path(),
+        kernel_build_sparse_vm(),
     ];
     let queue_speedup = seed_cancel_cycle.ns_per_iter / cancel_cycle.ns_per_iter;
     let waterfill_speedup = seed_waterfill_r.ns_per_iter / waterfill.ns_per_iter;

@@ -166,6 +166,38 @@ pub fn rack_trunk_network() -> (agile_sim_core::Network, Vec<agile_sim_core::Cha
     (net, pairs)
 }
 
+/// One preloaded idle VM's memory image, for the
+/// `vmmemory/build_sparse_vm` kernel: a 16,384-page (64 MiB) guest whose
+/// first 2,048 pages are faulted in by writes, the shape of every VM the
+/// `datacenter` scenario builds.
+pub fn build_sparse_vm(evictions: &mut Vec<agile_memory::Eviction>) -> agile_memory::VmMemory {
+    use agile_memory::{VmMemory, VmMemoryConfig};
+    let mut mem = VmMemory::new(VmMemoryConfig {
+        pages: 16_384,
+        page_size: 4096,
+        limit_pages: 16_384,
+    });
+    for p in 0..2_048u32 {
+        mem.touch(p, true);
+        mem.fault_in(p, true, evictions);
+    }
+    mem
+}
+
+/// The process's peak resident set (`VmHWM` in `/proc/self/status`) in
+/// MB, or `None` where that file does not exist.
+pub fn peak_rss_mb() -> Option<f64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let kib: f64 = status
+        .lines()
+        .find_map(|l| l.strip_prefix("VmHWM:"))?
+        .split_whitespace()
+        .next()?
+        .parse()
+        .ok()?;
+    Some(kib * 1024.0 / 1e6)
+}
+
 /// Minimal wall-clock micro-benchmark harness. The `benches/` targets and
 /// `perf_report` build on this instead of an external framework: calibrate
 /// a batch size against the clock, run a few batches, keep the fastest

@@ -651,6 +651,10 @@ fn maybe_finalize(sim: &mut Simulation<World>, mig: usize) {
         // source host (§IV-B) — the destination binding lives on.
         m.source_mem = None;
         m.source_swap = None;
+        // The sessions' per-page tables and bitmaps are dead weight now;
+        // the metrics and counters the reports read stay.
+        m.src.release_page_state();
+        m.dst.release_page_state();
         m.vm
     };
     let w = sim.state_mut();

@@ -436,6 +436,9 @@ pub fn run(cfg: &DatacenterConfig) -> DatacenterResult {
     let wall = t0.elapsed();
 
     let worlds = sharded.into_worlds();
+    for sim in &worlds {
+        super::audit_memory(sim.state());
+    }
     let hosts = cfg.racks * cfg.hosts_per_rack;
     let vms = cfg.racks * (cfg.hosts_per_rack / 2).max(1) * cfg.vms_per_packed_host;
 

@@ -78,7 +78,7 @@ pub(crate) trait Scenario: Sized {
 }
 
 /// Advance `sim` in [`SLICE`] steps until `settled` holds at a slice
-/// boundary or the deadline is reached.
+/// boundary or the deadline is reached, then audit its memory images.
 pub(crate) fn run_sliced(
     sim: &mut Simulation<World>,
     deadline: SimTime,
@@ -91,6 +91,7 @@ pub(crate) fn run_sliced(
             break;
         }
     }
+    audit_memory(sim.state());
 }
 
 /// Run one scenario sequentially: the reference the sharded driver must
@@ -122,8 +123,27 @@ pub(crate) fn run_replicated<S: Scenario>(cfgs: &[S::Config], workers: usize) ->
         .into_iter()
         .zip(&states)
         .zip(cfgs)
-        .map(|((sim, s), cfg)| s.finish(sim, cfg))
+        .map(|((sim, s), cfg)| {
+            audit_memory(sim.state());
+            s.finish(sim, cfg)
+        })
         .collect()
+}
+
+/// Release-build page-conservation audit at the end of every run
+/// ([`run_sliced`], [`run_replicated`], `datacenter::run`): every
+/// memory image in the world (each VM's, and any a migration still
+/// holds) passes [`agile_memory::VmMemory::check_invariants`], which
+/// costs O(touched pages) per image.
+pub(crate) fn audit_memory(w: &World) {
+    for slot in &w.vms {
+        slot.vm.memory().check_invariants();
+    }
+    for m in &w.migrations {
+        for mem in m.dest_mem.iter().chain(&m.source_mem) {
+            mem.check_invariants();
+        }
+    }
 }
 
 /// The watermark scheduler has settled: past the load ramp, every

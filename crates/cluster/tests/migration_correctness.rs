@@ -4,7 +4,7 @@
 
 use agile_cluster::build::{start_all_workloads, ClusterBuilder, SwapKind};
 use agile_cluster::world::WorkloadKind;
-use agile_cluster::{migrate, ClusterConfig};
+use agile_cluster::{migrate, report, ClusterConfig};
 use agile_memory::PagemapEntry;
 use agile_migration::{SourceConfig, Technique};
 use agile_sim_core::{SimDuration, SimTime, GIB, MIB};
@@ -261,4 +261,49 @@ fn deterministic_across_runs() {
         a.sim.state().vms[a.vm].meter.total(),
         b.sim.state().vms[b.vm].meter.total()
     );
+}
+
+/// Finalization frees both sessions' per-page tables and bitmaps while
+/// the report keeps reading the complete migration. (That releasing
+/// leaves the source metrics and destination counters the report reads
+/// bit for bit unchanged is `releasing_page_state_keeps_metrics_and_counters`
+/// in `agile-migration`.)
+#[test]
+fn finished_migration_holds_no_per_page_state() {
+    for (technique, seed) in [
+        (Technique::PreCopy, 11),
+        (Technique::PostCopy, 12),
+        (Technique::Agile, 13),
+    ] {
+        let mut s = setup(technique, true, seed);
+        s.sim.run_until(SimTime::from_secs(5));
+        let mig = migrate::start_migration(
+            &mut s.sim,
+            s.vm,
+            s.dst_host,
+            SourceConfig::new(technique),
+            VM_MEM,
+        );
+        let mut held = 0;
+        while !s.sim.state().migrations[mig].finished {
+            let m = &s.sim.state().migrations[mig];
+            held = held.max(m.src.page_state_bytes() + m.dst.page_state_bytes());
+            assert!(s.sim.step(), "{technique} migration did not complete");
+        }
+        assert!(held > 0, "{technique}");
+        let w = s.sim.state();
+        let m = &w.migrations[mig];
+        assert_eq!(m.src.page_state_bytes(), 0, "{technique}");
+        assert_eq!(m.dst.page_state_bytes(), 0, "{technique}");
+        let t = report::phase_timeline(w, mig, "finalize", seed);
+        let met = m.src.metrics();
+        assert!(t.total_ns.is_some(), "{technique}");
+        assert_eq!(t.pages_sent_full, met.pages_sent_full, "{technique}");
+        assert_eq!(t.migration_bytes, met.migration_bytes, "{technique}");
+        assert_eq!(
+            t.dest_pages_installed_stream, m.dst.pages_installed_stream,
+            "{technique}"
+        );
+        assert!(t.dest_pages_installed_stream > 0, "{technique}");
+    }
 }

@@ -7,6 +7,11 @@
 //! * [`VmMemory`] — one VM's guest pages: PTE-style flags, content
 //!   versions, a cgroup memory reservation, and a two-list (active /
 //!   inactive) second-chance reclaim machine with swap-cache reuse.
+//! * [`PageArray`] — the per-page table behind every such field (and the
+//!   migration sessions' per-page state): storage covers only the prefix
+//!   up to the highest touched page, so a VM's never-touched memory costs
+//!   no per-page state. Cost model: `size_of::<T>()` bytes per page up to
+//!   the highest touched PFN, rounded up to 1,024 pages.
 //! * [`PagemapEntry`] — the `/proc/pid/pagemap` view the Migration Manager
 //!   reads to detect swapped-out pages and their swap offsets (§IV-C of
 //!   the paper).
@@ -24,6 +29,7 @@ pub mod epoch;
 pub mod host;
 pub mod lru;
 pub mod page;
+pub mod pagearray;
 pub mod slots;
 pub mod swap;
 pub mod vmmem;
@@ -32,6 +38,7 @@ pub use epoch::{EpochReport, EpochTracker};
 pub use host::HostMemory;
 pub use lru::{LruLinks, LruList, NIL};
 pub use page::{PageFlags, PagemapEntry};
+pub use pagearray::PageArray;
 pub use slots::{SlotAllocator, NO_SLOT};
 pub use swap::{SsdSwap, SwapBackend, SwapIssue};
 pub use vmmem::{Eviction, MemCounters, Slots, Touch, VmMemory, VmMemoryConfig};

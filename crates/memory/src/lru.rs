@@ -4,8 +4,13 @@
 //! lists (active / inactive), so the links are stored out-of-band in a
 //! shared [`LruLinks`] arena — one `prev`/`next` pair per page — and each
 //! [`LruList`] is just a head/tail/len view over that arena. All operations
-//! are O(1) and allocation-free, which matters: a 10 GB VM has 2.6 M pages
-//! and reclaim churns the lists continuously under memory pressure.
+//! are O(1), which matters: a 10 GB VM has 2.6 M pages and reclaim churns
+//! the lists continuously under memory pressure. The arena is a pair of
+//! [`PageArray`]s, so it stores links only up to the highest page ever
+//! listed; `push_front` of a page past that prefix grows it (the only
+//! allocation), and every other link update is a plain store.
+
+use crate::pagearray::PageArray;
 
 /// Sentinel meaning "no page".
 pub const NIL: u32 = u32::MAX;
@@ -13,22 +18,49 @@ pub const NIL: u32 = u32::MAX;
 /// Shared link arena: `prev[i]`/`next[i]` for page `i`.
 #[derive(Clone, Debug)]
 pub struct LruLinks {
-    prev: Vec<u32>,
-    next: Vec<u32>,
+    prev: PageArray<u32>,
+    next: PageArray<u32>,
 }
 
 impl LruLinks {
     /// Create links for `n` pages, all detached.
     pub fn new(n: usize) -> Self {
+        let n = u32::try_from(n).expect("page count fits u32");
         LruLinks {
-            prev: vec![NIL; n],
-            next: vec![NIL; n],
+            prev: PageArray::new(n, NIL),
+            next: PageArray::new(n, NIL),
         }
     }
 
     /// Number of page slots.
     pub fn capacity(&self) -> usize {
-        self.prev.len()
+        self.prev.pages() as usize
+    }
+
+    /// Pages with materialized link storage.
+    pub(crate) fn materialized_pages(&self) -> usize {
+        self.prev.materialized().len()
+    }
+
+    /// Give `page` link storage (both tables share one prefix).
+    #[inline]
+    fn materialize(&mut self, page: u32) {
+        if page as usize >= self.prev.materialized().len() {
+            self.grow(page);
+        }
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn grow(&mut self, page: u32) {
+        self.prev.materialize(page);
+        self.next.materialize(page);
+    }
+
+    /// Whether `page` has no neighbours (true for every unlisted page and
+    /// for a list's only member).
+    pub(crate) fn detached(&self, page: u32) -> bool {
+        self.prev.get(page) == NIL && self.next.get(page) == NIL
     }
 }
 
@@ -85,8 +117,10 @@ impl LruList {
     }
 
     /// Insert `page` at the MRU end.
+    #[inline]
     pub fn push_front(&mut self, links: &mut LruLinks, page: u32) {
         debug_assert!(page != NIL && (page as usize) < links.capacity());
+        links.materialize(page);
         debug_assert!(
             links.prev[page as usize] == NIL
                 && links.next[page as usize] == NIL

@@ -1,11 +1,17 @@
 //! Per-VM guest memory under a cgroup reservation.
 //!
-//! [`VmMemory`] is the host's view of one KVM/QEMU process: a flat array of
-//! guest pages, each with PTE-style flags, an optional swap slot, and a
-//! content version; plus the cgroup memory controller state (the
-//! reservation) and a Linux-style two-list (active/inactive) reclaim
-//! machine with second-chance promotion on the accessed bit and swap-cache
-//! reuse of clean slots.
+//! [`VmMemory`] is the host's view of one KVM/QEMU process: its guest
+//! pages, each with PTE-style flags, an optional swap slot, and a content
+//! version; plus the cgroup memory controller state (the reservation) and
+//! a Linux-style two-list (active/inactive) reclaim machine with
+//! second-chance promotion on the accessed bit and swap-cache reuse of
+//! clean slots.
+//!
+//! The per-page tables are [`PageArray`]s: they hold state only up to the
+//! highest page the VM has touched (faulted in, or had installed by a
+//! migration), and every later page reads as never populated. A VM's
+//! cold, never-touched memory thus costs the host nothing but the two
+//! word-level shadow maps (one bit per page each).
 //!
 //! The struct is *sans-IO*: it never talks to a device. Operations that
 //! logically perform swap I/O return descriptions of that I/O
@@ -24,6 +30,7 @@ use std::rc::Rc;
 use crate::epoch::{EpochReport, EpochTracker};
 use crate::lru::{LruLinks, LruList};
 use crate::page::{PageFlags, PagemapEntry};
+use crate::pagearray::PageArray;
 use crate::slots::{SlotAllocator, NO_SLOT};
 
 /// The swap-slot allocator behind a VM memory: owned (a private SSD swap
@@ -140,9 +147,9 @@ impl VmMemoryConfig {
 #[derive(Clone, Debug)]
 pub struct VmMemory {
     page_size: u64,
-    flags: Vec<PageFlags>,
-    swap_slot: Vec<u32>,
-    version: Vec<u32>,
+    flags: PageArray<PageFlags>,
+    swap_slot: PageArray<u32>,
+    version: PageArray<u32>,
     /// Word-level shadow of the PRESENT flag (bit `p` of word `p / 64`),
     /// kept in sync at every residency transition so whole-address-space
     /// scans run 64 pages per load instead of per-byte flag reads.
@@ -167,9 +174,9 @@ impl VmMemory {
         let n = cfg.pages as usize;
         VmMemory {
             page_size: cfg.page_size,
-            flags: vec![PageFlags::empty(); n],
-            swap_slot: vec![NO_SLOT; n],
-            version: vec![0; n],
+            flags: PageArray::new(cfg.pages, PageFlags::empty()),
+            swap_slot: PageArray::new(cfg.pages, NO_SLOT),
+            version: PageArray::new(cfg.pages, 0),
             present_map: vec![0; n.div_ceil(64)],
             swapped_map: vec![0; n.div_ceil(64)],
             links: LruLinks::new(n),
@@ -194,7 +201,7 @@ impl VmMemory {
     /// Total guest pages.
     #[inline]
     pub fn pages(&self) -> u32 {
-        self.flags.len() as u32
+        self.flags.pages()
     }
 
     /// Page size in bytes.
@@ -234,15 +241,27 @@ impl VmMemory {
     /// Content version of a page (bumped on every guest write).
     #[inline]
     pub fn version(&self, pfn: u32) -> u32 {
-        self.version[pfn as usize]
+        self.version.get(pfn)
     }
 
-    /// All content versions as a flat slice (index = PFN). Lets migration's
-    /// dirty scan compare whole cache lines instead of calling
-    /// [`VmMemory::version`] per page.
+    /// All content versions (index = PFN; 0 past the materialized
+    /// prefix). Lets migration's dirty scan compare whole cache lines of
+    /// the materialized prefix instead of calling [`VmMemory::version`] per
+    /// page.
     #[inline]
-    pub fn versions(&self) -> &[u32] {
+    pub fn versions(&self) -> &PageArray<u32> {
         &self.version
+    }
+
+    /// Pages with materialized per-page storage: the longer prefix of the
+    /// flag/slot/version tables (which grow together) and the LRU links
+    /// (memory-footprint tests).
+    #[doc(hidden)]
+    pub fn materialized_pages(&self) -> usize {
+        self.flags
+            .materialized()
+            .len()
+            .max(self.links.materialized_pages())
     }
 
     /// Word-level presence map: bit `p % 64` of word `p / 64` is set iff
@@ -285,7 +304,7 @@ impl VmMemory {
     /// The `/proc/pid/pagemap` view of a page.
     #[inline]
     pub fn pagemap(&self, pfn: u32) -> PagemapEntry {
-        let f = self.flags[pfn as usize];
+        let f = self.flags.get(pfn);
         if f.present() {
             PagemapEntry::Present
         } else if f.swapped() {
@@ -300,7 +319,7 @@ impl VmMemory {
     /// Raw flags of a page (tests and migration internals).
     #[inline]
     pub fn page_flags(&self, pfn: u32) -> PageFlags {
-        self.flags[pfn as usize]
+        self.flags.get(pfn)
     }
 
     /// Arm simulated-PML epoch tracking with a `log_cap`-entry buffer,
@@ -336,10 +355,29 @@ impl VmMemory {
         }
     }
 
+    /// Give `pfn` storage in the flag, slot and version tables (which
+    /// share one prefix). Called where a page first gains state (a
+    /// completed fault, a migration install); every other write goes to a
+    /// page that already has state.
+    #[inline]
+    fn materialize(&mut self, pfn: u32) {
+        if pfn as usize >= self.flags.materialized().len() {
+            self.grow(pfn);
+        }
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn grow(&mut self, pfn: u32) {
+        self.flags.materialize(pfn);
+        self.swap_slot.materialize(pfn);
+        self.version.materialize(pfn);
+    }
+
     /// Guest access. See [`Touch`] for the contract.
     pub fn touch(&mut self, pfn: u32, write: bool) -> Touch {
         let i = pfn as usize;
-        let f = self.flags[i];
+        let f = self.flags.get(pfn);
         if f.present() {
             self.note_epoch(pfn);
             let fl = &mut self.flags[i];
@@ -385,6 +423,7 @@ impl VmMemory {
         // triggering `touch`) so parked InFlight waiters aren't multiply
         // counted and migration-side installs never register.
         self.note_epoch(pfn);
+        self.materialize(pfn);
         let i = pfn as usize;
         let was_swapped = self.flags[i].swapped();
         if was_swapped {
@@ -568,6 +607,7 @@ impl VmMemory {
     /// side), recording the content version it carries. Frees any stale
     /// swap state for the page and may trigger reclaim.
     pub fn install_page(&mut self, pfn: u32, version: u32, evictions: &mut Vec<Eviction>) {
+        self.materialize(pfn);
         let i = pfn as usize;
         let f = self.flags[i];
         if f.present() {
@@ -607,6 +647,7 @@ impl VmMemory {
     /// message in Agile migration. `version` is the content version the
     /// slot holds.
     pub fn install_swapped(&mut self, pfn: u32, slot: u32, version: u32) {
+        self.materialize(pfn);
         let i = pfn as usize;
         debug_assert!(
             !self.flags[i].present() && !self.flags[i].swapped(),
@@ -641,7 +682,14 @@ impl VmMemory {
             .chain(self.inactive.iter(&self.links))
     }
 
-    /// Internal consistency check (O(n); meant for tests and debugging).
+    /// Internal consistency check, O(touched pages + pages / 64): cheap
+    /// enough for release-build audits at the end of a run.
+    ///
+    /// Page conservation: every page is exactly one of resident (on one
+    /// LRU list), swapped (holding a slot), or never populated; the
+    /// counters and word-level shadow maps agree with the flags; and every
+    /// page past the flag table's materialized prefix reads as never
+    /// populated in every table.
     pub fn check_invariants(&self) {
         let mut on_lists = 0u32;
         for pfn in self
@@ -656,7 +704,8 @@ impl VmMemory {
             on_lists += 1;
         }
         assert_eq!(on_lists, self.resident_pages());
-        let swapped_scan = self.flags.iter().filter(|f| f.swapped()).count() as u32;
+        let touched = self.flags.materialized();
+        let swapped_scan = touched.iter().filter(|f| f.swapped()).count() as u32;
         assert_eq!(swapped_scan, self.swapped, "swapped counter out of sync");
         // The word-level shadow maps must agree with the per-page flags.
         let present_words: u32 = self.present_map.iter().map(|w| w.count_ones()).sum();
@@ -667,13 +716,13 @@ impl VmMemory {
         );
         let swapped_words: u32 = self.swapped_map.iter().map(|w| w.count_ones()).sum();
         assert_eq!(swapped_words, self.swapped, "swapped map out of sync");
-        for (i, f) in self.flags.iter().enumerate() {
+        for (i, f) in touched.iter().enumerate() {
             let in_present = self.present_map[i / 64] & (1 << (i % 64)) != 0;
             let in_swapped = self.swapped_map[i / 64] & (1 << (i % 64)) != 0;
             assert_eq!(in_present, f.present(), "present shadow wrong for page {i}");
             assert_eq!(in_swapped, f.swapped(), "swapped shadow wrong for page {i}");
         }
-        for (i, f) in self.flags.iter().enumerate() {
+        for (i, f) in touched.iter().enumerate() {
             if f.swapped() {
                 assert!(!f.present(), "page {i} both present and swapped");
                 assert_ne!(self.swap_slot[i], NO_SLOT, "swapped page {i} without slot");
@@ -690,6 +739,24 @@ impl VmMemory {
             if !f.present() && !f.swapped() {
                 assert_eq!(self.swap_slot[i], NO_SLOT, "untracked page {i} holds slot");
             }
+            if !f.present() {
+                assert!(self.links.detached(i as u32), "unlisted page {i} linked");
+            }
+        }
+        // Past the flag prefix nothing may hold state: the other tables
+        // read their fill there.
+        for pfn in touched.len() as u32..self.materialized_pages() as u32 {
+            assert_eq!(
+                self.swap_slot.get(pfn),
+                NO_SLOT,
+                "untouched page {pfn} holds slot"
+            );
+            assert_eq!(
+                self.version.get(pfn),
+                0,
+                "untouched page {pfn} has a version"
+            );
+            assert!(self.links.detached(pfn), "untouched page {pfn} linked");
         }
     }
 }
@@ -953,6 +1020,22 @@ mod tests {
         for p in &listed {
             assert!(m.pagemap(*p).is_present());
         }
+    }
+
+    #[test]
+    fn sparse_vm_materializes_only_its_touched_prefix() {
+        let mut m = mem(16_384, 16_384);
+        assert_eq!(m.materialized_pages(), 0);
+        let mut evs = Vec::new();
+        populate(&mut m, 2_048, &mut evs);
+        assert!(
+            m.materialized_pages() <= 2_048 + crate::pagearray::GROW_PAGES,
+            "materialized {} pages",
+            m.materialized_pages()
+        );
+        assert_eq!(m.pagemap(16_383), PagemapEntry::None);
+        assert_eq!(m.version(16_383), 0);
+        m.check_invariants();
     }
 
     #[test]

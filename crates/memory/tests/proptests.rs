@@ -2,7 +2,8 @@
 //! deterministic simulation RNG (fixed seeds, so failures reproduce).
 
 use agile_memory::{
-    Eviction, LruLinks, LruList, PagemapEntry, SlotAllocator, Touch, VmMemory, VmMemoryConfig,
+    Eviction, LruLinks, LruList, PageFlags, PagemapEntry, SlotAllocator, Touch, VmMemory,
+    VmMemoryConfig,
 };
 use agile_sim_core::DetRng;
 
@@ -143,6 +144,65 @@ fn clean_drops_preserve_content() {
             assert_eq!(mem.version(p), writes[p as usize], "case {case} page {p}");
         }
         mem.check_invariants();
+    }
+}
+
+/// First touches at high and scattered PFNs (guest faults and
+/// migration-side installs), on address spaces much larger than what is
+/// touched: the lazily materialized page tables stay consistent after
+/// every step, and every page never touched still reads as never
+/// populated.
+#[test]
+fn scattered_high_first_touches_leave_the_rest_unpopulated() {
+    for case in 0..60u64 {
+        let mut rng = DetRng::seed_from(0x77ee * 31 + case);
+        let pages = 1_024 + rng.index(7_168) as u32;
+        let limit = 1 + rng.index(48) as u32;
+        let mut mem = VmMemory::new(VmMemoryConfig {
+            pages,
+            page_size: 4096,
+            limit_pages: limit,
+        });
+        // A hot set in the top quarter of the address space, plus strays
+        // anywhere; the first touch of the case is the highest page.
+        let hot: Vec<u32> = (0..1 + rng.index(40))
+            .map(|_| pages - 1 - rng.index(u64::from(pages / 4)) as u32)
+            .collect();
+        let mut touched = vec![false; pages as usize];
+        let mut evs = Vec::new();
+        let mut next_external_slot = 4_096;
+        for step in 0..300 {
+            let pfn = match step {
+                0 => pages - 1,
+                _ if rng.chance(0.8) => hot[rng.index(hot.len() as u64) as usize],
+                _ => rng.index(u64::from(pages)) as u32,
+            };
+            match rng.index(10) {
+                // Destination-side install of a freshly received page.
+                0 => mem.install_page(pfn, 1 + rng.index(9) as u32, &mut evs),
+                // Swapped marker for a page with no state yet.
+                1 if mem.pagemap(pfn) == PagemapEntry::None => {
+                    mem.install_swapped(pfn, next_external_slot, rng.index(5) as u32);
+                    next_external_slot += 1;
+                }
+                _ => {
+                    apply(&mut mem, &[(pfn, rng.chance(0.5))]);
+                }
+            }
+            evs.clear();
+            touched[pfn as usize] = true;
+            assert!(mem.resident_pages() <= limit, "case {case} step {step}");
+            mem.check_invariants();
+        }
+        for p in (0..pages).filter(|&p| !touched[p as usize]) {
+            assert_eq!(mem.pagemap(p), PagemapEntry::None, "case {case} page {p}");
+            assert_eq!(mem.version(p), 0, "case {case} page {p}");
+            assert_eq!(
+                mem.page_flags(p),
+                PageFlags::empty(),
+                "case {case} page {p}"
+            );
+        }
     }
 }
 

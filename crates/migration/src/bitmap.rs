@@ -5,6 +5,8 @@
 //! swapped / known-zero maps. 2.6 M pages (a 10 GB VM) is 320 KB of bits,
 //! so scans must be word-at-a-time.
 
+use agile_memory::PageArray;
+
 /// A fixed-size bit vector indexed by page frame number.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Bitmap {
@@ -184,24 +186,37 @@ impl Bitmap {
         &self.words
     }
 
-    /// Build a bitmap marking every index where `a[i] != b[i]`, assembling
-    /// 64 comparisons per output word — the pre-copy round planner's "which
-    /// pages changed since I sent them" scan, kept free of per-bit index
-    /// arithmetic so the compare loop vectorizes.
-    pub fn diff_u32(a: &[u32], b: &[u32]) -> Self {
-        assert_eq!(a.len(), b.len(), "diff_u32 requires equal-length slices");
-        let len = u32::try_from(a.len()).expect("bitmap length fits u32");
-        let mut words = Vec::with_capacity(a.len().div_ceil(64));
-        let mut ones = 0u32;
-        for (ca, cb) in a.chunks(64).zip(b.chunks(64)) {
-            let mut w = 0u64;
+    /// Build a bitmap marking every page where `a` and `b` differ,
+    /// assembling 64 comparisons per output word — the pre-copy round
+    /// planner's "which pages changed since I sent them" scan. Only the
+    /// tables' materialized prefixes are read: whole words inside both
+    /// prefixes go through a compare loop free of per-bit index arithmetic
+    /// (so it vectorizes), the stretch where only one side is materialized
+    /// is compared against the other's fill, and past both prefixes the
+    /// pages are equal by construction.
+    pub fn diff_u32(a: &PageArray<u32>, b: &PageArray<u32>) -> Self {
+        assert_eq!(a.pages(), b.pages(), "diff_u32 requires equal-size tables");
+        assert!(a.fill() == b.fill(), "diff_u32 requires equal fill values");
+        let mut out = Bitmap::zeros(a.pages());
+        let (sa, sb) = (a.materialized(), b.materialized());
+        let both = sa.len().min(sb.len()) / 64 * 64;
+        for ((w, ca), cb) in out
+            .words
+            .iter_mut()
+            .zip(sa[..both].chunks_exact(64))
+            .zip(sb[..both].chunks_exact(64))
+        {
             for (bit, (x, y)) in ca.iter().zip(cb).enumerate() {
-                w |= u64::from(x != y) << bit;
+                *w |= u64::from(x != y) << bit;
             }
-            ones += w.count_ones();
-            words.push(w);
         }
-        Bitmap { words, len, ones }
+        for i in both..sa.len().max(sb.len()) {
+            if a.get(i as u32) != b.get(i as u32) {
+                out.words[i / 64] |= 1 << (i % 64);
+            }
+        }
+        out.ones = out.words.iter().map(|w| w.count_ones()).sum();
+        out
     }
 
     /// True when every one of the `len` pages is set in at least one of
@@ -355,6 +370,14 @@ mod tests {
         assert_eq!(b.next_set(0), None);
     }
 
+    fn table(vals: &[u32], pages: u32) -> PageArray<u32> {
+        let mut t = PageArray::new(pages, 0);
+        for (i, &v) in vals.iter().enumerate() {
+            t.set(i as u32, v);
+        }
+        t
+    }
+
     #[test]
     fn diff_u32_marks_changed_indices() {
         let a: Vec<u32> = (0..200).collect();
@@ -362,15 +385,45 @@ mod tests {
         for i in [0usize, 63, 64, 65, 127, 199] {
             b[i] += 1;
         }
-        let d = Bitmap::diff_u32(&a, &b);
+        let (ta, tb) = (table(&a, 200), table(&b, 200));
+        let d = Bitmap::diff_u32(&ta, &tb);
         assert_eq!(d.len(), 200);
         assert_eq!(d.count_ones(), 6);
         assert_eq!(
             d.iter_set().collect::<Vec<_>>(),
             vec![0, 63, 64, 65, 127, 199]
         );
-        let same = Bitmap::diff_u32(&a, &a);
+        let same = Bitmap::diff_u32(&ta, &ta);
         assert_eq!(same.count_ones(), 0);
+    }
+
+    #[test]
+    fn diff_u32_compares_unequal_prefixes_against_fill() {
+        let pages = 5_000;
+        let mut long = PageArray::new(pages, 0u32);
+        long.set(3, 1);
+        long.set(2_100, 5);
+        long.set(2_101, 0);
+        let mut short = PageArray::new(pages, 0u32);
+        short.set(3, 1);
+        short.set(70, 2);
+        assert!(short.materialized().len() < long.materialized().len());
+        let want = vec![70, 2_100];
+        assert_eq!(
+            Bitmap::diff_u32(&long, &short)
+                .iter_set()
+                .collect::<Vec<_>>(),
+            want
+        );
+        assert_eq!(
+            Bitmap::diff_u32(&short, &long)
+                .iter_set()
+                .collect::<Vec<_>>(),
+            want
+        );
+        let empty = PageArray::new(pages, 0u32);
+        assert_eq!(Bitmap::diff_u32(&empty, &empty), Bitmap::zeros(pages));
+        assert_eq!(Bitmap::diff_u32(&empty, &short).count_ones(), 2);
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! (delivered in the handoff) consulted first, since a dirtied page's swap
 //! slot may hold stale content.
 
-use agile_memory::{Eviction, VmMemory};
+use agile_memory::{Eviction, PageArray, VmMemory, NO_SLOT};
 
 use crate::bitmap::Bitmap;
 use crate::chunk::Chunk;
@@ -45,10 +45,11 @@ pub struct DestSession {
     received: Bitmap,
     /// Pages known to live on the per-VM swap device.
     swapped: Bitmap,
-    /// Swap-offset table (parallel array; valid where `swapped` is set).
-    swap_slots: Vec<u32>,
+    /// Swap-offset table (parallel to guest pages; valid where `swapped`
+    /// is set).
+    swap_slots: PageArray<u32>,
     /// Version stored at each swapped slot.
-    swap_versions: Vec<u32>,
+    swap_versions: PageArray<u32>,
     /// Pages known to be zero at the source.
     known_zero: Bitmap,
     /// Dirty bitmap from the handoff; present once the VM resumed here.
@@ -73,8 +74,8 @@ impl DestSession {
             technique,
             received: Bitmap::zeros(n_pages),
             swapped: Bitmap::zeros(n_pages),
-            swap_slots: vec![u32::MAX; n_pages as usize],
-            swap_versions: vec![0; n_pages as usize],
+            swap_slots: PageArray::new(n_pages, NO_SLOT),
+            swap_versions: PageArray::new(n_pages, 0),
             known_zero: Bitmap::zeros(n_pages),
             dirty: None,
             pages_installed_stream: 0,
@@ -98,6 +99,31 @@ impl DestSession {
     /// Pages installed so far.
     pub fn received_pages(&self) -> u32 {
         self.received.count_ones()
+    }
+
+    /// Free the per-page state (bitmaps and swap-offset table) of a
+    /// finished migration. The path counters survive; the session must
+    /// not be driven afterwards.
+    pub fn release_page_state(&mut self) {
+        self.received = Bitmap::zeros(0);
+        self.swapped = Bitmap::zeros(0);
+        self.known_zero = Bitmap::zeros(0);
+        self.swap_slots.clear();
+        self.swap_versions.clear();
+        if let Some(d) = &mut self.dirty {
+            *d = Bitmap::zeros(0);
+        }
+    }
+
+    /// Heap bytes of per-page state held (memory-footprint tests).
+    #[doc(hidden)]
+    pub fn page_state_bytes(&self) -> usize {
+        let maps = [&self.received, &self.swapped, &self.known_zero]
+            .into_iter()
+            .chain(&self.dirty);
+        maps.map(|b| b.as_words().len() * 8).sum::<usize>()
+            + self.swap_slots.heap_bytes()
+            + self.swap_versions.heap_bytes()
     }
 
     /// Install a chunk into the arriving VM's memory. Evictions triggered
@@ -133,8 +159,8 @@ impl DestSession {
         for sm in &chunk.swapped {
             debug_assert!(!self.received.get(sm.pfn), "swapped marker after full page");
             self.swapped.set(sm.pfn);
-            self.swap_slots[sm.pfn as usize] = sm.slot;
-            self.swap_versions[sm.pfn as usize] = sm.version;
+            self.swap_slots.set(sm.pfn, sm.slot);
+            self.swap_versions.set(sm.pfn, sm.version);
             mem.install_swapped(sm.pfn, sm.slot, sm.version);
         }
         for &z in &chunk.zero {
@@ -186,8 +212,8 @@ impl DestSession {
         }
         if self.swapped.get(pfn) {
             return FaultRoute::FromSwap {
-                slot: self.swap_slots[pfn as usize],
-                version: self.swap_versions[pfn as usize],
+                slot: self.swap_slots.get(pfn),
+                version: self.swap_versions.get(pfn),
             };
         }
         FaultRoute::ZeroFill

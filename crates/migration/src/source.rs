@@ -19,7 +19,7 @@
 
 use std::collections::HashMap;
 
-use agile_memory::{PagemapEntry, VmMemory};
+use agile_memory::{PageArray, PagemapEntry, VmMemory};
 use agile_sim_core::SimTime;
 
 use agile_trace::PhaseKind;
@@ -152,8 +152,9 @@ pub struct SourceSession {
     cfg: SourceConfig,
     phase: Phase,
     metrics: MigrationMetrics,
-    /// Version shipped per page (parallel to guest pages).
-    sent_version: Vec<u32>,
+    /// Version shipped per page (parallel to guest pages; 0 for a page
+    /// never shipped, or shipped as a never-written zero page).
+    sent_version: PageArray<u32>,
     /// Whether any entry was ever shipped for the page (round 1 coverage).
     shipped: Bitmap,
     /// Pass bitmap: pages remaining in the current round / stop-and-copy /
@@ -174,7 +175,7 @@ impl SourceSession {
             cfg,
             phase: Phase::Idle,
             metrics: MigrationMetrics::new(cfg.technique, started_at),
-            sent_version: vec![0; n_pages as usize],
+            sent_version: PageArray::new(n_pages, 0),
             shipped: Bitmap::zeros(n_pages),
             pass_set: None,
             stash: None,
@@ -235,11 +236,28 @@ impl SourceSession {
     pub fn reset_for_retry(&mut self, now: SimTime) {
         self.metrics.record_phase(now, PhaseKind::Aborted, 0);
         self.phase = Phase::Idle;
-        self.sent_version.iter_mut().for_each(|v| *v = 0);
+        self.sent_version.clear();
         self.shipped = Bitmap::zeros(self.n_pages);
         self.pass_set = None;
         self.stash = None;
         self.demand_swapins.clear();
+    }
+
+    /// Free the per-page state (shipped versions, pass and coverage
+    /// bitmaps) of a finished migration. [`SourceSession::metrics`]
+    /// survives; the session must not be driven afterwards.
+    pub fn release_page_state(&mut self) {
+        self.sent_version.clear();
+        self.shipped = Bitmap::zeros(0);
+        self.pass_set = None;
+    }
+
+    /// Heap bytes of per-page state held (memory-footprint tests).
+    #[doc(hidden)]
+    pub fn page_state_bytes(&self) -> usize {
+        self.sent_version.heap_bytes()
+            + self.shipped.as_words().len() * 8
+            + self.pass_set.as_ref().map_or(0, |b| b.as_words().len() * 8)
     }
 
     /// Drive the state machine.
@@ -471,7 +489,7 @@ impl SourceSession {
     fn note_sent(&mut self, pfn: u32, version: u32) -> bool {
         let retransmit = self.shipped.get(pfn);
         self.shipped.set(pfn);
-        self.sent_version[pfn as usize] = version;
+        self.sent_version.set(pfn, version);
         retransmit
     }
 

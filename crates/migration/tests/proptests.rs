@@ -238,3 +238,77 @@ fn precopy_protocol_never_loses_writes() {
         }
     }
 }
+
+/// Releasing a finished migration's per-page state frees every table and
+/// bitmap of both sessions and leaves what the reports read — the source
+/// metrics and the destination's path counters — exactly as they were.
+/// The guest is sparse (300 of 4,096 pages touched, some swapped out), so
+/// the sessions hold only the touched prefix until then.
+#[test]
+fn releasing_page_state_keeps_metrics_and_counters() {
+    for technique in [Technique::PreCopy, Technique::PostCopy, Technique::Agile] {
+        let n_pages = 4_096u32;
+        let mut src_mem = VmMemory::new(VmMemoryConfig {
+            pages: n_pages,
+            page_size: 4096,
+            limit_pages: 200,
+        });
+        let mut evs = Vec::new();
+        for p in 0..300 {
+            src_mem.touch(p, true);
+            src_mem.fault_in(p, true, &mut evs);
+        }
+        let mut dst_mem = VmMemory::new(VmMemoryConfig {
+            pages: n_pages,
+            page_size: 4096,
+            limit_pages: n_pages,
+        });
+        let mut src = SourceSession::new(SourceConfig::new(technique), n_pages, SimTime::ZERO);
+        let mut dst = DestSession::new(technique, n_pages);
+        let mut queue = vec![SourceEvent::Start];
+        while let Some(ev) = queue.pop() {
+            for cmd in src.on_event(SimTime::ZERO, ev, &src_mem) {
+                match cmd {
+                    SourceCmd::SendChunk { chunk, .. } => {
+                        dst.on_chunk(&chunk, &mut dst_mem, &mut evs);
+                        queue.push(SourceEvent::ChannelReady);
+                    }
+                    SourceCmd::SwapIn { batch, pages } => {
+                        for (pfn, _) in pages {
+                            src_mem.begin_swap_in(pfn);
+                            src_mem.fault_in(pfn, false, &mut evs);
+                        }
+                        queue.push(SourceEvent::SwapInDone { batch });
+                    }
+                    SourceCmd::SendHandoff { .. } => {
+                        dst.on_handoff(src.handoff_dirty().cloned().unwrap(), &mut dst_mem);
+                        queue.push(SourceEvent::HandoffDelivered);
+                    }
+                    SourceCmd::Suspend | SourceCmd::Done => {}
+                }
+            }
+            if queue.is_empty() && !src.is_done() {
+                queue.push(SourceEvent::ChannelReady);
+            }
+        }
+        assert!(src.is_done(), "{technique}");
+        assert!(src.page_state_bytes() > 0 && dst.page_state_bytes() > 0);
+        let counters = |d: &DestSession| {
+            [
+                d.pages_installed_stream,
+                d.pages_faulted_from_swap,
+                d.pages_faulted_from_source,
+                d.duplicate_pages_ignored,
+                d.pages_discarded_at_resume,
+            ]
+        };
+        let (metrics, dest_counters) = (format!("{:?}", src.metrics()), counters(&dst));
+        src.release_page_state();
+        dst.release_page_state();
+        assert_eq!(src.page_state_bytes(), 0, "{technique}");
+        assert_eq!(dst.page_state_bytes(), 0, "{technique}");
+        assert_eq!(format!("{:?}", src.metrics()), metrics, "{technique}");
+        assert_eq!(counters(&dst), dest_counters, "{technique}");
+        assert!(dst.resumed(), "{technique}");
+    }
+}
