@@ -1,7 +1,7 @@
 //! Microbenchmarks of the hot data structures: the slab event queue, the
-//! intrusive LRU, the migration bitmaps, YCSB's zipfian generator, and the
-//! page-table touch path. These are the per-event costs that bound
-//! simulation throughput.
+//! intrusive LRU, the migration bitmaps, YCSB's zipfian generator, the
+//! page-table touch path and the world's delivery-payload registry. These
+//! are the per-event costs that bound simulation throughput.
 #![allow(missing_docs)]
 
 use agile_bench::harness::{bench, black_box};
@@ -221,6 +221,13 @@ fn bench_build_sparse_vm() {
     });
 }
 
+fn bench_payload_registry() {
+    let mut churn = agile_bench::PayloadChurn::new();
+    bench("world/payload_tag_take", || {
+        black_box(churn.step());
+    });
+}
+
 fn main() {
     bench_event_queue();
     bench_lru();
@@ -228,4 +235,5 @@ fn main() {
     bench_zipfian();
     bench_touch_path();
     bench_build_sparse_vm();
+    bench_payload_registry();
 }

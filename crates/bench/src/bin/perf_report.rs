@@ -268,6 +268,16 @@ fn kernel_build_sparse_vm() -> BenchResult {
     })
 }
 
+/// One send and one delivery through the world's payload registry:
+/// register a 112-byte payload, take the oldest of 16,384 live ones
+/// ([`agile_bench::PayloadChurn`]).
+fn kernel_payload_tag_take() -> BenchResult {
+    let mut churn = agile_bench::PayloadChurn::new();
+    bench("world/payload_tag_take", || {
+        black_box(churn.step());
+    })
+}
+
 /// One reduced Figure-7 sweep (3 techniques × 2 VM sizes, idle, scale
 /// 1/64): end-to-end wall-clock, plus total simulator events.
 fn end_to_end_sweep() -> (f64, f64) {
@@ -356,6 +366,7 @@ fn kernel_by_name(name: &str) -> Option<fn() -> BenchResult> {
         "bitmap/for_each_set_ultra_sparse_2.6M" => kernel_bitmap_scan_ultra,
         "vmmemory/touch_fault_evict_cycle" => kernel_touch_path,
         "vmmemory/build_sparse_vm" => kernel_build_sparse_vm,
+        "world/payload_tag_take" => kernel_payload_tag_take,
         _ => return None,
     })
 }
@@ -430,6 +441,7 @@ fn main() {
         kernel_bitmap_scan_ultra(),
         kernel_touch_path(),
         kernel_build_sparse_vm(),
+        kernel_payload_tag_take(),
     ];
     let queue_speedup = seed_cancel_cycle.ns_per_iter / cancel_cycle.ns_per_iter;
     let waterfill_speedup = seed_waterfill_r.ns_per_iter / waterfill.ns_per_iter;

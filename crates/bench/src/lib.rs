@@ -18,6 +18,8 @@
 
 use std::path::{Path, PathBuf};
 
+use agile_cluster::world::NetPayload;
+
 /// Minimal CLI argument scraper shared by the experiment binaries.
 pub struct Args {
     raw: Vec<String>,
@@ -182,6 +184,57 @@ pub fn build_sparse_vm(evictions: &mut Vec<agile_memory::Eviction>) -> agile_mem
         mem.fault_in(p, true, evictions);
     }
     mem
+}
+
+/// The world's delivery-payload registry in steady state, for the
+/// `world/payload_tag_take` kernel: [`PayloadChurn::LIVE`] payloads of
+/// the full 112-byte [`NetPayload`] size stay registered, and every step
+/// registers one more and takes the oldest, as one send and one delivery
+/// do.
+pub struct PayloadChurn {
+    slab: agile_cluster::Slab<NetPayload>,
+    live: std::collections::VecDeque<u32>,
+    next_pfn: u32,
+}
+
+impl PayloadChurn {
+    /// Payloads registered throughout.
+    pub const LIVE: usize = 16_384;
+
+    /// A registry holding [`PayloadChurn::LIVE`] payloads.
+    pub fn new() -> Self {
+        let mut churn = PayloadChurn {
+            slab: agile_cluster::Slab::new(),
+            live: std::collections::VecDeque::with_capacity(Self::LIVE + 1),
+            next_pfn: 0,
+        };
+        for _ in 0..Self::LIVE {
+            churn.insert();
+        }
+        churn
+    }
+
+    fn insert(&mut self) {
+        self.next_pfn = self.next_pfn.wrapping_add(1);
+        let tag = self.slab.insert(NetPayload::DemandReq {
+            mig: 0,
+            pfn: self.next_pfn,
+        });
+        self.live.push_back(tag);
+    }
+
+    /// Register one payload, then take the oldest live one.
+    pub fn step(&mut self) -> NetPayload {
+        self.insert();
+        let oldest = self.live.pop_front().expect("live payloads");
+        self.slab.take(oldest).expect("live tag")
+    }
+}
+
+impl Default for PayloadChurn {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 /// The process's peak resident set (`VmHWM` in `/proc/self/status`) in

@@ -353,7 +353,8 @@ impl ClusterBuilder {
             let sn = world.hosts[sh].node;
             let to_server = world.net.open_channel(cn, sn);
             let to_client = world.net.open_channel(sn, cn);
-            world.vmd.channels.insert((c, s), (to_server, to_client));
+            debug_assert_eq!(world.vmd.channels.len(), c * world.vmd.servers.len() + s);
+            world.vmd.channels.push((to_server, to_client));
         }
         let has_vmd = !world.vmd.servers.is_empty() && !world.vmd.clients.is_empty();
         let mut sim = Simulation::new(world);

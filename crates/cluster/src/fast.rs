@@ -7,9 +7,13 @@
 //! [`FastEvent`]s through the slab queue and land here. The dispatcher is
 //! installed once at world construction ([`crate::build::ClusterBuilder::build`]).
 //!
-//! Closures remain the right tool for cold, payload-carrying events (VMD
-//! protocol messages, scenario phase changes); only no-capture or
-//! small-integer-capture timers are converted.
+//! Only no-capture or small-integer-capture timers are converted so far.
+//! Boxed closures still carry the VMD server's receive and reply steps
+//! (`vmdio::on_server_recv`), the scenario scripts and a few rare timers.
+//! They are not a cold path: on a 1,280-VM `datacenter` world, 94 % of all
+//! events are such closures, nearly all of them VMD messages. They are
+//! the next candidates for typed events, with the in-flight message held
+//! in a [`crate::Slab`] that the event's payload indexes.
 
 use agile_sim_core::{FastEvent, Simulation};
 

@@ -236,7 +236,7 @@ pub fn try_dispatch(sim: &mut Simulation<World>, vm_idx: usize) {
             match slot.server_queue.pop_front() {
                 Some(id) => {
                     slot.server_active += 1;
-                    let gen = w.ops[id].as_ref().expect("queued op").gen;
+                    let gen = w.op(id).expect("queued op").gen;
                     Some((id, gen))
                 }
                 None => None,
@@ -254,7 +254,7 @@ pub fn step_op(sim: &mut Simulation<World>, id: usize, gen: u32) {
     loop {
         let (vm_idx, touch) = {
             let w = sim.state();
-            let Some(op) = w.ops[id].as_ref() else { return };
+            let Some(op) = w.op(id) else { return };
             if op.gen != gen {
                 return; // superseded by a suspension
             }
@@ -365,7 +365,7 @@ pub fn step_op(sim: &mut Simulation<World>, id: usize, gen: u32) {
             .touch(pfn, write);
         match result {
             Touch::Hit => {
-                if let Some(op) = sim.state_mut().ops[id].as_mut() {
+                if let Some(op) = sim.state_mut().op_mut(id) {
                     op.idx += 1;
                 }
             }
@@ -380,7 +380,7 @@ pub fn step_op(sim: &mut Simulation<World>, id: usize, gen: u32) {
                 charge_evictions(sim, EvictTarget::Vm(vm_idx), &buf);
                 buf.clear();
                 sim.state_mut().evict_buf = buf;
-                if let Some(op) = sim.state_mut().ops[id].as_mut() {
+                if let Some(op) = sim.state_mut().op_mut(id) {
                     op.idx += 1;
                     op.cpu += minor_cost;
                 }
@@ -594,7 +594,7 @@ pub fn wake_page(sim: &mut Simulation<World>, vm_idx: usize, pfn: u32) {
         }
     };
     for id in waiters {
-        let gen = match sim.state().ops[id].as_ref() {
+        let gen = match sim.state().op(id) {
             Some(op) => op.gen,
             None => continue,
         };
@@ -613,7 +613,7 @@ pub fn wake_page(sim: &mut Simulation<World>, vm_idx: usize, pfn: u32) {
 fn begin_cpu(sim: &mut Simulation<World>, id: usize, gen: u32) {
     let (vm_idx, cpu) = {
         let w = sim.state();
-        let op = w.ops[id].as_ref().expect("live op");
+        let op = w.op(id).expect("live op");
         (op.vm, op.cpu)
     };
     let dur = sim.state_mut().vms[vm_idx].vm.vcpus_mut().begin(cpu);
@@ -632,7 +632,7 @@ pub(crate) fn finish_op(sim: &mut Simulation<World>, id: usize, gen: u32) {
     let now = sim.now();
     let info = {
         let w = sim.state();
-        match w.ops[id].as_ref() {
+        match w.op(id) {
             Some(op) if op.gen == gen => Some((op.vm, op.respond, op.counts, op.response_bytes)),
             _ => None,
         }
@@ -696,20 +696,18 @@ pub fn suspend_guest(sim: &mut Simulation<World>, vm_idx: usize) {
     let w = sim.state_mut();
     let mut client_ops: Vec<usize> = Vec::new();
     let mut bg_ops: Vec<usize> = Vec::new();
-    for (i, op) in w.ops.iter().enumerate() {
-        if let Some(o) = op {
-            if o.vm == vm_idx {
-                if o.respond {
-                    client_ops.push(i);
-                } else {
-                    bg_ops.push(i);
-                }
+    for (i, o) in w.ops.iter() {
+        if o.vm == vm_idx {
+            if o.respond {
+                client_ops.push(i as usize);
+            } else {
+                bg_ops.push(i as usize);
             }
         }
     }
     for &i in &client_ops {
         w.bump_op_gen(i);
-        w.ops[i].as_mut().expect("live op").idx = 0;
+        w.ops[i as u32].idx = 0;
     }
     for &i in &bg_ops {
         w.free_op(i);
@@ -789,7 +787,7 @@ pub(crate) fn os_bg_fire(sim: &mut Simulation<World>, vm_idx: usize, bg_gen: u32
                 counts: false,
                 respond: false,
             });
-            let gen = sim.state().ops[id].as_ref().expect("fresh op").gen;
+            let gen = sim.state().op(id).expect("fresh op").gen;
             step_op(sim, id, gen);
         }
         None => {

@@ -40,6 +40,7 @@ pub mod report;
 pub mod scenario;
 pub mod sched;
 pub mod shard;
+pub mod slab;
 pub mod vmdio;
 pub mod wlctl;
 pub mod world;
@@ -47,4 +48,5 @@ pub mod wssctl;
 
 pub use build::{start_all_workloads, ClusterBuilder, SwapKind};
 pub use config::ClusterConfig;
+pub use slab::Slab;
 pub use world::{WorkloadKind, World};

@@ -10,7 +10,7 @@
 
 use agile_memory::SsdSwap;
 use agile_memory::{SwapIssue, VmMemory, VmMemoryConfig};
-use agile_migration::{DestSession, SourceCmd, SourceConfig, SourceEvent, SourceSession};
+use agile_migration::{Chunk, DestSession, SourceCmd, SourceConfig, SourceEvent, SourceSession};
 use agile_sim_core::{SimDuration, SimTime, Simulation};
 use agile_trace::TraceEvent;
 use agile_vm::{HostId, VmState};
@@ -217,7 +217,6 @@ fn process_cmds(sim: &mut Simulation<World>, mig: usize, cmds: Vec<SourceCmd>) {
                         priority,
                     },
                 );
-                let key = w.stash_chunk(chunk);
                 let m = &mut w.migrations[mig];
                 let ch = if priority { m.demand_ch } else { m.stream_ch };
                 if priority {
@@ -227,7 +226,7 @@ fn process_cmds(sim: &mut Simulation<World>, mig: usize, cmds: Vec<SourceCmd>) {
                 }
                 let tag = w.tag(NetPayload::MigChunk {
                     mig,
-                    chunk: key,
+                    chunk,
                     priority,
                 });
                 w.net.send(now, ch, wire, tag);
@@ -459,13 +458,8 @@ pub fn credit_swapin(sim: &mut Simulation<World>, mig: usize, batch: u64) {
 }
 
 /// A chunk arrived at the destination.
-pub fn on_chunk_delivered(sim: &mut Simulation<World>, mig: usize, chunk_key: u64, priority: bool) {
+pub fn on_chunk_delivered(sim: &mut Simulation<World>, mig: usize, chunk: Chunk, priority: bool) {
     let now = sim.now();
-    let chunk = sim
-        .state_mut()
-        .chunks
-        .remove(&chunk_key)
-        .expect("unknown chunk");
     let mut buf = std::mem::take(&mut sim.state_mut().evict_buf);
     buf.clear();
     let (vm_idx, resumed) = {
@@ -724,7 +718,8 @@ pub fn drop_connections(sim: &mut Simulation<World>, mig: usize) {
         w.migrations[mig].dst.resumed()
     };
     // Tear the channels down first: queued *and* in-flight segments are
-    // dropped, so no stale delivery callback from this attempt can fire.
+    // dropped, so no stale delivery callback from this attempt can fire,
+    // and their payloads are freed with them.
     {
         let now = sim.now();
         let w = sim.state_mut();
@@ -732,9 +727,11 @@ pub fn drop_connections(sim: &mut Simulation<World>, mig: usize) {
             let m = &w.migrations[mig];
             (m.stream_ch, m.demand_ch, m.req_ch)
         };
-        w.net.close_channel(now, stream_ch);
-        w.net.close_channel(now, demand_ch);
-        w.net.close_channel(now, req_ch);
+        for ch in [stream_ch, demand_ch, req_ch] {
+            for tag in w.net.close_channel(now, ch) {
+                w.payloads.take(tag as u32);
+            }
+        }
     }
     touch_net(sim);
     if resumed {

@@ -77,7 +77,7 @@ fn dispatch(sim: &mut Simulation<World>, d: Delivery) {
     let payload = sim
         .state_mut()
         .payloads
-        .remove(&d.tag)
+        .take(d.tag as u32)
         .expect("delivery with unknown tag");
     match payload {
         NetPayload::Request { vm, op, counts } => guest::on_request(sim, vm, op, counts),

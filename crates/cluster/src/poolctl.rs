@@ -239,16 +239,15 @@ fn update_leases(sim: &mut Simulation<World>) {
         if let Some(msg) = update {
             for c in 0..n_clients {
                 let w = sim.state_mut();
-                if let Some(&(_, to_client)) = w.vmd.channels.get(&(c, s)) {
-                    let bytes = msg.wire_bytes(page_size);
-                    let tag = w.tag(NetPayload::VmdToClient {
-                        client: c,
-                        server: s,
-                        msg,
-                    });
-                    w.net.send(now, to_client, bytes, tag);
-                    touched = true;
-                }
+                let (_, to_client) = w.vmd.channels_between(c, s);
+                let bytes = msg.wire_bytes(page_size);
+                let tag = w.tag(NetPayload::VmdToClient {
+                    client: c,
+                    server: s,
+                    msg,
+                });
+                w.net.send(now, to_client, bytes, tag);
+                touched = true;
             }
         }
     }

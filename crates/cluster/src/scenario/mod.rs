@@ -130,12 +130,20 @@ pub(crate) fn run_replicated<S: Scenario>(cfgs: &[S::Config], workers: usize) ->
         .collect()
 }
 
-/// Release-build page-conservation audit at the end of every run
-/// ([`run_sliced`], [`run_replicated`], `datacenter::run`): every
-/// memory image in the world (each VM's, and any a migration still
-/// holds) passes [`agile_memory::VmMemory::check_invariants`], which
-/// costs O(touched pages) per image.
+/// Release-build conservation audit at the end of every run
+/// ([`run_sliced`], [`run_replicated`], `datacenter::run`):
+///
+/// - every memory image in the world (each VM's, and any a migration
+///   still holds) passes [`agile_memory::VmMemory::check_invariants`],
+///   which costs O(touched pages) per image;
+/// - every live payload slot belongs to a segment the network still
+///   holds, so no delivery or channel close leaked one.
 pub(crate) fn audit_memory(w: &World) {
+    assert_eq!(
+        w.payloads.len(),
+        w.net.pending_segments(),
+        "live payload slots != segments in the network"
+    );
     for slot in &w.vms {
         slot.vm.memory().check_invariants();
     }

@@ -215,7 +215,7 @@ fn scan_tick(sim: &mut Simulation<World>, vm: usize, range: u32, cursor: u32, pe
         counts: false,
         respond: false,
     });
-    let gen = sim.state().ops[id].as_ref().expect("fresh op").gen;
+    let gen = sim.state().op(id).expect("fresh op").gen;
     guest::step_op(sim, id, gen);
     let next = cursor.wrapping_add(1) % range;
     sim.schedule_in(period, move |sim| {

@@ -48,11 +48,7 @@ pub fn flush_client(sim: &mut Simulation<World>, client_idx: usize) {
             let server_idx = server.0 as usize;
             let bytes = msg.wire_bytes(page_size);
             let w = sim.state_mut();
-            let &(to_server, _) = w
-                .vmd
-                .channels
-                .get(&(client_idx, server_idx))
-                .expect("no channel between VMD client and server");
+            let (to_server, _) = w.vmd.channels_between(client_idx, server_idx);
             let tag = w.tag(NetPayload::VmdToServer {
                 server: server_idx,
                 client: client_idx,
@@ -139,11 +135,7 @@ pub fn on_server_recv(
             let t = sim.now();
             let page_size = sim.state().cfg.page_size;
             let w = sim.state_mut();
-            let &(_, to_client) = w
-                .vmd
-                .channels
-                .get(&(client_idx, server_idx))
-                .expect("no channel between VMD client and server");
+            let (_, to_client) = w.vmd.channels_between(client_idx, server_idx);
             let bytes = reply.wire_bytes(page_size);
             let tag = w.tag(NetPayload::VmdToClient {
                 client: client_idx,
@@ -356,15 +348,14 @@ pub fn gossip_availability(sim: &mut Simulation<World>) -> bool {
         let msg = sim.state().vmd.servers[s].server.availability();
         for c in 0..n_clients {
             let w = sim.state_mut();
-            if let Some(&(_, to_client)) = w.vmd.channels.get(&(c, s)) {
-                let bytes = msg.wire_bytes(page_size);
-                let tag = w.tag(NetPayload::VmdToClient {
-                    client: c,
-                    server: s,
-                    msg,
-                });
-                w.net.send(now, to_client, bytes, tag);
-            }
+            let (_, to_client) = w.vmd.channels_between(c, s);
+            let bytes = msg.wire_bytes(page_size);
+            let tag = w.tag(NetPayload::VmdToClient {
+                client: c,
+                server: s,
+                msg,
+            });
+            w.net.send(now, to_client, bytes, tag);
         }
     }
     touch_net(sim);

@@ -22,6 +22,7 @@ use agile_workload::{OpSpec, OsBackground, SysbenchOltp, YcsbRedis};
 use agile_wss::WssEstimator;
 
 use crate::config::ClusterConfig;
+use crate::slab::Slab;
 
 /// A host in the cluster.
 pub struct Host {
@@ -313,8 +314,8 @@ pub enum NetPayload {
     MigChunk {
         /// Migration index.
         mig: usize,
-        /// Registry key of the chunk payload.
-        chunk: u64,
+        /// The chunk itself.
+        chunk: agile_migration::Chunk,
         /// Arrived on the demand (priority) channel.
         priority: bool,
     },
@@ -349,6 +350,10 @@ pub enum NetPayload {
         msg: agile_vmd::ServerMsg,
     },
 }
+
+// Every in-flight message holds one registry slot of this size; keep it
+// from growing unnoticed.
+const _: () = assert!(std::mem::size_of::<NetPayload>() <= 112);
 
 /// Context of an outstanding swap I/O.
 pub enum SwapReqCtx {
@@ -419,8 +424,9 @@ pub struct VmdSubsystem {
     pub servers: Vec<VmdServerEntry>,
     /// Host index → client index.
     pub host_client: HashMap<usize, usize>,
-    /// (client, server) → (to-server channel, to-client channel).
-    pub channels: HashMap<(usize, usize), (ChannelId, ChannelId)>,
+    /// `(to-server, to-client)` channels of every (client, server) pair,
+    /// row-major by client: see [`VmdSubsystem::channels_between`].
+    pub channels: Vec<(ChannelId, ChannelId)>,
 }
 
 impl VmdSubsystem {
@@ -432,8 +438,14 @@ impl VmdSubsystem {
             clients: Vec::new(),
             servers: Vec::new(),
             host_client: HashMap::new(),
-            channels: HashMap::new(),
+            channels: Vec::new(),
         }
+    }
+
+    /// `(to-server, to-client)` channels between `client` and `server`.
+    /// Every pair is wired when the world is built.
+    pub fn channels_between(&self, client: usize, server: usize) -> (ChannelId, ChannelId) {
+        self.channels[client * self.servers.len() + server]
     }
 }
 
@@ -467,22 +479,15 @@ pub struct World {
     pub vmd: VmdSubsystem,
     /// Migrations (active and completed).
     pub migrations: Vec<MigrationExec>,
-    /// Delivery-tag registry.
-    pub payloads: HashMap<u64, NetPayload>,
-    /// Next delivery tag.
-    pub next_tag: u64,
-    /// Chunk payload registry (referenced by `NetPayload::MigChunk`).
-    pub chunks: HashMap<u64, agile_migration::Chunk>,
-    /// Next chunk key.
-    pub next_chunk: u64,
+    /// Payloads of the segments in the network; a delivery's tag is its
+    /// payload's slot.
+    pub payloads: Slab<NetPayload>,
     /// Outstanding swap I/Os.
     pub swap_reqs: HashMap<u64, SwapReqCtx>,
     /// Next swap request id.
     pub next_req: u64,
-    /// In-flight op slab.
-    pub ops: Vec<Option<OpExec>>,
-    /// Free slots in the op slab.
-    pub free_ops: Vec<usize>,
+    /// In-flight ops; an op id is its slot.
+    pub ops: Slab<OpExec>,
     /// Monotonic op-generation counter (uniqueness across slot reuse).
     pub next_op_gen: u32,
     /// Migration swap-in batches piggybacking on in-flight guest faults:
@@ -539,14 +544,10 @@ impl World {
             vms: Vec::new(),
             vmd: VmdSubsystem::new(),
             migrations: Vec::new(),
-            payloads: HashMap::new(),
-            next_tag: 0,
-            chunks: HashMap::new(),
-            next_chunk: 0,
+            payloads: Slab::new(),
             swap_reqs: HashMap::new(),
             next_req: 0,
-            ops: Vec::new(),
-            free_ops: Vec::new(),
+            ops: Slab::new(),
             next_op_gen: 0,
             swapin_piggyback: HashMap::new(),
             evict_buf: Vec::new(),
@@ -562,12 +563,10 @@ impl World {
         }
     }
 
-    /// Allocate a delivery tag for a payload.
+    /// Register a payload for one network send; the returned tag is valid
+    /// until the delivery (or the channel's close) frees it.
     pub fn tag(&mut self, payload: NetPayload) -> u64 {
-        let t = self.next_tag;
-        self.next_tag += 1;
-        self.payloads.insert(t, payload);
-        t
+        u64::from(self.payloads.insert(payload))
     }
 
     /// Allocate a swap request id with its context.
@@ -578,27 +577,23 @@ impl World {
         r
     }
 
-    /// Register a chunk payload, returning its key.
-    pub fn stash_chunk(&mut self, chunk: agile_migration::Chunk) -> u64 {
-        let k = self.next_chunk;
-        self.next_chunk += 1;
-        self.chunks.insert(k, chunk);
-        k
-    }
-
     /// Allocate an op slab slot. The op's generation is overwritten with a
     /// globally-unique value so stale scheduled callbacks (which capture
     /// `(id, gen)`) can never act on a recycled slot.
     pub fn alloc_op(&mut self, mut op: OpExec) -> usize {
         op.gen = self.next_op_gen;
         self.next_op_gen += 1;
-        if let Some(i) = self.free_ops.pop() {
-            self.ops[i] = Some(op);
-            i
-        } else {
-            self.ops.push(Some(op));
-            self.ops.len() - 1
-        }
+        self.ops.insert(op) as usize
+    }
+
+    /// The live op `id`, if any.
+    pub fn op(&self, id: usize) -> Option<&OpExec> {
+        self.ops.get(id as u32)
+    }
+
+    /// The live op `id`, mutably, if any.
+    pub fn op_mut(&mut self, id: usize) -> Option<&mut OpExec> {
+        self.ops.get_mut(id as u32)
     }
 
     /// Bump an op's generation (invalidating scheduled callbacks) and
@@ -606,16 +601,14 @@ impl World {
     pub fn bump_op_gen(&mut self, id: usize) -> u32 {
         let gen = self.next_op_gen;
         self.next_op_gen += 1;
-        let op = self.ops[id].as_mut().expect("live op");
-        op.gen = gen;
+        self.ops[id as u32].gen = gen;
         gen
     }
 
     /// Free an op slab slot.
     pub fn free_op(&mut self, id: usize) {
-        debug_assert!(self.ops[id].is_some(), "double free of op {id}");
-        self.ops[id] = None;
-        self.free_ops.push(id);
+        let freed = self.ops.take(id as u32);
+        debug_assert!(freed.is_some(), "double free of op {id}");
     }
 
     /// The memory image the *source side* of migration `mig` operates on:

@@ -67,7 +67,7 @@ fn vmd_fault_roundtrip_over_network() {
             counts: false,
             respond: false,
         });
-        let gen = w.ops[id].as_ref().unwrap().gen;
+        let gen = w.op(id).unwrap().gen;
         agile_cluster::guest::step_op(sim, id, gen);
     });
     sim.run_until(SimTime::from_secs(2));

@@ -307,3 +307,45 @@ fn finished_migration_holds_no_per_page_state() {
         assert!(t.dest_pages_installed_stream > 0, "{technique}");
     }
 }
+
+/// A migration connection drop discards the segments queued and in flight
+/// on the migration's channels; their payload slots must go with them, or
+/// every drop leaks one registry entry per dropped chunk.
+#[test]
+fn connection_drop_frees_the_dropped_segments_payloads() {
+    let mut s = setup(Technique::PreCopy, false, 6);
+    s.sim.run_until(SimTime::from_secs(5));
+    let mig = migrate::start_migration(
+        &mut s.sim,
+        s.vm,
+        s.dst_host,
+        SourceConfig::new(Technique::PreCopy),
+        VM_MEM,
+    );
+    s.sim
+        .run_until(SimTime::from_secs(5) + SimDuration::from_millis(50));
+    let in_network = s.sim.state().net.pending_segments();
+    assert!(in_network > 0, "the drop must land with chunks in flight");
+    assert_eq!(s.sim.state().payloads.len(), in_network);
+
+    migrate::drop_connections(&mut s.sim, mig);
+    let w = s.sim.state();
+    assert_eq!(
+        w.net.pending_segments(),
+        0,
+        "an idle VM has no other traffic"
+    );
+    assert_eq!(w.payloads.len(), 0, "dropped segments left live payloads");
+
+    // The retry runs to completion over fresh channels and leaves nothing
+    // behind either.
+    while !s.sim.state().migrations[mig].finished && s.sim.now() < SimTime::from_secs(600) {
+        let next = s.sim.now() + SimDuration::from_secs(1);
+        s.sim.run_until(next);
+    }
+    let w = s.sim.state();
+    assert!(w.migrations[mig].finished);
+    assert_eq!(w.migrations[mig].retries, 1);
+    assert_eq!(w.payloads.len(), w.net.pending_segments());
+    assert_eq!(w.payloads.len(), 0);
+}

@@ -175,7 +175,7 @@ fn two_concurrent_fixed_tier_faults(queueing: bool) -> (u64, u64) {
                 counts: false,
                 respond: false,
             });
-            let gen = w.ops[id].as_ref().unwrap().gen;
+            let gen = w.op(id).unwrap().gen;
             agile_cluster::guest::step_op(sim, id, gen);
         }
     });

@@ -106,7 +106,7 @@ fn disk_spill_tier_absorbs_overflow() {
             counts: false,
             respond: false,
         });
-        let gen = w.ops[id].as_ref().unwrap().gen;
+        let gen = w.op(id).unwrap().gen;
         agile_cluster::guest::step_op(sim, id, gen);
     });
     sim.run_until(SimTime::from_secs(3));

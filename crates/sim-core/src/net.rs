@@ -537,27 +537,38 @@ impl Network {
     }
 
     /// Close a channel: queued and in-flight segments are discarded.
-    /// Returns the number of segments dropped.
-    pub fn close_channel(&mut self, now: SimTime, ch: ChannelId) -> usize {
+    /// Returns the tags of the dropped segments (queued ones in send order,
+    /// then in-flight ones), so the caller can release their payloads.
+    pub fn close_channel(&mut self, now: SimTime, ch: ChannelId) -> Vec<u64> {
         self.advance_to(now);
         let channel = &mut self.channels[ch.0];
         if channel.closed {
-            return 0;
+            return Vec::new();
         }
         let was_active = channel.is_active();
         channel.closed = true;
-        let mut dropped = channel.queue.len();
-        channel.queue.clear();
+        let mut dropped: Vec<u64> = channel.queue.drain(..).map(|s| s.tag).collect();
         // Remove (not just mark) this channel's in-flight segments, so the
         // delivery heap stays free of dead entries.
-        let before = self.in_flight.len();
-        self.in_flight.retain(|f| f.delivery.channel != ch);
-        dropped += before - self.in_flight.len();
+        self.in_flight.retain(|f| {
+            let keep = f.delivery.channel != ch;
+            if !keep {
+                dropped.push(f.delivery.tag);
+            }
+            keep
+        });
         if was_active {
             self.deactivate(ch.0);
             self.recompute_rates();
         }
         dropped
+    }
+
+    /// Segments the network still holds: queued for serialization on any
+    /// channel, or serialized and propagating. Each is one delivery to
+    /// come.
+    pub fn pending_segments(&self) -> usize {
+        self.channels.iter().map(|c| c.queue.len()).sum::<usize>() + self.in_flight.len()
     }
 
     /// Cumulative transmit bytes for a node.
@@ -1026,8 +1037,10 @@ mod tests {
         let ch = net.open_channel(a, b);
         net.send(SimTime::ZERO, ch, 1_000_000, 1);
         net.send(SimTime::ZERO, ch, 1_000_000, 2);
+        assert_eq!(net.pending_segments(), 2);
         let dropped = net.close_channel(SimTime::ZERO, ch);
-        assert_eq!(dropped, 2);
+        assert_eq!(dropped, [1, 2]);
+        assert_eq!(net.pending_segments(), 0);
         assert!(drain(&mut net).is_empty());
     }
 
@@ -1039,8 +1052,10 @@ mod tests {
         // A zero-byte message is fully serialized immediately: in flight.
         net.send(SimTime::ZERO, ch, 0, 1);
         net.send(SimTime::ZERO, keep, 0, 2);
+        assert_eq!(net.pending_segments(), 2);
         let dropped = net.close_channel(SimTime::ZERO, ch);
-        assert_eq!(dropped, 1);
+        assert_eq!(dropped, [1]);
+        assert_eq!(net.pending_segments(), 1);
         let done = drain(&mut net);
         assert_eq!(done.len(), 1);
         assert_eq!(done[0].0, 2);
@@ -1054,7 +1069,7 @@ mod tests {
         let busy = net.open_channel(a, b);
         net.send(SimTime::ZERO, busy, 125_000_000, 1);
         let rate_before = net.channel_rate(busy);
-        assert_eq!(net.close_channel(SimTime::ZERO, idle), 0);
+        assert!(net.close_channel(SimTime::ZERO, idle).is_empty());
         assert_eq!(net.channel_rate(busy), rate_before);
         assert_eq!(drain(&mut net).len(), 1);
     }
