@@ -16,11 +16,12 @@
 //! | `crash_k1` | same crash, `k = 1` | losses *reported*, run completes — no panic, no wedge |
 //! | `conn_drop_k2` | migration connection cut pre-resume | abort-and-retry completes the migration, nothing lost |
 //!
-//! Invariant violations exit non-zero, so CI can run this as a smoke
-//! gate (`--scale 64` keeps it to a few seconds). `--out DIR` also
-//! writes `chaos_recovery.csv`.
+//! Each invariant is a named gate check; a failed check exits non-zero,
+//! so CI can run this as a smoke gate (`--scale 64` keeps it to a few
+//! seconds). `--out DIR` also writes `chaos_recovery.csv`.
 
-use agile_bench::{write_csv, Args};
+use agile_bench::ledger::{write_artifact, Gate};
+use agile_bench::Args;
 use agile_chaos::{ChaosSchedule, FaultKind};
 use agile_cluster::scenario::chaos::{self, ChaosScenarioConfig, ChaosScenarioResult};
 use agile_sim_core::{SimDuration, SimTime};
@@ -114,7 +115,7 @@ fn csv_row(name: &str, r: &ChaosScenarioResult) -> String {
 
 fn main() {
     let args = Args::parse();
-    let mut violations: Vec<String> = Vec::new();
+    let mut gate = Gate::new();
     let mut csv =
         String::from("scenario,finished,migration_secs,downtime_secs,retries,slots_lost,slots_repaired,lost_reads,pages_lost_on_conn_drop,worst_unavailability_secs\n");
 
@@ -124,65 +125,39 @@ fn main() {
     let k2 = chaos::run(&base_cfg(&args, 2, crash_schedule()));
     report("crash_k2", &k2);
     csv.push_str(&csv_row("crash_k2", &k2));
-    if !k2.finished {
-        violations.push("crash_k2: migration did not complete".into());
-    }
-    if k2.slots_lost != 0 || k2.lost_reads != 0 || k2.pages_lost_on_conn_drop != 0 {
-        violations.push(format!(
-            "crash_k2: lost pages with k=2 (slots_lost={} lost_reads={} conn_drop_pages={})",
-            k2.slots_lost, k2.lost_reads, k2.pages_lost_on_conn_drop
-        ));
-    }
-    if k2.slots_repaired == 0 {
-        violations.push("crash_k2: background re-replication never ran".into());
-    }
-    if !(k2.worst_unavailability_secs > 0.0 && k2.worst_unavailability_secs < 60.0) {
-        violations.push(format!(
-            "crash_k2: unavailability window unbounded ({:.2}s)",
-            k2.worst_unavailability_secs
-        ));
-    }
+    gate.check("crash_k2: migration finished", k2.finished);
+    gate.check(
+        "crash_k2: slots_lost, lost_reads and pages_lost_on_conn_drop all 0",
+        k2.slots_lost == 0 && k2.lost_reads == 0 && k2.pages_lost_on_conn_drop == 0,
+    );
+    gate.check("crash_k2: slots_repaired > 0", k2.slots_repaired > 0);
+    gate.check(
+        "crash_k2: 0 s < worst_unavailability_secs < 60 s",
+        k2.worst_unavailability_secs > 0.0 && k2.worst_unavailability_secs < 60.0,
+    );
 
     // k = 1: no redundancy — the same crash loses slots, and the run must
     // say so (and still complete) rather than panic or wedge.
     let k1 = chaos::run(&base_cfg(&args, 1, crash_schedule()));
     report("crash_k1", &k1);
     csv.push_str(&csv_row("crash_k1", &k1));
-    if !k1.finished {
-        violations.push("crash_k1: migration did not complete".into());
-    }
-    if k1.slots_lost == 0 {
-        violations.push("crash_k1: unreplicated crash reported no losses".into());
-    }
+    gate.check("crash_k1: migration finished", k1.finished);
+    gate.check("crash_k1: slots_lost > 0", k1.slots_lost > 0);
 
     // Connection drop pre-resume: abort, roll back, retry after backoff.
     let drop = chaos::run(&base_cfg(&args, 2, conn_drop_schedule()));
     report("conn_drop_k2", &drop);
     csv.push_str(&csv_row("conn_drop_k2", &drop));
-    if !drop.finished {
-        violations.push("conn_drop_k2: retry did not complete the migration".into());
-    }
-    if drop.retries == 0 {
-        violations.push("conn_drop_k2: connection drop triggered no retry".into());
-    }
-    if drop.slots_lost != 0 || drop.lost_reads != 0 {
-        violations.push(format!(
-            "conn_drop_k2: lost state (slots_lost={} lost_reads={})",
-            drop.slots_lost, drop.lost_reads
-        ));
-    }
+    gate.check("conn_drop_k2: migration finished", drop.finished);
+    gate.check("conn_drop_k2: retries > 0", drop.retries > 0);
+    gate.check(
+        "conn_drop_k2: slots_lost and lost_reads both 0",
+        drop.slots_lost == 0 && drop.lost_reads == 0,
+    );
 
     if args.get::<String>("out").is_some() {
-        let path = write_csv(&args.out_dir(), "chaos_recovery.csv", &csv).expect("write csv");
+        let path = write_artifact(&args.out_dir(), "chaos_recovery.csv", &csv);
         println!("wrote {}", path.display());
     }
-
-    if violations.is_empty() {
-        println!("all recovery invariants held");
-    } else {
-        for v in &violations {
-            eprintln!("INVARIANT VIOLATED: {v}");
-        }
-        std::process::exit(1);
-    }
+    gate.finish("chaos_recovery");
 }

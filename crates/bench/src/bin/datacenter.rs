@@ -14,7 +14,8 @@
 //! and `DATACENTER_scaling.csv` only — they are measurement, not part of
 //! the determinism surface.
 
-use agile_bench::{write_csv, Args};
+use agile_bench::ledger::{write_artifact, Gate};
+use agile_bench::Args;
 use agile_cluster::scenario::datacenter::{self, DatacenterConfig};
 
 fn main() {
@@ -78,10 +79,12 @@ fn main() {
         peak_rss,
     );
 
-    let report = write_csv(&out, "DATACENTER_report.txt", &r.report).expect("write report");
-    write_csv(&out, "DATACENTER_scaling.csv", &csv).expect("write scaling csv");
-
-    assert!(r.converged, "datacenter failed to rebalance:\n{}", r.report);
-    assert!(r.migrations > 0, "hot racks must migrate");
+    let report = write_artifact(&out, "DATACENTER_report.txt", &r.report);
+    write_artifact(&out, "DATACENTER_scaling.csv", &csv);
     println!("report -> {}", report.display());
+
+    let mut gate = Gate::new();
+    gate.check("rebalanced (converged)", r.converged);
+    gate.check("migrations > 0 (hot racks migrate)", r.migrations > 0);
+    gate.finish("datacenter");
 }

@@ -11,7 +11,8 @@
 //! Writes `fig4_precopy.csv`, `fig5_postcopy.csv`, `fig6_agile.csv` under
 //! `--out` (default `target/experiments`).
 
-use agile_bench::{series_csv, write_csv, Args};
+use agile_bench::ledger::write_artifact;
+use agile_bench::{series_csv, Args};
 use agile_cluster::scenario::ycsb::{self, YcsbScenarioConfig};
 use agile_migration::Technique;
 
@@ -42,7 +43,7 @@ fn main() {
             ..Default::default()
         });
         let csv = series_csv("seconds,avg_ops_per_sec", &r.series);
-        let path = write_csv(&out, file, &csv).expect("write CSV");
+        let path = write_artifact(&out, file, &csv);
         println!(
             "{:<10} {:>8.1} s {:>10} MB {:>14.0} {:>12.0} {:>12}",
             name,

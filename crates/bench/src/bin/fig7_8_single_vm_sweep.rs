@@ -9,7 +9,8 @@
 //! cargo run --release -p agile-bench --bin fig7_8_single_vm_sweep -- --scale 8
 //! ```
 
-use agile_bench::{par_map, write_csv, Args};
+use agile_bench::ledger::write_artifact;
+use agile_bench::{par_map, Args};
 use agile_cluster::scenario::single_vm::{self, SingleVmConfig};
 use agile_migration::Technique;
 use agile_sim_core::GIB;
@@ -67,7 +68,7 @@ fn main() {
             println!("{s:>8} {pre:>12.2} {post:>12.2} {agile:>12.2}");
             csv.push_str(&format!("{s},{pre:.3},{post:.3},{agile:.3}\n"));
         }
-        write_csv(&out, &format!("fig7_time_{label}.csv"), &csv).expect("write CSV");
+        write_artifact(&out, &format!("fig7_time_{label}.csv"), &csv);
 
         println!("\nFigure 8 ({label} VM): data transferred (MB)");
         println!(
@@ -82,7 +83,7 @@ fn main() {
             println!("{s:>8} {pre:>12} {post:>12} {agile:>12}");
             csv.push_str(&format!("{s},{pre},{post},{agile}\n"));
         }
-        write_csv(&out, &format!("fig8_bytes_{label}.csv"), &csv).expect("write CSV");
+        write_artifact(&out, &format!("fig8_bytes_{label}.csv"), &csv);
     }
     println!(
         "\nexpected shapes: baselines grow linearly with VM size and jump past 6 GiB\n\

@@ -8,7 +8,8 @@
 //! cargo run --release -p agile-bench --bin fig9_10_wss_tracking -- --scale 8
 //! ```
 
-use agile_bench::{series_csv, write_csv, Args};
+use agile_bench::ledger::write_artifact;
+use agile_bench::{series_csv, Args};
 use agile_cluster::scenario::wss::{self, WssScenarioConfig};
 
 fn main() {
@@ -30,13 +31,12 @@ fn main() {
     for &(t, v) in &r.reservation_series {
         csv.push_str(&format!("{t:.0},{v:.0},{}\n", r.true_wss_bytes));
     }
-    let p9 = write_csv(&out, "fig9_wss_tracking.csv", &csv).expect("write CSV");
-    let p10 = write_csv(
+    let p9 = write_artifact(&out, "fig9_wss_tracking.csv", &csv);
+    let p10 = write_artifact(
         &out,
         "fig10_wss_throughput.csv",
         &series_csv("seconds,ops_per_sec", &r.throughput_series),
-    )
-    .expect("write CSV");
+    );
 
     // Console summary: convergence milestones.
     let tw = r.true_wss_bytes as f64;

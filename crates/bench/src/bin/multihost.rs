@@ -9,7 +9,8 @@
 //! Same seed + same scale ⇒ byte-identical `MULTIHOST_report.txt` and
 //! `MULTIHOST_trace.jsonl` (CI runs this twice and diffs the outputs).
 
-use agile_bench::{write_csv, Args};
+use agile_bench::ledger::{write_artifact, Gate};
+use agile_bench::Args;
 use agile_cluster::scenario::multihost::{self, MultihostConfig};
 
 fn main() {
@@ -26,19 +27,17 @@ fn main() {
     });
 
     print!("{}", r.report);
-    let report = write_csv(&out, "MULTIHOST_report.txt", &r.report).expect("write report");
+    let report = write_artifact(&out, "MULTIHOST_report.txt", &r.report);
     let trace = r.trace_jsonl.as_deref().expect("tracing was enabled");
-    write_csv(&out, "MULTIHOST_trace.jsonl", trace).expect("write trace");
-    write_csv(&out, "MULTIHOST_metrics.json", &r.metrics_json).expect("write metrics");
-
-    assert!(
-        r.converged,
-        "cluster failed to rebalance below high watermarks"
-    );
-    assert!(
-        r.max_vm_migrations <= 1,
-        "ping-pong detected: a VM migrated {} times",
-        r.max_vm_migrations
-    );
+    write_artifact(&out, "MULTIHOST_trace.jsonl", trace);
+    write_artifact(&out, "MULTIHOST_metrics.json", &r.metrics_json);
     println!("report -> {}", report.display());
+
+    let mut gate = Gate::new();
+    gate.check("converged below high watermarks", r.converged);
+    gate.check(
+        "max_vm_migrations <= 1 (no ping-pong)",
+        r.max_vm_migrations <= 1,
+    );
+    gate.finish("multihost");
 }

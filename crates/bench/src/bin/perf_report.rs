@@ -14,269 +14,16 @@
 //! `--check-against <BENCH_1.json>` turns the run into a regression gate:
 //! each measured kernel is compared against the same-named entry in the
 //! baseline report and the process exits non-zero if any hot path slowed
-//! down by more than 25%. `SEED_*` kernels (the checked-in reference
-//! implementations) are measured but not gated — they exist to compute
-//! speedups, not to be fast.
+//! down by more than 25%.
 
-use agile_bench::harness::{bench, black_box, BenchResult};
-use agile_bench::Args;
+use agile_bench::harness::BenchResult;
+use agile_bench::kernels;
+use agile_bench::ledger::{fixed, parse_baseline, write_artifact, Gate, Object};
+use agile_bench::{obj, Args};
 use agile_cluster::scenario::single_vm::{self, SingleVmConfig};
-use agile_memory::{Touch, VmMemory, VmMemoryConfig};
-use agile_migration::{Bitmap, Technique};
-use agile_sim_core::{
-    Bandwidth, DetRng, FastEvent, Network, SimDuration, SimTime, Simulation, GIB,
-};
+use agile_migration::Technique;
+use agile_sim_core::GIB;
 use std::time::Instant;
-
-/// events/sec through the slab queue with typed fast events: the DES
-/// inner loop (pop → dispatch → schedule) at 1k pending events.
-fn kernel_event_queue() -> BenchResult {
-    let mut sim = Simulation::new(0u64);
-    sim.set_fast_handler(|sim, _ev| {
-        let now = sim.now();
-        *sim.state_mut() += 1;
-        sim.schedule_fast(
-            now + SimDuration::from_micros(1000),
-            FastEvent::Timer {
-                kind: 0,
-                a: 0,
-                b: 0,
-            },
-        );
-    });
-    for i in 0..1000u64 {
-        sim.schedule_fast(
-            SimTime::from_micros(i),
-            FastEvent::Timer {
-                kind: 0,
-                a: i,
-                b: 0,
-            },
-        );
-    }
-    bench("event_queue/fast_schedule_pop_1k_pending", || {
-        sim.step();
-        black_box(sim.now());
-    })
-}
-
-/// schedule/cancel/pop cycles per second: the fate of timeout-style events
-/// (a far timeout scheduled and cancelled while a near event fires).
-fn kernel_event_cancel() -> BenchResult {
-    let mut sim = Simulation::new(0u64);
-    sim.set_fast_handler(|_, _| {});
-    bench("event_queue/timeout_cancel_cycle", || {
-        let now = sim.now();
-        let timeout = sim.schedule_fast(
-            now + SimDuration::from_millis(100),
-            FastEvent::Timer {
-                kind: 1,
-                a: 0,
-                b: 0,
-            },
-        );
-        sim.schedule_fast(
-            now + SimDuration::from_micros(1),
-            FastEvent::Timer {
-                kind: 0,
-                a: 0,
-                b: 0,
-            },
-        );
-        sim.cancel(timeout);
-        black_box(sim.step());
-    })
-}
-
-/// The same schedule/cancel/pop cycle on the seed event queue
-/// (boxed closures + BinaryHeap + HashSet cancellation).
-fn kernel_seed_event_cancel() -> BenchResult {
-    use agile_bench::seed_baseline::SeedSim;
-    let mut seed = SeedSim::new();
-    bench("event_queue/SEED_timeout_cancel_cycle", || {
-        let now = seed.now;
-        let (a, b) = (black_box(1u64), black_box(2u64));
-        let timeout = seed.schedule_at(now + SimDuration::from_millis(100), move |s| {
-            s.fired += black_box(a + b);
-        });
-        seed.schedule_at(now + SimDuration::from_micros(1), move |s| {
-            s.fired += black_box(a.wrapping_mul(b));
-        });
-        seed.cancel(timeout);
-        black_box(seed.step());
-    })
-}
-
-/// recompute calls/sec: every send on a 32-active-channel network triggers
-/// a full incremental water-filling pass.
-fn kernel_waterfill() -> BenchResult {
-    let mut net = Network::new(SimDuration::from_micros(50));
-    let nodes: Vec<_> = (0..8)
-        .map(|_| net.add_symmetric_node(Bandwidth::gbps(1.0)))
-        .collect();
-    let chs: Vec<_> = (0..32)
-        .map(|i| net.open_channel(nodes[i % 8], nodes[(i + 1) % 8]))
-        .collect();
-    for (i, ch) in chs.iter().enumerate() {
-        net.send(SimTime::ZERO, *ch, 100_000_000, i as u64);
-    }
-    let mut t = SimTime::ZERO;
-    let mut i = 0u64;
-    bench("network/waterfill_32_active", || {
-        t += SimDuration::from_micros(1);
-        net.send(t, chs[(i % 32) as usize], 1000, i);
-        i += 1;
-        black_box(net.channel_rate(chs[0]));
-    })
-}
-
-/// The seed's allocating water-filling pass on the same 32-channel/8-node
-/// topology.
-fn kernel_seed_waterfill() -> BenchResult {
-    use agile_bench::seed_baseline::{seed_waterfill, SeedChannel};
-    let node_caps: Vec<(f64, f64)> = (0..8).map(|_| (125e6, 125e6)).collect();
-    let mut channels: Vec<SeedChannel> = (0..32).map(|i| (i % 8, (i + 1) % 8, None, 0.0)).collect();
-    bench("network/SEED_waterfill_32_active", || {
-        seed_waterfill(&node_caps, &mut channels);
-        black_box(channels[0].3);
-    })
-}
-
-/// Full send→drain cycles/sec on the steady-state 16-channel pattern.
-fn kernel_send_poll() -> BenchResult {
-    let mut net = Network::new(SimDuration::from_micros(50));
-    let nodes: Vec<_> = (0..5)
-        .map(|_| net.add_symmetric_node(Bandwidth::gbps(1.0)))
-        .collect();
-    let chs: Vec<_> = (0..16)
-        .map(|i| net.open_channel(nodes[i % 5], nodes[(i + 1) % 5]))
-        .collect();
-    let mut t = SimTime::ZERO;
-    let mut i = 0usize;
-    let mut out = Vec::new();
-    bench("network/send_poll_cycle_16ch", || {
-        t += SimDuration::from_micros(10);
-        net.send(t, chs[i % chs.len()], 1100, i as u64);
-        i += 1;
-        if let Some(next) = net.next_event_time() {
-            if next <= t {
-                out.clear();
-                net.poll(t, &mut out);
-                black_box(out.len());
-            }
-        }
-    })
-}
-
-/// Send→drain cycles/sec of short messages on the intra-rack pairs of
-/// [`agile_bench::rack_trunk_network`], a `datacenter` shard's shape.
-fn kernel_send_poll_rack_trunk() -> BenchResult {
-    let (mut net, pairs) = agile_bench::rack_trunk_network();
-    let mut t = SimTime::ZERO;
-    let mut i = 0usize;
-    let mut out = Vec::new();
-    bench("network/send_poll_rack_trunk", || {
-        t += SimDuration::from_micros(10);
-        net.send(t, pairs[i % pairs.len()], 1100, i as u64);
-        i += 1;
-        if let Some(next) = net.next_event_time() {
-            if next <= t {
-                out.clear();
-                net.poll(t, &mut out);
-                black_box(out.len());
-            }
-        }
-    })
-}
-
-/// Word-level sparse scan of a 10 GiB VM's bitmap (2.6 M pages).
-fn kernel_bitmap_scan() -> BenchResult {
-    let n: u32 = 2_621_440;
-    let mut bm = Bitmap::zeros(n);
-    for p in (0..n).step_by(97) {
-        bm.set(p);
-    }
-    bench("bitmap/for_each_set_sparse_2.6M", || {
-        let mut count = 0u32;
-        bm.for_each_set(|_| count += 1);
-        black_box(count);
-    })
-}
-
-/// Ultra-sparse scan: one set bit every 8192 pages, so entire 8-word
-/// stride blocks are zero and the scan's OR-fold skip does the work (the
-/// 97-step kernel above has a bit in ~2/3 of all words and never skips a
-/// block — it pins the dense path instead).
-fn kernel_bitmap_scan_ultra() -> BenchResult {
-    let n: u32 = 2_621_440;
-    let mut bm = Bitmap::zeros(n);
-    for p in (0..n).step_by(8192) {
-        bm.set(p);
-    }
-    bench("bitmap/for_each_set_ultra_sparse_2.6M", || {
-        let mut count = 0u32;
-        bm.for_each_set(|_| count += 1);
-        black_box(count);
-    })
-}
-
-/// Guest touch/fault/evict cycle under a reservation (shadow word maps
-/// maintained on every transition).
-fn kernel_touch_path() -> BenchResult {
-    let mut mem = VmMemory::new(VmMemoryConfig {
-        pages: 65_536,
-        page_size: 4096,
-        limit_pages: 32_768,
-    });
-    let mut evs = Vec::new();
-    for p in 0..65_536u32 {
-        mem.touch(p, true);
-        mem.fault_in(p, true, &mut evs);
-        evs.clear();
-    }
-    let mut rng = DetRng::seed_from(3);
-    bench("vmmemory/touch_fault_evict_cycle", || {
-        let p = rng.index(65_536) as u32;
-        match mem.touch(p, false) {
-            Touch::Hit => {}
-            Touch::MajorFault { .. } => {
-                mem.begin_swap_in(p);
-                mem.fault_in(p, false, &mut evs);
-                evs.clear();
-            }
-            Touch::MinorFault => {
-                mem.fault_in(p, false, &mut evs);
-                evs.clear();
-            }
-            Touch::InFlight => unreachable!(),
-        }
-        black_box(p);
-    })
-}
-
-/// World set-up per VM: build a 16,384-page memory image and fault in
-/// its first 2,048 pages ([`agile_bench::build_sparse_vm`]). The previous
-/// image is dropped only once the next is built, so its memory is reused
-/// instead of being returned to the OS and faulted back in: the kernel
-/// times the build, not the host's page faults.
-fn kernel_build_sparse_vm() -> BenchResult {
-    let mut evs = Vec::new();
-    let mut prev = agile_bench::build_sparse_vm(&mut evs);
-    bench("vmmemory/build_sparse_vm", || {
-        prev = agile_bench::build_sparse_vm(&mut evs);
-        black_box(&prev);
-    })
-}
-
-/// One send and one delivery through the world's payload registry:
-/// register a 112-byte payload, take the oldest of 16,384 live ones
-/// ([`agile_bench::PayloadChurn`]).
-fn kernel_payload_tag_take() -> BenchResult {
-    let mut churn = agile_bench::PayloadChurn::new();
-    bench("world/payload_tag_take", || {
-        black_box(churn.step());
-    })
-}
 
 /// One reduced Figure-7 sweep (3 techniques × 2 VM sizes, idle, scale
 /// 1/64): end-to-end wall-clock, plus total simulator events.
@@ -299,8 +46,23 @@ fn end_to_end_sweep() -> (f64, f64) {
     (t0.elapsed().as_secs_f64(), sim_secs_total)
 }
 
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
+/// The `BENCH_1.json` ledger: one `{name, ns_per_iter, per_sec}` record
+/// per kernel plus the reduced Fig. 7 sweep.
+fn bench1_ledger(results: &[BenchResult], sweep_wall_s: f64, sweep_sim_s: f64) -> Object {
+    let records: Vec<_> = results
+        .iter()
+        .map(|r| {
+            let (ns, per_sec) = (fixed(r.ns_per_iter, 2), fixed(r.per_sec(), 0));
+            obj! { "name": r.name.as_str(), "ns_per_iter": ns, "per_sec": per_sec }
+        })
+        .collect();
+    obj! {
+        "results": records,
+        "fig7_sweep": obj! {
+            "wall_secs": fixed(sweep_wall_s, 3),
+            "simulated_migration_secs": fixed(sweep_sim_s, 3), "scale": 64u64, "points": 6u64,
+        },
+    }
 }
 
 /// Max tolerated slowdown before the gate fails: current may be at most
@@ -309,112 +71,44 @@ fn json_escape(s: &str) -> String {
 /// catching a hot path regressing to allocation or linear scans.
 const GATE_SLOWDOWN: f64 = 1.25;
 
-/// Scrape `(name, ns_per_iter)` pairs out of a baseline `BENCH_1.json`.
-///
-/// The file is this binary's own flat output — one result object per
-/// line — so a line scan is exact and no JSON library is needed (the
-/// workspace is dependency-free by design).
-fn parse_baseline(text: &str) -> Vec<(String, f64)> {
-    let mut out = Vec::new();
-    for line in text.lines() {
-        let Some(name) = line
-            .split("\"name\": \"")
-            .nth(1)
-            .and_then(|rest| rest.split('"').next())
-        else {
-            continue;
-        };
-        let Some(ns) = line
-            .split("\"ns_per_iter\": ")
-            .nth(1)
-            .and_then(|rest| rest.split([',', '}']).next())
-            .and_then(|num| num.trim().parse::<f64>().ok())
-        else {
-            continue;
-        };
-        out.push((name.to_string(), ns));
-    }
-    out
-}
-
-/// Indices of non-`SEED_` kernels whose measured ns/iter exceeds
-/// [`GATE_SLOWDOWN`] × their baseline entry.
-fn failing_kernels(results: &[BenchResult], baseline: &[(String, f64)]) -> Vec<usize> {
-    results
-        .iter()
-        .enumerate()
-        .filter(|(_, r)| !r.name.contains("SEED_"))
-        .filter(|(_, r)| {
-            baseline
-                .iter()
-                .find(|(n, _)| n == &r.name)
-                .is_some_and(|(_, base)| r.ns_per_iter > base * GATE_SLOWDOWN)
-        })
-        .map(|(i, _)| i)
-        .collect()
-}
-
-/// Re-measure one kernel by its result name (for gate retries).
-fn kernel_by_name(name: &str) -> Option<fn() -> BenchResult> {
-    Some(match name {
-        "event_queue/fast_schedule_pop_1k_pending" => kernel_event_queue,
-        "event_queue/timeout_cancel_cycle" => kernel_event_cancel,
-        "network/waterfill_32_active" => kernel_waterfill,
-        "network/send_poll_cycle_16ch" => kernel_send_poll,
-        "network/send_poll_rack_trunk" => kernel_send_poll_rack_trunk,
-        "bitmap/for_each_set_sparse_2.6M" => kernel_bitmap_scan,
-        "bitmap/for_each_set_ultra_sparse_2.6M" => kernel_bitmap_scan_ultra,
-        "vmmemory/touch_fault_evict_cycle" => kernel_touch_path,
-        "vmmemory/build_sparse_vm" => kernel_build_sparse_vm,
-        "world/payload_tag_take" => kernel_payload_tag_take,
-        _ => return None,
-    })
-}
-
-/// Gate the measured kernels against a baseline report. A kernel that
-/// reads slow gets re-measured up to twice (keeping its best time) —
-/// wall-clock micro-benchmarks on shared runners see transient 1.5–2x
-/// spikes from scheduler interference, and only a *persistent* slowdown
-/// is a regression. Returns whether any kernel still fails after retries.
-fn check_against(results: &[BenchResult], baseline: &[(String, f64)]) -> bool {
-    let mut gated: Vec<BenchResult> = results.to_vec();
-    let mut failing = failing_kernels(&gated, baseline);
-    for retry in 0..2 {
-        if failing.is_empty() {
-            break;
-        }
-        println!(
-            "-- gate retry {} ({} kernel(s) read slow; re-measuring) --",
-            retry + 1,
-            failing.len()
-        );
-        for &i in &failing {
-            if let Some(f) = kernel_by_name(&gated[i].name) {
-                let r = f();
-                if r.ns_per_iter < gated[i].ns_per_iter {
-                    gated[i] = r;
-                }
-            }
-        }
-        failing = failing_kernels(&gated, baseline);
-    }
+/// Gate each measured kernel against its same-named baseline entry: one
+/// check per kernel that has one. A kernel that reads slow is re-measured
+/// up to twice, keeping its best time — wall-clock micro-benchmarks on
+/// shared runners see transient 1.5–2x spikes from scheduler
+/// interference, and only a *persistent* slowdown is a regression.
+fn check_against(gate: &mut Gate, results: &[BenchResult], baseline: &[(String, f64)]) {
     println!("-- regression gate (fail above {GATE_SLOWDOWN:.2}x baseline) --");
-    for r in &gated {
-        if r.name.contains("SEED_") {
-            continue;
-        }
-        let Some((_, base_ns)) = baseline.iter().find(|(n, _)| n == &r.name) else {
+    gate.check("baseline has results", !baseline.is_empty());
+    for (r, kernel) in results.iter().zip(kernels::ALL) {
+        let Some(&(_, base_ns)) = baseline.iter().find(|(n, _)| *n == r.name) else {
             println!("{:<44} (new kernel, no baseline — skipped)", r.name);
             continue;
         };
-        let ratio = r.ns_per_iter / base_ns;
-        let verdict = if ratio > GATE_SLOWDOWN { "FAIL" } else { "ok" };
+        let mut ns = r.ns_per_iter;
+        for retry in 1..=2 {
+            if ns <= base_ns * GATE_SLOWDOWN {
+                break;
+            }
+            println!(
+                "-- gate retry {retry}: {} read slow; re-measuring --",
+                r.name
+            );
+            ns = ns.min(kernel().ns_per_iter);
+        }
+        let ratio = ns / base_ns;
+        let ok = gate.check(
+            format!("{} <= {GATE_SLOWDOWN:.2}x baseline", r.name),
+            ratio <= GATE_SLOWDOWN,
+        );
         println!(
             "{:<44} {:>10.1} ns vs {:>10.1} ns baseline  ({:>5.2}x)  {}",
-            r.name, r.ns_per_iter, base_ns, ratio, verdict
+            r.name,
+            ns,
+            base_ns,
+            ratio,
+            if ok { "ok" } else { "FAIL" }
         );
     }
-    !failing.is_empty()
 }
 
 fn main() {
@@ -425,75 +119,23 @@ fn main() {
         .unwrap_or_else(|| std::path::PathBuf::from("."));
 
     println!("-- micro-kernels --");
-    let cancel_cycle = kernel_event_cancel();
-    let seed_cancel_cycle = kernel_seed_event_cancel();
-    let waterfill = kernel_waterfill();
-    let seed_waterfill_r = kernel_seed_waterfill();
-    let results = [
-        kernel_event_queue(),
-        cancel_cycle.clone(),
-        seed_cancel_cycle.clone(),
-        waterfill.clone(),
-        seed_waterfill_r.clone(),
-        kernel_send_poll(),
-        kernel_send_poll_rack_trunk(),
-        kernel_bitmap_scan(),
-        kernel_bitmap_scan_ultra(),
-        kernel_touch_path(),
-        kernel_build_sparse_vm(),
-        kernel_payload_tag_take(),
-    ];
-    let queue_speedup = seed_cancel_cycle.ns_per_iter / cancel_cycle.ns_per_iter;
-    let waterfill_speedup = seed_waterfill_r.ns_per_iter / waterfill.ns_per_iter;
-    println!("speedup vs seed: event queue {queue_speedup:.2}x, waterfill {waterfill_speedup:.2}x");
+    let results: Vec<BenchResult> = kernels::ALL.iter().map(|kernel| kernel()).collect();
     println!("-- end-to-end reduced Fig. 7 sweep (scale 1/64) --");
     let (sweep_wall_s, sweep_sim_s) = end_to_end_sweep();
     println!("sweep: {sweep_wall_s:.2} s wall for {sweep_sim_s:.1} simulated s of migration");
 
-    let mut json = String::from("{\n  \"results\": [\n");
-    for (i, r) in results.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"name\": \"{}\", \"ns_per_iter\": {:.2}, \"per_sec\": {:.0}}}{}\n",
-            json_escape(&r.name),
-            r.ns_per_iter,
-            r.per_sec(),
-            if i + 1 < results.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  ],\n");
-    json.push_str(&format!(
-        "  \"speedup_vs_seed\": {{\"event_queue_timeout_cancel_cycle\": {queue_speedup:.2}, \"waterfill_32_active\": {waterfill_speedup:.2}}},\n"
-    ));
-    json.push_str(&format!(
-        "  \"fig7_sweep\": {{\"wall_secs\": {sweep_wall_s:.3}, \"simulated_migration_secs\": {sweep_sim_s:.3}, \"scale\": 64, \"points\": 6}}\n"
-    ));
-    json.push_str("}\n");
-
-    std::fs::create_dir_all(&out_dir).expect("create output dir");
-    let path = out_dir.join("BENCH_1.json");
-    std::fs::write(&path, &json).expect("write BENCH_1.json");
+    let ledger = bench1_ledger(&results, sweep_wall_s, sweep_sim_s);
+    let path = write_artifact(&out_dir, "BENCH_1.json", &ledger.to_ledger());
     println!("wrote {}", path.display());
 
-    let bench2_failed = run_bench2(&args, &out_dir);
+    let mut gate = run_bench2(&args, &out_dir);
 
     if let Some(baseline_path) = args.get::<String>("check-against") {
         let text = std::fs::read_to_string(&baseline_path)
             .unwrap_or_else(|e| panic!("read baseline {baseline_path}: {e}"));
-        let baseline = parse_baseline(&text);
-        assert!(
-            !baseline.is_empty(),
-            "baseline {baseline_path} contains no results — wrong file?"
-        );
-        if check_against(&results, &baseline) {
-            eprintln!("perf_report: hot-path regression beyond {GATE_SLOWDOWN:.2}x baseline");
-            std::process::exit(1);
-        }
-        println!("gate passed: no kernel above {GATE_SLOWDOWN:.2}x baseline");
+        check_against(&mut gate, &results, &parse_baseline(&text));
     }
-    if bench2_failed {
-        eprintln!("perf_report: sharded scaling gate failed");
-        std::process::exit(1);
-    }
+    gate.finish("perf_report");
 }
 
 /// Required 1→4-worker throughput scaling when the machine actually has
@@ -506,11 +148,12 @@ const SCALING_GATE: f64 = 2.0;
 /// path). Deterministic outputs are cross-checked across worker counts.
 ///
 /// `--dc-scale large` runs the 1,024-host preset (the checked-in
-/// artifact); the default `small` keeps CI fast. The scaling gate only
+/// artifact); the default `small` keeps CI fast. The scaling check only
 /// applies when `host_cpus >= 4` — on smaller machines worker threads
 /// time-share cores and wall-clock scaling is physically impossible, so
-/// the gate records the honest numbers and skips.
-fn run_bench2(args: &Args, out_dir: &std::path::Path) -> bool {
+/// the gate records the honest numbers and skips. Returns the gate, with
+/// its checks so far recorded in `BENCH_2.json`.
+fn run_bench2(args: &Args, out_dir: &std::path::Path) -> Gate {
     use agile_cluster::scenario::datacenter::{self, DatacenterConfig};
 
     let dc_scale: String = args.get("dc-scale").unwrap_or_else(|| "small".to_string());
@@ -521,85 +164,110 @@ fn run_bench2(args: &Args, out_dir: &std::path::Path) -> bool {
     };
     println!("-- sharded-DES scaling (datacenter --scale {dc_scale}) --");
 
-    let mut curve = Vec::new();
-    let mut report0: Option<String> = None;
-    for workers in [1usize, 2, 4] {
-        let cfg = DatacenterConfig {
-            workers,
-            ..base.clone()
-        };
-        let r = datacenter::run(&cfg);
-        assert!(r.converged, "datacenter run failed to converge");
-        match &report0 {
-            None => report0 = Some(r.report.clone()),
-            Some(base_report) => assert_eq!(
-                base_report, &r.report,
-                "sharded run not byte-identical at workers={workers}"
-            ),
-        }
-        let sims_per_wall = r.sim_secs / r.wall.wall_secs.max(1e-9);
-        println!(
-            "workers={workers} hosts={} vms={} sim_secs={:.1} wall_secs={:.3} \
-             sims_per_wall={:.1} available_parallelism={:.2}",
-            r.hosts,
-            r.vms,
-            r.sim_secs,
-            r.wall.wall_secs,
-            sims_per_wall,
-            r.wall.available_parallelism
-        );
-        curve.push((workers, r));
-    }
+    let curve: Vec<_> = [1usize, 2, 4]
+        .into_iter()
+        .map(|workers| {
+            let r = datacenter::run(&DatacenterConfig {
+                workers,
+                ..base.clone()
+            });
+            println!(
+                "workers={workers} hosts={} vms={} sim_secs={:.1} wall_secs={:.3} \
+                 sims_per_wall={:.1} available_parallelism={:.2}",
+                r.hosts,
+                r.vms,
+                r.sim_secs,
+                r.wall.wall_secs,
+                r.sim_secs / r.wall.wall_secs.max(1e-9),
+                r.wall.available_parallelism
+            );
+            (workers, r)
+        })
+        .collect();
 
-    let host_cpus = curve[0].1.wall.host_cpus;
+    let r0 = &curve[0].1;
+    let host_cpus = r0.wall.host_cpus;
     let spw = |i: usize| curve[i].1.sim_secs / curve[i].1.wall.wall_secs.max(1e-9);
     let speedup_4_over_1 = spw(2) / spw(0).max(1e-9);
     let gate_applicable = host_cpus >= 4;
-    let gate_passed = !gate_applicable || speedup_4_over_1 >= SCALING_GATE;
 
-    let mut json = String::from("{\n");
-    json.push_str(&format!("  \"host_cpus\": {host_cpus},\n"));
-    let r0 = &curve[0].1;
-    json.push_str(&format!(
-        "  \"config\": {{\"scale\": \"{dc_scale}\", \"racks\": {}, \"hosts\": {}, \"vms\": {}, \
-         \"migrations\": {}, \"events_executed\": {}}},\n",
-        r0.racks, r0.hosts, r0.vms, r0.migrations, r0.events_executed
-    ));
-    json.push_str("  \"curve\": [\n");
-    for (i, (workers, r)) in curve.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"workers\": {workers}, \"sim_secs\": {:.3}, \"wall_secs\": {:.4}, \
-             \"sims_per_wall\": {:.2}, \"busy_secs\": {:.4}, \"critical_path_secs\": {:.4}, \
-             \"available_parallelism\": {:.3}}}{}\n",
-            r.sim_secs,
-            r.wall.wall_secs,
-            r.sim_secs / r.wall.wall_secs.max(1e-9),
-            r.wall.busy_secs,
-            r.wall.critical_path_secs,
-            r.wall.available_parallelism,
-            if i + 1 < curve.len() { "," } else { "" }
-        ));
+    let mut gate = Gate::new()
+        .param("required_speedup", fixed(SCALING_GATE, 1))
+        .param("applicable", gate_applicable);
+    for (workers, r) in &curve {
+        gate.check(format!("workers={workers}: converged"), r.converged);
+        if *workers > 1 {
+            gate.check(
+                format!("workers={workers}: report byte-identical to workers=1"),
+                r.report == r0.report,
+            );
+        }
     }
-    json.push_str("  ],\n");
-    json.push_str(&format!(
-        "  \"speedup_4_over_1\": {speedup_4_over_1:.3},\n  \"gate\": {{\"required_speedup\": \
-         {SCALING_GATE:.1}, \"applicable\": {gate_applicable}, \"passed\": {gate_passed}}}\n"
-    ));
-    json.push_str("}\n");
+    gate.check(
+        format!("speedup_4_over_1 >= {SCALING_GATE:.1} where host_cpus >= 4"),
+        !gate_applicable || speedup_4_over_1 >= SCALING_GATE,
+    );
 
-    let path = out_dir.join("BENCH_2.json");
-    std::fs::write(&path, &json).expect("write BENCH_2.json");
-    println!("wrote {}", path.display());
+    let points: Vec<_> = curve
+        .iter()
+        .map(|(workers, r)| {
+            let w = &r.wall;
+            obj! {
+                "workers": *workers, "sim_secs": fixed(r.sim_secs, 3),
+                "wall_secs": fixed(w.wall_secs, 4),
+                "sims_per_wall": fixed(r.sim_secs / w.wall_secs.max(1e-9), 2),
+                "busy_secs": fixed(w.busy_secs, 4),
+                "critical_path_secs": fixed(w.critical_path_secs, 4),
+                "available_parallelism": fixed(w.available_parallelism, 3),
+            }
+        })
+        .collect();
+    let ledger = obj! {
+        "host_cpus": host_cpus,
+        "config": obj! {
+            "scale": dc_scale.as_str(), "racks": r0.racks, "hosts": r0.hosts, "vms": r0.vms,
+            "migrations": r0.migrations, "events_executed": r0.events_executed,
+        },
+        "curve": points,
+        "speedup_4_over_1": fixed(speedup_4_over_1, 3),
+    };
+    gate.write_ledger(out_dir, "BENCH_2.json", ledger);
     if !gate_applicable {
         println!(
-            "scaling gate skipped: host_cpus={host_cpus} < 4 workers (wall-clock scaling \
+            "scaling check skipped: host_cpus={host_cpus} < 4 workers (wall-clock scaling \
              impossible; available_parallelism={:.2} recorded instead)",
             curve[2].1.wall.available_parallelism
         );
-    } else if gate_passed {
-        println!(
-            "scaling gate passed: {speedup_4_over_1:.2}x >= {SCALING_GATE:.1}x (1 -> 4 workers)"
-        );
     }
-    !gate_passed
+    gate
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn baseline_parser_recovers_every_bench1_kernel() {
+        let mut results: Vec<BenchResult> = [
+            "event_queue/fast_schedule_pop_1k_pending",
+            "network/send_poll_rack_trunk",
+            "odd \"quoted\" \\ name, with {braces}",
+        ]
+        .iter()
+        .enumerate()
+        .map(|(i, name)| BenchResult {
+            name: name.to_string(),
+            ns_per_iter: 12.345 * (i + 1) as f64 * 1e3,
+            iters_per_batch: 1,
+        })
+        .collect();
+        results[0].ns_per_iter = 64.26;
+        let text = bench1_ledger(&results, 0.034, 4.881).to_ledger();
+        let parsed = parse_baseline(&text);
+        assert_eq!(parsed.len(), results.len());
+        for (r, (name, ns)) in results.iter().zip(&parsed) {
+            assert_eq!(&r.name, name);
+            assert!((r.ns_per_iter - ns).abs() <= 0.005, "{name}: {ns}");
+        }
+    }
 }

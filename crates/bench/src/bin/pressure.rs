@@ -9,7 +9,8 @@
 //! Same seed + same scale ⇒ byte-identical `PRESSURE_report.txt` and
 //! `PRESSURE_trace.jsonl` (CI runs this twice and diffs the outputs).
 
-use agile_bench::{write_csv, Args};
+use agile_bench::ledger::{write_artifact, Gate};
+use agile_bench::Args;
 use agile_cluster::scenario::pressure::{self, PressureConfig};
 
 fn main() {
@@ -26,16 +27,18 @@ fn main() {
     });
 
     print!("{}", r.report);
-    let report = write_csv(&out, "PRESSURE_report.txt", &r.report).expect("write report");
+    let report = write_artifact(&out, "PRESSURE_report.txt", &r.report);
     let trace = r.trace_jsonl.as_deref().expect("tracing was enabled");
-    write_csv(&out, "PRESSURE_trace.jsonl", trace).expect("write trace");
-    write_csv(&out, "PRESSURE_metrics.json", &r.metrics_json).expect("write metrics");
-
-    assert!(r.converged, "pool failed to quiesce before the deadline");
-    assert_eq!(r.lost_placements, 0, "reclaim lost slot placements");
-    assert_eq!(
-        r.directory_replicas, r.stored_pages,
-        "directory and server stores disagree"
-    );
+    write_artifact(&out, "PRESSURE_trace.jsonl", trace);
+    write_artifact(&out, "PRESSURE_metrics.json", &r.metrics_json);
     println!("report -> {}", report.display());
+
+    let mut gate = Gate::new();
+    gate.check("pool quiesced before the deadline", r.converged);
+    gate.check("lost_placements == 0", r.lost_placements == 0);
+    gate.check(
+        "directory_replicas == stored_pages",
+        r.directory_replicas == r.stored_pages,
+    );
+    gate.finish("pressure");
 }

@@ -10,20 +10,21 @@
 //!
 //! Same seed + same scale ⇒ byte-identical reports and JSON (CI runs
 //! this twice and diffs the outputs, then compares against the
-//! checked-in baseline). The bin asserts the headline claim: streamed
+//! checked-in baseline). The bin's gate checks the headline claim: streamed
 //! cloning serves first pages orders of magnitude sooner AND moves
 //! fewer fabric bytes for a short-lived crowd — teardown cancels the
 //! hydration that precopy pays up front.
 
-use agile_bench::{write_csv, Args};
-use agile_cluster::scenario::scaleout::{self, CloneArm, ScaleoutConfig};
+use agile_bench::ledger::{write_artifact, Gate};
+use agile_bench::{obj, Args};
+use agile_cluster::scenario::scaleout::{self, CloneArm, ScaleoutConfig, ScaleoutResult};
 
 fn main() {
     let args = Args::parse();
     let scale = args.get("scale").unwrap_or(16);
     let seed = args.get("seed").unwrap_or(42);
     let workers = args.get("workers").unwrap_or(2);
-    let clones = args.get("clones").unwrap_or(16);
+    let clones: usize = args.get("clones").unwrap_or(16);
     let out = args.out_dir();
 
     let cfgs: Vec<ScaleoutConfig> = [CloneArm::Streamed, CloneArm::Precopy]
@@ -39,35 +40,9 @@ fn main() {
     let results = scaleout::run_replicated(&cfgs, workers);
     let (s, p) = (&results[0], &results[1]);
 
-    let mut report = String::new();
-    for r in &results {
-        report.push_str(&r.report);
-    }
+    let report: String = results.iter().map(|r| r.report.as_str()).collect();
     print!("{report}");
-    write_csv(&out, "SCALEOUT_report.txt", &report).expect("write report");
-
-    let arm_json = |r: &scaleout::ScaleoutResult| {
-        format!(
-            "{{\"spawned\": {}, \"ready\": {}, \"ttfps_mean_ns\": {}, \
-             \"ttfps_max_ns\": {}, \"all_ready_ns\": {}, \"fabric_bytes\": {}, \
-             \"hydrated_pages\": {}, \"cow_breaks\": {}, \"torn_down\": {}, \
-             \"lost_reads\": {}, \"bystander_ops\": {}, \"digest\": \"{:#018x}\", \
-             \"events_executed\": {}}}",
-            r.spawned,
-            r.ready,
-            r.ttfps_mean_ns,
-            r.ttfps_max_ns,
-            r.all_ready_ns,
-            r.fabric_bytes,
-            r.hydrated_pages,
-            r.cow_breaks,
-            r.torn_down,
-            r.lost_reads,
-            r.bystander_ops,
-            r.digest,
-            r.events_executed,
-        )
-    };
+    write_artifact(&out, "SCALEOUT_report.txt", &report);
 
     // Signed deltas, streamed minus precopy: negative = streamed wins.
     let d_ttfps = s.ttfps_mean_ns as i64 - p.ttfps_mean_ns as i64;
@@ -75,57 +50,38 @@ fn main() {
     let d_fabric = s.fabric_bytes as i64 - p.fabric_bytes as i64;
     let d_bystander = s.bystander_ops as i64 - p.bystander_ops as i64;
 
-    let gate_passed = s.ready == clones as u64
-        && p.ready == clones as u64
-        && s.torn_down == clones as u64
-        && p.torn_down == clones as u64
-        && s.lost_reads == 0
-        && p.lost_reads == 0
-        && d_ttfps < 0
-        && d_fabric < 0
-        && s.cow_breaks > 0
-        && p.cow_breaks > 0;
+    let mut gate = Gate::new();
+    for (name, r) in [("streamed", s), ("precopy", p)] {
+        gate.check(format!("{name}.ready == clones"), r.ready == clones as u64);
+        gate.check(
+            format!("{name}.torn_down == clones"),
+            r.torn_down == clones as u64,
+        );
+        gate.check(format!("{name}.lost_reads == 0"), r.lost_reads == 0);
+        gate.check(format!("{name}.cow_breaks > 0"), r.cow_breaks > 0);
+    }
+    gate.check("delta.ttfps_mean_ns < 0", d_ttfps < 0);
+    gate.check("delta.fabric_bytes < 0", d_fabric < 0);
 
-    let mut json = String::from("{\n");
-    json.push_str(&format!(
-        "  \"config\": {{\"scale\": {scale}, \"seed\": {seed}, \"clones\": {clones}}},\n"
-    ));
-    json.push_str(&format!("  \"streamed\": {},\n", arm_json(s)));
-    json.push_str(&format!("  \"precopy\": {},\n", arm_json(p)));
-    json.push_str(&format!(
-        "  \"delta_streamed_minus_precopy\": {{\"ttfps_mean_ns\": {d_ttfps}, \
-         \"all_ready_ns\": {d_all_ready}, \"fabric_bytes\": {d_fabric}, \
-         \"bystander_ops\": {d_bystander}}},\n"
-    ));
-    json.push_str(&format!(
-        "  \"gate\": {{\"requires\": \"both arms spawn, serve and tear down all \
-         {clones} clones with nothing lost, clones diverge (cow_breaks > 0), && \
-         streamed beats precopy on ttfps_mean_ns and fabric_bytes\", \
-         \"passed\": {gate_passed}}}\n}}\n"
-    ));
-    let path = out.join("BENCH_6.json");
-    std::fs::write(&path, &json).expect("write BENCH_6.json");
-    println!("wrote {}", path.display());
-
-    assert_eq!(s.ready, clones as u64, "streamed fleet never fully served");
-    assert_eq!(p.ready, clones as u64, "precopy fleet never fully served");
-    assert_eq!(s.torn_down, clones as u64, "streamed fleet never tore down");
-    assert_eq!(p.torn_down, clones as u64, "precopy fleet never tore down");
-    assert_eq!(s.lost_reads + p.lost_reads, 0, "reads lost without chaos");
-    assert!(
-        s.cow_breaks > 0 && p.cow_breaks > 0,
-        "clones never diverged from the gold image"
-    );
-    assert!(
-        d_ttfps < 0,
-        "streamed must serve first pages sooner: {} vs {} ns",
-        s.ttfps_mean_ns,
-        p.ttfps_mean_ns
-    );
-    assert!(
-        d_fabric < 0,
-        "streamed must move fewer fabric bytes: {} vs {}",
-        s.fabric_bytes,
-        p.fabric_bytes
-    );
+    let arm = |r: &ScaleoutResult| {
+        obj! {
+            "spawned": r.spawned, "ready": r.ready, "ttfps_mean_ns": r.ttfps_mean_ns,
+            "ttfps_max_ns": r.ttfps_max_ns, "all_ready_ns": r.all_ready_ns,
+            "fabric_bytes": r.fabric_bytes, "hydrated_pages": r.hydrated_pages,
+            "cow_breaks": r.cow_breaks, "torn_down": r.torn_down, "lost_reads": r.lost_reads,
+            "bystander_ops": r.bystander_ops, "digest": format!("{:#018x}", r.digest),
+            "events_executed": r.events_executed,
+        }
+    };
+    let ledger = obj! {
+        "config": obj! { "scale": scale, "seed": seed, "clones": clones },
+        "streamed": arm(s),
+        "precopy": arm(p),
+        "delta_streamed_minus_precopy": obj! {
+            "ttfps_mean_ns": d_ttfps, "all_ready_ns": d_all_ready,
+            "fabric_bytes": d_fabric, "bystander_ops": d_bystander,
+        },
+    };
+    gate.write_ledger(&out, "BENCH_6.json", ledger);
+    gate.finish("scaleout");
 }

@@ -6,7 +6,8 @@
 //! cargo run --release -p agile-bench --bin table1_3_app_perf -- --scale 8
 //! ```
 
-use agile_bench::{par_map, write_csv, Args};
+use agile_bench::ledger::write_artifact;
+use agile_bench::{par_map, Args};
 use agile_cluster::scenario::sysbench::{self, SysbenchScenarioConfig};
 use agile_cluster::scenario::ycsb::{self, YcsbScenarioConfig};
 use agile_migration::{MigrationMetrics, Technique};
@@ -126,6 +127,6 @@ fn main() {
             csv.push_str(&format!("{w},{t},{:.2},{:.2},{}\n", c.perf, c.time_s, c.mb));
         }
     }
-    let path = write_csv(&out, "table1_3.csv", &csv).expect("write CSV");
+    let path = write_artifact(&out, "table1_3.csv", &csv);
     eprintln!("\nwrote {}", path.display());
 }

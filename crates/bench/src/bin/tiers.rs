@@ -9,11 +9,12 @@
 //!
 //! Same seed + same scale ⇒ byte-identical reports and JSON (CI runs
 //! this twice and diffs the outputs, then compares against the
-//! checked-in baseline). The bin asserts the headline claim: at the
+//! checked-in baseline). The bin's gate checks the headline claim: at the
 //! ample end of the sweep the all-DRAM stack wins the fault-latency
 //! p99, at the scarce end the far-memory stack wins — the curves cross.
 
-use agile_bench::{write_csv, Args};
+use agile_bench::ledger::{write_artifact, Gate};
+use agile_bench::{obj, Args};
 use agile_cluster::scenario::tiers::{self, TierArm, TiersResult};
 
 fn main() {
@@ -26,12 +27,9 @@ fn main() {
     let cfgs = tiers::sweep(scale, seed);
     let results = tiers::run_replicated(&cfgs, workers);
 
-    let mut report = String::new();
-    for r in &results {
-        report.push_str(&r.report);
-    }
+    let report: String = results.iter().map(|r| r.report.as_str()).collect();
     print!("{report}");
-    write_csv(&out, "TIERS_report.txt", &report).expect("write report");
+    write_artifact(&out, "TIERS_report.txt", &report);
 
     // Pair the two arms per sweep point (sweep() emits them adjacent).
     let points: Vec<(u64, &TiersResult, &TiersResult)> = cfgs
@@ -45,40 +43,17 @@ fn main() {
         })
         .collect();
 
-    let mut json = String::from("{\n");
-    json.push_str(&format!(
-        "  \"config\": {{\"scale\": {scale}, \"seed\": {seed}}},\n  \"points\": [\n"
-    ));
-    for (i, (pct, a, b)) in points.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"dram_pct\": {pct}, \
-             \"scarce_dram\": {{\"fault_mean_ns\": {}, \"fault_p50_ns\": {}, \
-             \"fault_p99_ns\": {}, \"fault_max_ns\": {}, \"faults\": {}, \
-             \"downtime_ns\": {}, \"migration_ns\": {}, \"tier_pages\": {:?}}}, \
-             \"far_memory\": {{\"fault_mean_ns\": {}, \"fault_p50_ns\": {}, \
-             \"fault_p99_ns\": {}, \"fault_max_ns\": {}, \"faults\": {}, \
-             \"downtime_ns\": {}, \"migration_ns\": {}, \"tier_pages\": {:?}}}}}{}\n",
-            a.fault_mean_ns,
-            a.fault_p50_ns,
-            a.fault_p99_ns,
-            a.fault_max_ns,
-            a.faults,
-            a.downtime_ns,
-            a.migration_ns,
-            a.tier_pages,
-            b.fault_mean_ns,
-            b.fault_p50_ns,
-            b.fault_p99_ns,
-            b.fault_max_ns,
-            b.faults,
-            b.downtime_ns,
-            b.migration_ns,
-            b.tier_pages,
-            if i + 1 < points.len() { "," } else { "" },
-        ));
+    let mut gate = Gate::new();
+    for (pct, a, b) in &points {
+        gate.check(
+            format!("dram_pct={pct}: both migrations finished"),
+            a.finished && b.finished,
+        );
+        gate.check(
+            format!("dram_pct={pct}: faults > 100 in both arms"),
+            a.faults > 100 && b.faults > 100,
+        );
     }
-    json.push_str("  ],\n");
-
     // The crossover. Ample end: remote DRAM strictly wins mean fault
     // latency (the p99 ties — the tail is the migration-time swap-in
     // queue, identical under both stacks, and the power-of-two buckets
@@ -88,67 +63,53 @@ fn main() {
     // scarcity, which is the crossover the stack exists for.
     let (ample_pct, ample_a, ample_b) = points.first().expect("non-empty sweep");
     let (scarce_pct, scarce_a, scarce_b) = points.last().expect("non-empty sweep");
-    let ample_dram_wins = ample_a.fault_mean_ns < ample_b.fault_mean_ns
-        && ample_a.fault_p99_ns <= ample_b.fault_p99_ns
-        && ample_a.downtime_ns <= ample_b.downtime_ns + ample_b.downtime_ns / 1000;
-    let scarce_far_wins = scarce_a.fault_mean_ns > scarce_b.fault_mean_ns
-        && scarce_a.fault_p99_ns > scarce_b.fault_p99_ns
-        && scarce_a.downtime_ns > scarce_b.downtime_ns;
+    gate.check(
+        format!(
+            "dram_pct={ample_pct}: scarce_dram has lower fault_mean_ns, \
+             fault_p99_ns no higher, downtime_ns within 0.1 %"
+        ),
+        ample_a.fault_mean_ns < ample_b.fault_mean_ns
+            && ample_a.fault_p99_ns <= ample_b.fault_p99_ns
+            && ample_a.downtime_ns <= ample_b.downtime_ns + ample_b.downtime_ns / 1000,
+    );
+    gate.check(
+        format!(
+            "dram_pct={scarce_pct}: far_memory has lower fault_mean_ns, fault_p99_ns, downtime_ns"
+        ),
+        scarce_a.fault_mean_ns > scarce_b.fault_mean_ns
+            && scarce_a.fault_p99_ns > scarce_b.fault_p99_ns
+            && scarce_a.downtime_ns > scarce_b.downtime_ns,
+    );
     let crossover_pct = points
         .iter()
         .find(|(_, a, b)| a.fault_p99_ns > b.fault_p99_ns && a.downtime_ns > b.downtime_ns)
         .map(|(pct, _, _)| *pct as i64)
         .unwrap_or(-1);
-    let gate_passed = ample_dram_wins && scarce_far_wins && crossover_pct > *scarce_pct as i64;
-    json.push_str(&format!(
-        "  \"crossover\": {{\"ample_pct\": {ample_pct}, \"scarce_pct\": {scarce_pct}, \
-         \"first_far_memory_win_pct\": {crossover_pct}}},\n"
-    ));
-    json.push_str(&format!(
-        "  \"gate\": {{\"requires\": \"mean(scarce_dram) < mean(far_memory) at \
-         dram_pct={ample_pct} with p99 and downtime no worse, && mean+p99+downtime(scarce_dram) \
-         > mean+p99+downtime(far_memory) at dram_pct={scarce_pct}\", \
-         \"passed\": {gate_passed}}}\n}}\n"
-    ));
-    let path = out.join("BENCH_5.json");
-    std::fs::write(&path, &json).expect("write BENCH_5.json");
-    println!("wrote {}", path.display());
-
-    for (pct, a, b) in &points {
-        assert!(
-            a.finished && b.finished,
-            "migration unfinished at dram_pct={pct}"
-        );
-        assert!(
-            a.faults > 100 && b.faults > 100,
-            "too few faults at dram_pct={pct} for a meaningful p99"
-        );
-    }
-    assert!(
-        ample_dram_wins,
-        "ample DRAM ({ample_pct}%) must beat far memory on mean fault latency without \
-         regressing p99 or downtime: mean {} vs {}, p99 {} vs {}, downtime {} vs {}",
-        ample_a.fault_mean_ns,
-        ample_b.fault_mean_ns,
-        ample_a.fault_p99_ns,
-        ample_b.fault_p99_ns,
-        ample_a.downtime_ns,
-        ample_b.downtime_ns
-    );
-    assert!(
-        scarce_far_wins,
-        "scarce DRAM ({scarce_pct}%) must lose to far memory on mean, p99 and downtime: \
-         mean {} vs {}, p99 {} vs {}, downtime {} vs {}",
-        scarce_a.fault_mean_ns,
-        scarce_b.fault_mean_ns,
-        scarce_a.fault_p99_ns,
-        scarce_b.fault_p99_ns,
-        scarce_a.downtime_ns,
-        scarce_b.downtime_ns
-    );
-    assert!(
+    gate.check(
+        "first_far_memory_win_pct > scarce_pct",
         crossover_pct > *scarce_pct as i64,
-        "the far-memory win must first appear strictly inside the sweep \
-         (first win at {crossover_pct}%, scarce end {scarce_pct}%)"
     );
+
+    let arm = |r: &TiersResult| {
+        obj! {
+            "fault_mean_ns": r.fault_mean_ns, "fault_p50_ns": r.fault_p50_ns,
+            "fault_p99_ns": r.fault_p99_ns, "fault_max_ns": r.fault_max_ns,
+            "faults": r.faults, "downtime_ns": r.downtime_ns,
+            "migration_ns": r.migration_ns, "tier_pages": r.tier_pages.clone(),
+        }
+    };
+    let rows: Vec<_> = points
+        .iter()
+        .map(|(pct, a, b)| obj! { "dram_pct": *pct, "scarce_dram": arm(a), "far_memory": arm(b) })
+        .collect();
+    let ledger = obj! {
+        "config": obj! { "scale": scale, "seed": seed },
+        "points": rows,
+        "crossover": obj! {
+            "ample_pct": *ample_pct, "scarce_pct": *scarce_pct,
+            "first_far_memory_win_pct": crossover_pct,
+        },
+    };
+    gate.write_ledger(&out, "BENCH_5.json", ledger);
+    gate.finish("tiers");
 }

@@ -12,7 +12,8 @@
 //! a smoke gate). Timestamps are integer nanoseconds of simulated time,
 //! so no wall-clock leaks in.
 
-use agile_bench::{par_map, write_csv, Args};
+use agile_bench::ledger::write_artifact;
+use agile_bench::{par_map, Args};
 use agile_cluster::scenario::single_vm::{self, SingleVmConfig};
 use agile_migration::Technique;
 
@@ -41,10 +42,9 @@ fn main() {
     for (name, r) in results {
         let mut timeline = r.timeline.clone();
         timeline.scenario = name.to_string();
-        let json = write_csv(&out, &format!("TRACE_{name}.json"), &timeline.to_json())
-            .expect("write timeline");
+        let json = write_artifact(&out, &format!("TRACE_{name}.json"), &timeline.to_json());
         let jsonl = r.trace_jsonl.expect("tracing was enabled");
-        write_csv(&out, &format!("TRACE_{name}.jsonl"), &jsonl).expect("write event trace");
+        write_artifact(&out, &format!("TRACE_{name}.jsonl"), &jsonl);
         println!(
             "{name}: total={:.3}s downtime={:.3}s bytes={} rounds={} -> {}",
             r.migration_secs,

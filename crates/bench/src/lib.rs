@@ -1,24 +1,37 @@
 //! # agile-bench
 //!
-//! The benchmark harness: one binary per paper figure/table (see
-//! `src/bin/`) plus self-contained micro- and ablation benches
-//! (`benches/`, built on [`harness`]).
+//! The benchmark harness: one binary per paper figure/table and per
+//! extension study (see `src/bin/`), plus self-contained micro- and
+//! ablation benches (`benches/`, built on [`harness`]). Every bin writes
+//! its artifacts through [`ledger::write_artifact`] and checks its claims
+//! through one [`ledger::Gate`].
 //!
-//! | binary | regenerates |
-//! |--------|-------------|
-//! | `fig4_6_ycsb_timeline` | Figures 4–6 (YCSB throughput timelines) |
-//! | `fig7_8_single_vm_sweep` | Figures 7–8 (migration time / data vs VM size) |
-//! | `table1_3_app_perf` | Tables I–III (app perf, migration time, data) |
-//! | `fig9_10_wss_tracking` | Figures 9–10 (WSS tracking) |
-//! | `run_all` | everything above, writing CSVs under `--out` |
+//! | binary | regenerates | writes under `--out` |
+//! |--------|-------------|----------------------|
+//! | `fig4_6_ycsb_timeline` | Figures 4–6 (YCSB throughput timelines) | `fig4_precopy.csv`, `fig5_postcopy.csv`, `fig6_agile.csv` |
+//! | `fig7_8_single_vm_sweep` | Figures 7–8 (migration time / data vs VM size) | `fig7_time_{idle,busy}.csv`, `fig8_bytes_{idle,busy}.csv` |
+//! | `table1_3_app_perf` | Tables I–III (app perf, migration time, data) | `table1_3.csv` |
+//! | `fig9_10_wss_tracking` | Figures 9–10 (WSS tracking) | `fig9_wss_tracking.csv`, `fig10_wss_throughput.csv` |
+//! | `ablations` | the DESIGN.md ablations | stdout only |
+//! | `run_all` | the five bins above, in sequence | their CSVs |
+//! | `perf_report` | hot-path kernels and sharded scaling | `BENCH_1.json`, `BENCH_2.json` (default `--out .`) |
+//! | `trace_export` | phase timelines per technique | `TRACE_<technique>.json`, `TRACE_<technique>.jsonl` |
+//! | `chaos_recovery` | fault recovery under VMD crashes and connection drops | `chaos_recovery.csv` (only with `--out`) |
+//! | `multihost` | watermark rebalancing | `MULTIHOST_{report.txt,trace.jsonl,metrics.json}` |
+//! | `pressure` | elastic-pool reclaim | `PRESSURE_{report.txt,trace.jsonl,metrics.json}` |
+//! | `datacenter` | sharded datacenter scaling | `DATACENTER_report.txt`, `DATACENTER_scaling.csv` |
+//! | `diurnal` | cycle-predictive scheduling A/B | `BENCH_3.json`, `DIURNAL_*` reports, traces, metrics |
+//! | `estimators` | WSS estimator accuracy A/B | `BENCH_4.json`, `ESTIMATORS_*` reports, traces, metrics |
+//! | `tiers` | swap-tier crossover sweep | `BENCH_5.json`, `TIERS_report.txt` |
+//! | `scaleout` | streamed vs pre-copy cloning A/B | `BENCH_6.json`, `SCALEOUT_report.txt` |
 //!
-//! All binaries accept `--scale N` (divide the paper's byte sizes by `N`;
-//! default 8 — qualitatively identical in a fraction of the wall time) and
-//! `--out DIR` for CSV output.
+//! The figure bins accept `--scale N` (divide the paper's byte sizes by
+//! `N`; default 8 — qualitatively identical in a fraction of the wall
+//! time); every bin but `ablations` accepts `--out DIR` (default
+//! `target/experiments`, `.` for `perf_report`). A flag value that does
+//! not parse is fatal.
 
-use std::path::{Path, PathBuf};
-
-use agile_cluster::world::NetPayload;
+use std::path::PathBuf;
 
 /// Minimal CLI argument scraper shared by the experiment binaries.
 pub struct Args {
@@ -33,14 +46,30 @@ impl Args {
         }
     }
 
-    /// Value of `--name <v>`, parsed.
+    /// Value of `--name <v>`, parsed. A value that does not parse exits
+    /// the process with status 2, naming the flag and the value.
     pub fn get<T: std::str::FromStr>(&self, name: &str) -> Option<T> {
+        self.try_get(name).unwrap_or_else(|e| {
+            eprintln!("{e}");
+            std::process::exit(2)
+        })
+    }
+
+    /// Value of `--name <v>`: `Ok(None)` if the flag is absent, `Err`
+    /// naming the flag and the value if the value does not parse.
+    fn try_get<T: std::str::FromStr>(&self, name: &str) -> Result<Option<T>, String> {
         let flag = format!("--{name}");
-        self.raw
+        let Some(v) = self
+            .raw
             .iter()
             .position(|a| a == &flag)
             .and_then(|i| self.raw.get(i + 1))
-            .and_then(|v| v.parse().ok())
+        else {
+            return Ok(None);
+        };
+        v.parse()
+            .map(Some)
+            .map_err(|_| format!("invalid value {v:?} for {flag}"))
     }
 
     /// The scale divisor (default 8).
@@ -48,7 +77,7 @@ impl Args {
         self.get("scale").unwrap_or(8)
     }
 
-    /// The output directory for CSVs (default `target/experiments`).
+    /// The output directory for artifacts (default `target/experiments`).
     pub fn out_dir(&self) -> PathBuf {
         self.get::<String>("out")
             .map(PathBuf::from)
@@ -112,14 +141,6 @@ pub fn par_map<T: Sync, R: Send>(items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec
     })
 }
 
-/// Write a CSV file, creating the directory as needed.
-pub fn write_csv(dir: &Path, name: &str, contents: &str) -> std::io::Result<PathBuf> {
-    std::fs::create_dir_all(dir)?;
-    let path = dir.join(name);
-    std::fs::write(&path, contents)?;
-    Ok(path)
-}
-
 /// Render a `(seconds, value)` series as CSV text.
 pub fn series_csv(header: &str, series: &[(u64, f64)]) -> String {
     let mut s = String::with_capacity(series.len() * 12 + header.len() + 1);
@@ -139,103 +160,8 @@ pub fn fmt_secs(s: Option<f64>) -> String {
     }
 }
 
-pub mod seed_baseline;
-
-/// The fluid network of a `datacenter` shard, for the
-/// `network/send_poll_rack_trunk` kernel: 32 racked 1 Gbps NICs, the first
-/// 24 each running an endless bulk flow over the rack's 10 Gbps uplink to
-/// a spine node, and 16 idle intra-rack pairs `i → i + 1` for `i` in
-/// 16..32, so half the pairs send from a NIC a bulk flow also uses.
-/// Returns the network and the pairs.
-pub fn rack_trunk_network() -> (agile_sim_core::Network, Vec<agile_sim_core::ChannelId>) {
-    use agile_sim_core::{Bandwidth, Network, SimDuration, SimTime};
-    let mut net = Network::new(SimDuration::from_micros(50));
-    let hosts: Vec<_> = (0..32)
-        .map(|_| net.add_symmetric_node(Bandwidth::gbps(1.0)))
-        .collect();
-    let spine = net.add_symmetric_node(Bandwidth::gbps(40.0));
-    let rack = net.add_rack(Bandwidth::gbps(10.0), Bandwidth::gbps(10.0));
-    for &h in &hosts {
-        net.set_node_rack(h, rack);
-    }
-    for (i, &h) in hosts[..24].iter().enumerate() {
-        let bulk = net.open_channel(h, spine);
-        net.send(SimTime::ZERO, bulk, 1 << 40, i as u64);
-    }
-    let pairs: Vec<_> = (16..32)
-        .map(|i| net.open_channel(hosts[i], hosts[(i + 1) % 32]))
-        .collect();
-    (net, pairs)
-}
-
-/// One preloaded idle VM's memory image, for the
-/// `vmmemory/build_sparse_vm` kernel: a 16,384-page (64 MiB) guest whose
-/// first 2,048 pages are faulted in by writes, the shape of every VM the
-/// `datacenter` scenario builds.
-pub fn build_sparse_vm(evictions: &mut Vec<agile_memory::Eviction>) -> agile_memory::VmMemory {
-    use agile_memory::{VmMemory, VmMemoryConfig};
-    let mut mem = VmMemory::new(VmMemoryConfig {
-        pages: 16_384,
-        page_size: 4096,
-        limit_pages: 16_384,
-    });
-    for p in 0..2_048u32 {
-        mem.touch(p, true);
-        mem.fault_in(p, true, evictions);
-    }
-    mem
-}
-
-/// The world's delivery-payload registry in steady state, for the
-/// `world/payload_tag_take` kernel: [`PayloadChurn::LIVE`] payloads of
-/// the full 112-byte [`NetPayload`] size stay registered, and every step
-/// registers one more and takes the oldest, as one send and one delivery
-/// do.
-pub struct PayloadChurn {
-    slab: agile_cluster::Slab<NetPayload>,
-    live: std::collections::VecDeque<u32>,
-    next_pfn: u32,
-}
-
-impl PayloadChurn {
-    /// Payloads registered throughout.
-    pub const LIVE: usize = 16_384;
-
-    /// A registry holding [`PayloadChurn::LIVE`] payloads.
-    pub fn new() -> Self {
-        let mut churn = PayloadChurn {
-            slab: agile_cluster::Slab::new(),
-            live: std::collections::VecDeque::with_capacity(Self::LIVE + 1),
-            next_pfn: 0,
-        };
-        for _ in 0..Self::LIVE {
-            churn.insert();
-        }
-        churn
-    }
-
-    fn insert(&mut self) {
-        self.next_pfn = self.next_pfn.wrapping_add(1);
-        let tag = self.slab.insert(NetPayload::DemandReq {
-            mig: 0,
-            pfn: self.next_pfn,
-        });
-        self.live.push_back(tag);
-    }
-
-    /// Register one payload, then take the oldest live one.
-    pub fn step(&mut self) -> NetPayload {
-        self.insert();
-        let oldest = self.live.pop_front().expect("live payloads");
-        self.slab.take(oldest).expect("live tag")
-    }
-}
-
-impl Default for PayloadChurn {
-    fn default() -> Self {
-        Self::new()
-    }
-}
+pub mod kernels;
+pub mod ledger;
 
 /// The process's peak resident set (`VmHWM` in `/proc/self/status`) in
 /// MB, or `None` where that file does not exist.
@@ -330,6 +256,20 @@ mod tests {
     fn series_csv_renders() {
         let csv = series_csv("t,ops", &[(0, 1.0), (1, 2.5)]);
         assert_eq!(csv, "t,ops\n0,1.00\n1,2.50\n");
+    }
+
+    #[test]
+    fn malformed_flag_values_are_errors_naming_flag_and_value() {
+        let args = Args {
+            raw: ["--scale", "6x4", "--workers", "4", "--out", "dir"]
+                .map(String::from)
+                .to_vec(),
+        };
+        let err = args.try_get::<u64>("scale").unwrap_err();
+        assert!(err.contains("--scale") && err.contains("6x4"), "{err}");
+        assert_eq!(args.try_get::<usize>("workers"), Ok(Some(4)));
+        assert_eq!(args.try_get::<u64>("seed"), Ok(None));
+        assert_eq!(args.out_dir(), PathBuf::from("dir"));
     }
 
     #[test]

@@ -663,8 +663,9 @@ pub(crate) fn finish_op(sim: &mut Simulation<World>, id: usize, gen: u32) {
 }
 
 /// A response reached the client: tick the meter, send the next request
-/// (inline when think time is zero — the legacy loop — or after the
-/// client's think delay when the workload driver has set one).
+/// (inline when think time is zero — the paper's think-free closed loop
+/// of Figs. 4–6 — or after the client's think delay when the workload
+/// driver has set one).
 pub fn on_response(sim: &mut Simulation<World>, vm_idx: usize, counts: bool) {
     let now = sim.now();
     if counts {

@@ -71,7 +71,7 @@ impl Default for ChaosScenarioConfig {
             deadline_secs: 4000,
             seed: 42,
             trace: false,
-            tiers: agile_vmd::TierStackConfig::legacy(),
+            tiers: agile_vmd::TierStackConfig::default(),
         }
     }
 }

@@ -83,7 +83,7 @@ impl Default for PressureConfig {
             crash_at_secs: 8,
             seed: 42,
             trace: false,
-            tiers: agile_vmd::TierStackConfig::legacy(),
+            tiers: agile_vmd::TierStackConfig::default(),
         }
     }
 }

@@ -129,8 +129,9 @@ pub struct ClientBinding {
     /// Key/op selection stream.
     pub rng: DetRng,
     /// Closed-loop think time between a response and the next request,
-    /// in nanoseconds. 0 (the default) keeps the legacy think-free loop:
-    /// the next request is issued inline with no extra event.
+    /// in nanoseconds. 0 (the default) is the paper's think-free closed
+    /// loop (the YCSB clients of Figs. 4–6): the next request is issued
+    /// inline with no extra event.
     pub think_ns: u64,
 }
 

@@ -2,7 +2,7 @@
 //!
 //! Stores pages in the host's spare memory. Memory is allocated only when a
 //! write arrives — no reservation up front (§IV-A). Below the DRAM head
-//! tier sits a configurable **tier stack** ([`crate::tier`]): the legacy
+//! tier sits a configurable **tier stack** ([`crate::tier`]): the host-SSD
 //! disk spill tier, zswap-like compressed memory, CXL-like far memory —
 //! each with its own capacity and cost. Writes that exceed the head tier
 //! spill to the cheapest lower tier with headroom instead of being
@@ -84,11 +84,11 @@ pub struct VmdServer {
 }
 
 impl VmdServer {
-    /// Create a server with the legacy two-tier stack: `mem_capacity_pages`
+    /// Create a server with the default two-tier stack: `mem_capacity_pages`
     /// of spare DRAM and (optionally) `disk_capacity_pages` of spill space
     /// on the host's SSD.
     pub fn new(id: ServerId, mem_capacity_pages: u64, disk_capacity_pages: u64) -> Self {
-        let stack = TierStackConfig::legacy();
+        let stack = TierStackConfig::default();
         Self::with_tiers(
             id,
             stack.resolve(mem_capacity_pages, disk_capacity_pages),
@@ -209,7 +209,7 @@ impl VmdServer {
         self.ledger.total()
     }
 
-    /// Pages stored below the DRAM head tier (the legacy "disk" view:
+    /// Pages stored below the DRAM head tier (the "disk" view:
     /// with the default stack this is exactly the disk tier).
     pub fn disk_pages(&self) -> u64 {
         self.ledger.spill_used()
@@ -317,7 +317,7 @@ impl VmdServer {
     }
 
     /// Whether the heat policy allows promoting this page now. With heat
-    /// disabled (legacy) every hit promotes, exactly as before.
+    /// disabled (the paper's VMD policy) every hit promotes.
     fn heat_allows_promotion(&self, meta: &PageMeta) -> bool {
         if !self.heat.enabled {
             return true;

@@ -13,8 +13,8 @@
 //!   per server (capacities may be expressed as "the server's DRAM/disk
 //!   contribution").
 //! * [`HeatPolicy`] — decayed per-page access counters driving promotion
-//!   on hit; disabled by default so the legacy stack behaves exactly like
-//!   the old two-state enum.
+//!   on hit; disabled by default, the paper's VMD policy (promote on
+//!   any hit).
 //! * [`TierLedger`] — checked per-tier occupancy accounting. The old
 //!   `mem_used -= 1` / `disk_used -= 1` scattered through retain closures
 //!   could silently wrap in release builds when a purge raced a demotion;
@@ -60,7 +60,7 @@ pub enum TierBacking {
     Dram,
     /// The host's shared SSD block device: accesses queue on the real
     /// [`agile_memory::BlockDevice`], so contention and queueing delays
-    /// emerge (the legacy disk tier).
+    /// emerge (the default stack's disk tier).
     HostSsd,
     /// A fixed-function device — zswap codec, CXL far memory: every
     /// access pays `latency + page_size / bandwidth`, no queueing.
@@ -85,7 +85,7 @@ pub struct TierSpec {
     pub read_cost: SimDuration,
 }
 
-/// Nominal SSD page-read cost used for ranking the legacy disk tier
+/// Nominal SSD page-read cost used for ranking the host-SSD disk tier
 /// (roughly a SATA-SSD random 4K read; the *charged* time still comes
 /// from the host's queued block device).
 pub const NOMINAL_SSD_READ: SimDuration = SimDuration::from_micros(90);
@@ -100,7 +100,7 @@ impl TierSpec {
         }
     }
 
-    /// The legacy disk tier: the server's disk contribution on the host's
+    /// The disk tier: the server's disk contribution on the host's
     /// queued SSD.
     pub fn host_ssd() -> Self {
         TierSpec {
@@ -162,12 +162,12 @@ impl TierSpec {
 /// `heat ← heat − (heat >> decay_shift) + hit_weight`, and ranking reads
 /// apply an age decay of one halving per `half_life_accesses` server
 /// accesses since the page was last touched. With `enabled = false`
-/// (default) pages carry no heat and the server reproduces the legacy
-/// policy byte-for-byte: promote on any hit when the head tier has
-/// headroom, pick demotion victims in coldest-*namespace* order.
+/// (default, the paper's VMD policy) pages carry no heat: promote on any
+/// hit when the head tier has headroom, pick demotion victims in
+/// coldest-*namespace* order.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct HeatPolicy {
-    /// Heat-driven placement on. Off = legacy behavior.
+    /// Heat-driven placement on. Off = the paper's VMD policy.
     pub enabled: bool,
     /// Heat added by one hit.
     pub hit_weight: u16,
@@ -218,8 +218,8 @@ impl HeatPolicy {
 
 /// The cluster-wide tier-stack description: `Copy`, bounded by
 /// [`MAX_TIERS`], resolved per server against its contributions. The
-/// default is exactly the legacy Memory + Disk pair, so worlds built
-/// from `ClusterConfig::default()` replay byte-identically.
+/// default is the paper's VMD stack: the server's DRAM contribution plus
+/// its host-SSD disk contribution, heat off.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct TierStackConfig {
     tiers: [TierSpec; MAX_TIERS],
@@ -229,15 +229,6 @@ pub struct TierStackConfig {
 }
 
 impl TierStackConfig {
-    /// The legacy two-tier stack: DRAM contribution + host-SSD disk
-    /// contribution, heat disabled.
-    pub fn legacy() -> Self {
-        TierStackConfig::new(
-            &[TierSpec::dram(), TierSpec::host_ssd()],
-            HeatPolicy::default(),
-        )
-    }
-
     /// A stack from explicit tiers. Tier 0 must be the raw-DRAM head
     /// (the lease applies to it); costs must be non-decreasing.
     pub fn new(tiers: &[TierSpec], heat: HeatPolicy) -> Self {
@@ -269,11 +260,6 @@ impl TierStackConfig {
         &self.tiers[..self.len as usize]
     }
 
-    /// Whether this is exactly the legacy default stack.
-    pub fn is_legacy(&self) -> bool {
-        *self == TierStackConfig::legacy()
-    }
-
     /// Resolve per-server capacities against the server's contributions.
     pub fn resolve(&self, mem_pages: u64, disk_pages: u64) -> Vec<ResolvedTier> {
         self.tiers()
@@ -289,7 +275,10 @@ impl TierStackConfig {
 
 impl Default for TierStackConfig {
     fn default() -> Self {
-        TierStackConfig::legacy()
+        TierStackConfig::new(
+            &[TierSpec::dram(), TierSpec::host_ssd()],
+            HeatPolicy::default(),
+        )
     }
 }
 
@@ -388,9 +377,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn default_stack_is_legacy_pair() {
+    fn default_stack_is_dram_plus_host_ssd_with_heat_off() {
         let s = TierStackConfig::default();
-        assert!(s.is_legacy());
         assert_eq!(s.tiers().len(), 2);
         assert_eq!(s.tiers()[0].backing, TierBacking::Dram);
         assert_eq!(s.tiers()[1].backing, TierBacking::HostSsd);

@@ -23,7 +23,7 @@ use crate::signal::Signal;
 pub enum Knob {
     /// Closed-loop client think time: the applied value is
     /// `base_ns * signal` nanoseconds (negative values clamp to 0).
-    /// A value of 0 restores the legacy think-free closed loop.
+    /// A value of 0 is the paper's think-free closed loop (Figs. 4–6).
     ThinkNanos {
         /// Think time at signal value 1.0.
         base_ns: u64,
