@@ -31,6 +31,8 @@
 //! `target/experiments`, `.` for `perf_report`). A flag value that does
 //! not parse is fatal.
 
+#![forbid(unsafe_code)]
+
 use std::path::PathBuf;
 
 /// Minimal CLI argument scraper shared by the experiment binaries.

@@ -25,6 +25,8 @@
 //! wiring. Targets are named by small indices (server index, host index,
 //! migration index) that the executor maps onto its own state.
 
+#![forbid(unsafe_code)]
+
 use agile_sim_core::{SeedSequence, SimDuration, SimTime};
 
 /// One kind of injected fault.

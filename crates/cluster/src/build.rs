@@ -9,8 +9,7 @@ use std::rc::Rc;
 
 use agile_memory::{HostMemory, SsdSwap};
 use agile_sim_core::{
-    Bandwidth, BlockDevice, DetRng, RackId, SimDuration, SimTime, Simulation, ThroughputMeter,
-    TimeSeries,
+    Bandwidth, BlockDevice, DetRng, RackId, SimTime, Simulation, ThroughputMeter, TimeSeries,
 };
 use agile_vm::{HostId, Vm, VmConfig, VmId};
 use agile_vmd::{ClientId, ServerId, VmdClient, VmdServer, VmdSwapDevice};
@@ -78,8 +77,7 @@ impl ClusterBuilder {
         with_ssd: bool,
     ) -> usize {
         let node = self.world.net.add_symmetric_node(self.world.cfg.link_bw);
-        let ssd =
-            with_ssd.then(|| Rc::new(RefCell::new(BlockDevice::new(self.world.cfg.ssd_spec))));
+        let ssd = with_ssd.then(|| BlockDevice::new(self.world.cfg.ssd_spec));
         let swap_slots =
             with_ssd.then(|| Rc::new(RefCell::new(agile_memory::SlotAllocator::unbounded())));
         self.world.hosts.push(Host {
@@ -114,8 +112,8 @@ impl ClusterBuilder {
             alive: true,
         });
         // Existing clients learn about the new server.
-        for entry in &self.world.vmd.clients {
-            entry.client.borrow_mut().add_server(id, free, spill);
+        for entry in &mut self.world.vmd.clients {
+            entry.client.add_server(id, free, spill);
         }
         self.world.vmd.servers.len() - 1
     }
@@ -135,8 +133,10 @@ impl ClusterBuilder {
             );
         }
         c.set_replication(self.world.cfg.vmd_replication);
-        let client = Rc::new(RefCell::new(c));
-        self.world.vmd.clients.push(VmdClientEntry { client, host });
+        self.world
+            .vmd
+            .clients
+            .push(VmdClientEntry { client: c, host });
         let idx = self.world.vmd.clients.len() - 1;
         self.world.vmd.host_client.insert(host, idx);
         idx
@@ -149,22 +149,18 @@ impl ClusterBuilder {
         let page_size = self.world.cfg.page_size;
         let swap = match swap {
             SwapKind::HostSsd => {
-                let dev = self.world.hosts[host]
-                    .ssd
-                    .as_ref()
-                    .expect("host has no swap SSD");
-                SwapDev::Ssd(SsdSwap::new(Rc::clone(dev), page_size))
+                assert!(self.world.hosts[host].ssd.is_some(), "host has no swap SSD");
+                SwapDev::Ssd(SsdSwap::new(host, page_size))
             }
             SwapKind::PerVmVmd => {
                 let client_idx = self.ensure_vmd_client(host);
-                let ns = self.world.vmd.directory.borrow_mut().create_namespace();
+                let ns = self.world.vmd.directory.create_namespace();
                 self.world.vmd.allocators.insert(
                     ns,
                     Rc::new(RefCell::new(agile_memory::SlotAllocator::unbounded())),
                 );
                 SwapDev::Vmd(VmdSwapDevice::new(
-                    Rc::clone(&self.world.vmd.clients[client_idx].client),
-                    Rc::clone(&self.world.vmd.directory),
+                    ClientId(client_idx as u32),
                     ns,
                     page_size,
                 ))
@@ -262,14 +258,20 @@ impl ClusterBuilder {
             }
         }
         if !writes.is_empty() && self.world.vms[vm_idx].swap.is_vmd() {
+            let World {
+                hosts,
+                vms,
+                vmd,
+                next_req,
+                ..
+            } = &mut self.world;
             for (pfn, s) in writes {
-                let version = self.world.vms[vm_idx].vm.memory().version(pfn);
-                let req = self.world.next_req;
-                self.world.next_req += 1;
-                let _ = self.world.vms[vm_idx]
+                let version = vms[vm_idx].vm.memory().version(pfn);
+                let req = *next_req;
+                *next_req += 1;
+                let _ = vms[vm_idx]
                     .swap
-                    .backend()
-                    .write(SimTime::ZERO, s, version, req);
+                    .write(hosts, vmd, SimTime::ZERO, s, version, req);
             }
             drain_vmd_sync(&mut self.world);
         }
@@ -360,11 +362,7 @@ impl ClusterBuilder {
         let mut sim = Simulation::new(world);
         sim.set_fast_handler(crate::fast::dispatch);
         if has_vmd {
-            sim.schedule_every(
-                SimTime::from_millis(997),
-                SimDuration::from_millis(1000),
-                vmdio::gossip_availability,
-            );
+            sim.schedule_at(SimTime::from_millis(997), vmdio::gossip_availability);
         }
         sim
     }
@@ -394,19 +392,12 @@ fn drain_vmd_sync(world: &mut World) {
     loop {
         let mut progressed = false;
         for ci in 0..world.vmd.clients.len() {
-            let msgs: Vec<_> = world.vmd.clients[ci]
-                .client
-                .borrow_mut()
-                .drain_outbox()
-                .collect();
+            let msgs: Vec<_> = world.vmd.clients[ci].client.drain_outbox().collect();
             for (srv, msg) in msgs {
                 progressed = true;
                 let reply = world.vmd.servers[srv.0 as usize].server.handle(msg);
                 if let Some(r) = reply.msg {
-                    let _ = world.vmd.clients[ci]
-                        .client
-                        .borrow_mut()
-                        .on_server_msg(srv, r);
+                    let _ = world.vmd.clients[ci].client.on_server_msg(srv, r);
                 }
             }
         }

@@ -186,11 +186,8 @@ fn detect_crash(sim: &mut Simulation<World>, record: usize) {
     let n_clients = sim.state().vmd.clients.len();
     for c in 0..n_clients {
         let completions = {
-            let w = sim.state_mut();
-            let dir = std::rc::Rc::clone(&w.vmd.directory);
-            let mut dir = dir.borrow_mut();
-            let mut client = w.vmd.clients[c].client.borrow_mut();
-            client.mark_suspect(&mut dir, sid)
+            let (client, dir) = sim.state_mut().vmd.client_and_dir(c);
+            client.mark_suspect(dir, sid)
         };
         for completion in completions {
             vmdio::handle_completion(sim, c, completion);
@@ -199,8 +196,7 @@ fn detect_crash(sim: &mut Simulation<World>, record: usize) {
     // The directory drops the dead server from every placement.
     let evicted = {
         let w = sim.state_mut();
-        let dir = std::rc::Rc::clone(&w.vmd.directory);
-        let evicted = dir.borrow_mut().evict_server(sid);
+        let evicted = w.vmd.directory.evict_server(sid);
         let rec = &mut w.chaos.crashes[record];
         rec.detected_at = Some(now);
         rec.slots_evicted = evicted.len() as u64;
@@ -211,7 +207,7 @@ fn detect_crash(sim: &mut Simulation<World>, record: usize) {
         .vmd
         .clients
         .iter()
-        .map(|c| c.client.borrow().replication())
+        .map(|c| c.client.replication())
         .max()
         .unwrap_or(1);
     let mut lost = 0u64;
@@ -275,8 +271,8 @@ fn nic_set(sim: &mut Simulation<World>, host: usize, permille: u32) {
 /// Inject (or clear) per-command latency on a host's swap SSD.
 fn swap_latency(sim: &mut Simulation<World>, host: usize, extra: SimDuration) {
     let w = sim.state_mut();
-    if let Some(ssd) = w.hosts.get(host).and_then(|h| h.ssd.as_ref()) {
-        ssd.borrow_mut().set_extra_latency(extra);
+    if let Some(ssd) = w.hosts.get_mut(host).and_then(|h| h.ssd.as_mut()) {
+        ssd.set_extra_latency(extra);
     }
 }
 
@@ -307,11 +303,8 @@ pub(crate) fn repair_tick(sim: &mut Simulation<World>) {
         };
         let client_idx = repair_client_for(sim.state(), ns);
         let begun = {
-            let w = sim.state_mut();
-            let dir = std::rc::Rc::clone(&w.vmd.directory);
-            let dir = dir.borrow();
-            let mut client = w.vmd.clients[client_idx].client.borrow_mut();
-            client.begin_repair(&dir, ns, slot)
+            let (client, dir) = sim.state_mut().vmd.client_and_dir(client_idx);
+            client.begin_repair(dir, ns, slot)
         };
         if begun {
             issued = true;

@@ -26,13 +26,11 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use agile_memory::{
-    PageFlags, PagemapEntry, SlotAllocator, SwapBackend, SwapIssue, VmMemory, VmMemoryConfig,
-};
+use agile_memory::{PageFlags, PagemapEntry, SlotAllocator, SwapIssue, VmMemory, VmMemoryConfig};
 use agile_sim_core::{FastEvent, SimDuration, SimTime, Simulation, ThroughputMeter, TimeSeries};
 use agile_trace::TraceEvent;
 use agile_vm::{HostId, Vm, VmId};
-use agile_vmd::{NamespaceId, VmdSwapDevice};
+use agile_vmd::{ClientId, NamespaceId, VmdSwapDevice};
 use agile_workload::Signal;
 
 use crate::guest::{self, charge_evictions, EvictTarget};
@@ -296,10 +294,8 @@ fn try_seal(sim: &mut Simulation<World>) {
         .host_client
         .get(&w.vms[master].host)
         .expect("master host has no VMD client");
-    let quiesced = {
-        let c = w.vmd.clients[client_idx].client.borrow();
-        c.unacked_writes() == 0 && !c.has_outbox()
-    };
+    let c = &w.vmd.clients[client_idx].client;
+    let quiesced = c.unacked_writes() == 0 && !c.has_outbox();
     if quiesced {
         w.clone.as_mut().expect("armed").sealed = true;
     }
@@ -378,9 +374,8 @@ fn spawn_clone(sim: &mut Simulation<World>) {
         // read-only; the refcount bump travels to the servers as an
         // `NsFork` broadcast (flushed below).
         let clone_ns = {
-            let mut dir = w.vmd.directory.borrow_mut();
-            let mut c = w.vmd.clients[client_idx].client.borrow_mut();
-            c.fork_namespace(&mut dir, master_ns)
+            let (c, dir) = w.vmd.client_and_dir(client_idx);
+            c.fork_namespace(dir, master_ns)
         };
         w.trace.record(
             now,
@@ -424,8 +419,7 @@ fn spawn_clone(sim: &mut Simulation<World>) {
         *vm.layout_mut() = layout;
         let _ = vm.replace_memory(image);
         let swap = SwapDev::Vmd(VmdSwapDevice::new(
-            Rc::clone(&w.vmd.clients[client_idx].client),
-            Rc::clone(&w.vmd.directory),
+            ClientId(client_idx as u32),
             clone_ns,
             page_size,
         ));
@@ -581,9 +575,8 @@ fn finalize_teardowns(sim: &mut Simulation<World>) {
             .get(&host)
             .expect("clone host has no VMD client");
         {
-            let mut dir = w.vmd.directory.borrow_mut();
-            let mut c = w.vmd.clients[client_idx].client.borrow_mut();
-            c.purge_namespace(&mut dir, ns);
+            let (c, dir) = w.vmd.client_and_dir(client_idx);
+            c.purge_namespace(dir, ns);
         }
         w.vmd.allocators.remove(&ns);
         // The slot stays in `World::vms` (index stability) but is inert:
@@ -639,9 +632,8 @@ fn maybe_purge_master(sim: &mut Simulation<World>) {
             .get(&host)
             .expect("master host has no VMD client");
         {
-            let mut dir = w.vmd.directory.borrow_mut();
-            let mut c = w.vmd.clients[client_idx].client.borrow_mut();
-            c.purge_namespace(&mut dir, master_ns);
+            let (c, dir) = w.vmd.client_and_dir(client_idx);
+            c.purge_namespace(dir, master_ns);
         }
         w.vmd.allocators.remove(&master_ns);
         w.clone.as_mut().expect("armed").master_purged = true;
@@ -677,6 +669,7 @@ pub(crate) fn hydrate_tick(sim: &mut Simulation<World>, clone_idx: usize) {
     {
         let World {
             vms,
+            vmd,
             swap_reqs,
             next_req,
             clone,
@@ -709,7 +702,8 @@ pub(crate) fn hydrate_tick(sim: &mut Simulation<World>, clone_idx: usize) {
             let SwapDev::Vmd(v) = &mut slot.swap else {
                 unreachable!("clones always swap to VMD");
             };
-            match SwapBackend::read(v, now, swap_slot, req) {
+            let (client, dir) = vmd.client_and_dir(v.client_id().0 as usize);
+            match v.read(client, dir, now, swap_slot, req) {
                 SwapIssue::CompleteAt(t) => scheduled.push((t, req)),
                 SwapIssue::Pending => pending = true,
             }

@@ -13,14 +13,14 @@
 //! the source are demand-requested over the network; cold pages are read
 //! from the per-VM swap device; unknown pages zero-fill locally.
 
-use agile_memory::{SwapIssue, Touch};
+use agile_memory::{SwapIssue, Touch, VmMemory};
 use agile_sim_core::{FastEvent, SimDuration, Simulation};
 use agile_trace::{FaultPath, TraceEvent};
 use agile_vm::VmState;
 use agile_workload::OpSpec;
 
 use crate::netdrv::touch_net;
-use crate::world::{FaultEntry, NetPayload, OpExec, SwapDev, SwapReqCtx, World};
+use crate::world::{host_ssd, FaultEntry, NetPayload, OpExec, SwapDev, SwapReqCtx, World};
 use crate::{migrate, vmdio};
 
 /// Where to charge eviction write-backs.
@@ -49,65 +49,51 @@ pub fn charge_evictions(
     let mut any_vmd = false;
     {
         let World {
+            hosts,
             vms,
+            vmd,
             migrations,
             swap_reqs,
             next_req,
             ..
         } = sim.state_mut();
-        let dev: &mut SwapDev = match target {
-            EvictTarget::Vm(v) => &mut vms[v].swap,
-            EvictTarget::MigDest(m) => migrations[m].dest_swap.as_mut().expect("dest swap"),
-            EvictTarget::MigSource(m) => migrations[m].source_swap.as_mut().expect("source swap"),
+        // The device, and the image the pages left (the VMD store needs
+        // their content versions).
+        let (mem, dev): (&VmMemory, &mut SwapDev) = match target {
+            EvictTarget::Vm(v) => {
+                let slot = &mut vms[v];
+                (slot.vm.memory(), &mut slot.swap)
+            }
+            EvictTarget::MigDest(m) => {
+                let m = &mut migrations[m];
+                let mem = m.dest_mem.as_ref().expect("dest image");
+                (mem, m.dest_swap.as_mut().expect("dest swap"))
+            }
+            EvictTarget::MigSource(m) => {
+                let m = &mut migrations[m];
+                let mem = m.source_mem.as_ref().expect("source image");
+                (mem, m.source_swap.as_mut().expect("source swap"))
+            }
         };
+        let writes = evictions.iter().filter(|e| e.needs_write);
         match dev {
             SwapDev::Ssd(ssd) => {
                 // Content is not tracked on the SSD; only device time and
-                // counters matter. The backend clusters the asynchronous
+                // counters matter. The handle clusters the asynchronous
                 // swap-out writes.
-                use agile_memory::SwapBackend as _;
-                for ev in evictions.iter().filter(|e| e.needs_write) {
-                    let _ = ssd.write(now, ev.slot, 0, u64::MAX);
+                let disk = host_ssd(hosts, ssd.host());
+                for _ in writes {
+                    ssd.write(disk, now);
                 }
             }
-            SwapDev::Vmd(_) => {
-                // Versions must reach the VMD store; read them from the
-                // image the pages left.
-                for ev in evictions {
-                    if !ev.needs_write {
-                        continue;
-                    }
-                    let version = match target {
-                        EvictTarget::Vm(v) => vms[v].vm.memory().version(ev.pfn),
-                        EvictTarget::MigDest(m) => migrations[m]
-                            .dest_mem
-                            .as_ref()
-                            .expect("dest image")
-                            .version(ev.pfn),
-                        EvictTarget::MigSource(m) => migrations[m]
-                            .source_mem
-                            .as_ref()
-                            .expect("source image")
-                            .version(ev.pfn),
-                    };
-                    let dev: &mut SwapDev = match target {
-                        EvictTarget::Vm(v) => &mut vms[v].swap,
-                        EvictTarget::MigDest(m) => {
-                            migrations[m].dest_swap.as_mut().expect("dest swap")
-                        }
-                        EvictTarget::MigSource(m) => {
-                            migrations[m].source_swap.as_mut().expect("source swap")
-                        }
-                    };
+            SwapDev::Vmd(v) => {
+                let (client, dir) = vmd.client_and_dir(v.client_id().0 as usize);
+                for ev in writes {
                     let req = *next_req;
                     *next_req += 1;
                     swap_reqs.insert(req, SwapReqCtx::EvictionWrite);
-                    match dev.backend().write(now, ev.slot, version, req) {
-                        SwapIssue::CompleteAt(_) => {
-                            swap_reqs.remove(&req);
-                        }
-                        SwapIssue::Pending => any_vmd = true,
-                    }
+                    v.write(client, dir, ev.slot, mem.version(ev.pfn), req);
+                    any_vmd = true;
                 }
             }
         }
@@ -477,7 +463,9 @@ fn issue_major_fault(
     let (issue, req) = {
         let World {
             cfg,
+            hosts,
             vms,
+            vmd,
             swap_reqs,
             next_req,
             ..
@@ -503,11 +491,11 @@ fn issue_major_fault(
         } else {
             cfg.guest_readahead_pages.max(1)
         };
-        let issue = vms[vm_idx].swap.backend().read(now, slot, req);
+        let issue = vms[vm_idx].swap.read(hosts, vmd, now, slot, req);
         // Linux swap readahead: speculative neighbour reads burn device
         // time; under random access they install nothing useful.
         for _ in 1..readahead {
-            let _ = vms[vm_idx].swap.backend().read(now, slot, u64::MAX);
+            let _ = vms[vm_idx].swap.read(hosts, vmd, now, slot, u64::MAX);
         }
         (issue, req)
     };

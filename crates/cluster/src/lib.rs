@@ -15,16 +15,20 @@
 //!   queues, page-touch execution with fault parking, vCPU contention.
 //! * [`migrate`] — drives pre-copy / post-copy / Agile migrations
 //!   end-to-end, including the suspend/resume handover.
-//! * [`wssctl`] — transparent working-set tracking and the watermark
-//!   trigger.
-//! * [`sched`] — the cluster-scale watermark scheduler: destination
-//!   placement, ping-pong guard, admission control.
+//! * [`wssctl`] — transparent working-set tracking.
+//! * [`sched`] — the watermark scheduler: fewest-VMs selection,
+//!   destination placement, ping-pong guard, admission control.
 //! * [`poolctl`] — the elastic pool manager: contribution leases sized
 //!   from donor-host demand, paced reclaim, skew-aware rebalancing.
 //! * [`clonectl`] — rapid scale-out: copy-on-write namespace forks and
 //!   memory-streaming VM cloning off a sealed gold image.
 //! * [`scenario`] — ready-made reproductions of Figures 4–10 and
 //!   Tables I–III.
+//!
+//! `unsafe` is denied crate-wide; the one exception is the scoped
+//! `unsafe impl Send` on [`shard::ShardCell`].
+
+#![deny(unsafe_code)]
 
 pub mod build;
 pub mod chaosctl;

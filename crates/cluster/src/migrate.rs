@@ -14,11 +14,11 @@ use agile_migration::{Chunk, DestSession, SourceCmd, SourceConfig, SourceEvent, 
 use agile_sim_core::{SimDuration, SimTime, Simulation};
 use agile_trace::TraceEvent;
 use agile_vm::{HostId, VmState};
-use agile_vmd::VmdSwapDevice;
+use agile_vmd::{ClientId, VmdSwapDevice};
 
 use crate::guest::{self, charge_evictions, EvictTarget};
 use crate::netdrv::touch_net;
-use crate::world::{MigrationExec, NetPayload, SwapDev, SwapReqCtx, World};
+use crate::world::{host_ssd, MigrationExec, NetPayload, SwapDev, SwapReqCtx, World};
 
 /// Static technique name for trace events (events are `Copy`, so the
 /// technique travels as a `&'static str` rather than a display string).
@@ -145,20 +145,18 @@ fn build_dest_image(
                 .host_client
                 .get(&dest_host)
                 .expect("destination host has no VMD client");
-            let client = std::rc::Rc::clone(&w.vmd.clients[client_idx].client);
             SwapDev::Vmd(VmdSwapDevice::new(
-                client,
-                std::rc::Rc::clone(&w.vmd.directory),
+                ClientId(client_idx as u32),
                 v.namespace(),
                 page_size,
             ))
         }
         SwapDev::Ssd(_) => {
-            let dev = w.hosts[dest_host]
-                .ssd
-                .as_ref()
-                .expect("destination host has no swap SSD");
-            SwapDev::Ssd(SsdSwap::new(std::rc::Rc::clone(dev), page_size))
+            assert!(
+                w.hosts[dest_host].ssd.is_some(),
+                "destination host has no swap SSD"
+            );
+            SwapDev::Ssd(SsdSwap::new(dest_host, page_size))
         }
     };
     (dest_mem, dest_swap)
@@ -294,7 +292,9 @@ fn exec_swapin(sim: &mut Simulation<World>, mig: usize, batch: u64, pages: Vec<(
     let mut scheduled: Vec<(SimTime, u64)> = Vec::new();
     {
         let World {
+            hosts,
             vms,
+            vmd,
             migrations,
             swap_reqs,
             next_req,
@@ -346,7 +346,8 @@ fn exec_swapin(sim: &mut Simulation<World>, mig: usize, batch: u64, pages: Vec<(
                     let req = *next_req;
                     *next_req += 1;
                     swap_reqs.insert(req, SwapReqCtx::MigrationSwapIn { mig, batch, pfn });
-                    match agile_memory::SwapBackend::read(v, now, slot, req) {
+                    let (client, dir) = vmd.client_and_dir(v.client_id().0 as usize);
+                    match v.read(client, dir, now, slot, req) {
                         SwapIssue::CompleteAt(t) => scheduled.push((t, req)),
                         SwapIssue::Pending => pending_vmd = true,
                     }
@@ -362,8 +363,9 @@ fn exec_swapin(sim: &mut Simulation<World>, mig: usize, batch: u64, pages: Vec<(
             let SwapDev::Ssd(ssd) = dev else {
                 unreachable!()
             };
+            let disk = host_ssd(hosts, ssd.host());
             for run in slot_runs(ssd_reads) {
-                let done = ssd.read_run(now, run.len() as u64);
+                let done = ssd.read_run(disk, now, run.len() as u64);
                 for (pfn, _) in run {
                     let req = *next_req;
                     *next_req += 1;

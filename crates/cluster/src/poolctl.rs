@@ -330,11 +330,8 @@ fn reclaim(sim: &mut Simulation<World>) {
                 }
                 let client_idx = pump_client_for(sim.state(), ns);
                 let begun = {
-                    let w = sim.state_mut();
-                    let dir = std::rc::Rc::clone(&w.vmd.directory);
-                    let dir = dir.borrow();
-                    let mut client = w.vmd.clients[client_idx].client.borrow_mut();
-                    client.begin_relocation(&dir, ns, slot, sid)
+                    let (client, dir) = sim.state_mut().vmd.client_and_dir(client_idx);
+                    client.begin_relocation(dir, ns, slot, sid)
                 };
                 if begun {
                     let w = sim.state_mut();
@@ -440,18 +437,15 @@ fn rebalance(sim: &mut Simulation<World>) {
             // driving client is about to move hosts).
             namespace_migrating(w, ns)
                 || namespace_forked(w, ns)
-                || w.vmd.directory.borrow().replicas(ns, slot).contains(sid_to)
+                || w.vmd.directory.replicas(ns, slot).contains(sid_to)
         };
         if skip {
             continue;
         }
         let client_idx = pump_client_for(sim.state(), ns);
         let begun = {
-            let w = sim.state_mut();
-            let dir = std::rc::Rc::clone(&w.vmd.directory);
-            let dir = dir.borrow();
-            let mut client = w.vmd.clients[client_idx].client.borrow_mut();
-            client.begin_relocation(&dir, ns, slot, sid_from)
+            let (client, dir) = sim.state_mut().vmd.client_and_dir(client_idx);
+            client.begin_relocation(dir, ns, slot, sid_from)
         };
         if begun {
             let w = sim.state_mut();
@@ -591,10 +585,9 @@ pub fn reclaim_backlog(w: &World) -> bool {
 /// pages are already excluded server-side (`reclaim_victims` skips pages
 /// with a nonzero fork refcount); this guard also covers clone overlays
 /// and owner-freed placements. Forks exist only when the clone controller
-/// ran, so legacy pool runs never take this branch's directory borrow
-/// beyond two cheap map lookups.
+/// ran, so legacy pool runs pay two cheap map lookups here.
 fn namespace_forked(w: &World, ns: NamespaceId) -> bool {
-    let dir = w.vmd.directory.borrow();
+    let dir = &w.vmd.directory;
     dir.is_sealed(ns) || dir.parent_of(ns).is_some()
 }
 

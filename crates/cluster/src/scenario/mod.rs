@@ -309,25 +309,21 @@ pub fn rebalance_host(sim: &mut Simulation<World>, host: usize, slack: u64) {
 }
 
 /// Poll every second until migration `mig` finishes, then re-balance
-/// the source host.
+/// the source host. Each poll that finds the migration still running
+/// re-arms the next as its last action.
 pub(crate) fn watch_completion(
     sim: &mut Simulation<World>,
     mig: usize,
     src_host: usize,
     slack: u64,
 ) {
-    sim.schedule_every(
-        sim.now() + SimDuration::from_secs(1),
-        SimDuration::from_secs(1),
-        move |sim| {
-            if sim.state().migrations[mig].finished {
-                rebalance_host(sim, src_host, slack);
-                false
-            } else {
-                true
-            }
-        },
-    );
+    sim.schedule_in(SimDuration::from_secs(1), move |sim| {
+        if sim.state().migrations[mig].finished {
+            rebalance_host(sim, src_host, slack);
+        } else {
+            watch_completion(sim, mig, src_host, slack);
+        }
+    });
 }
 
 /// Set a YCSB workload's active query window at runtime (the ramp knob of

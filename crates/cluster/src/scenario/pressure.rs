@@ -124,7 +124,7 @@ pub struct PressureResult {
 
 /// Conservation audit over the directory and the server stores.
 fn audit(w: &World, namespaces: &[NamespaceId]) -> (u64, u64, Vec<(u32, u64)>, u64) {
-    let dir = w.vmd.directory.borrow();
+    let dir = &w.vmd.directory;
     let mut lost = 0u64;
     let mut total = 0u64;
     let mut per_ns = Vec::with_capacity(namespaces.len());

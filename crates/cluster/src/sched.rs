@@ -1,15 +1,15 @@
 //! Cluster-scale watermark scheduler (§III-B beyond a single host pair).
 //!
-//! The single-pair trigger in [`crate::wssctl::arm_watermark_trigger`]
-//! pushes every selected VM to one hard-coded destination with no
-//! capacity check — fine for the paper's two-host experiments, wrong for
-//! a cluster: a firing can overload the destination and ping-pong VMs
-//! straight back. This module manages a *set* of hosts:
+//! The paper's experiments push every selected VM to one fixed
+//! destination with no capacity check — fine for two hosts, wrong for a
+//! cluster: a firing can overload the destination and ping-pong VMs
+//! straight back. This module manages a *set* of hosts (a two-host pair
+//! is the set of both):
 //!
 //! * On each tick, every managed host is checked against its watermark
 //!   trigger and the paper's fewest-VMs selection runs per overloaded
-//!   host (suspect-aware, as in `wssctl`: VMs whose portable namespace is
-//!   mid-repair after a VMD server crash are deferred).
+//!   host (suspect-aware: VMs whose portable namespace is mid-repair
+//!   after a VMD server crash are deferred).
 //! * Each selected VM is *placed* on a destination chosen by
 //!   [`PlacementPolicy`]: least-loaded by free reservation headroom (the
 //!   default) or first-fit by host index. Feasibility mirrors what the
@@ -453,8 +453,11 @@ fn check_host(sim: &mut Simulation<World>, host_slot: usize, mh: ManagedHost) {
         if let Some(p) = s.predict.as_ref() {
             vms.retain(|v| !p.deferred.iter().any(|d| d.vm == v.vm as usize));
         }
-        // Suspect-aware + cooldown-aware eligibility (see `wssctl` for
-        // the repair-queue rationale).
+        // Suspect-aware + cooldown-aware eligibility. A VM whose portable
+        // namespace still has slots queued for re-replication after a VMD
+        // server crash is deferred: migrating it would ship offset markers
+        // whose only surviving replica is mid-repair. With no chaos the
+        // repair queue is empty and only the cooldown filters.
         let deferred: HashSet<NamespaceId> =
             w.chaos.repair_queue.iter().map(|&(ns, _)| ns).collect();
         mh.trigger.select_vms_filtered(&vms, |vm| {

@@ -113,19 +113,36 @@ impl Coordinator for NullCoordinator {
 
 /// A shard: one complete, closed world, movable to a worker thread.
 ///
-/// `Simulation<World>` is `!Send` because the world holds `Rc` handles
-/// (the VMD directory and clients) and boxed event closures. Every one of
-/// those references stays inside the world it was built into: the builder
-/// wires each world's `Rc` graph independently and nothing ever hands an
-/// `Rc` (or a closure capturing one) across worlds — cross-shard traffic
-/// is the plain-data [`BoundaryMsg`]/[`GlobalSignal`] values only.
+/// The VMD directory, clients and servers and each host's SSD have one
+/// owner, the world, and are `Send`. `Simulation<World>` is still `!Send`
+/// because of exactly these, none of which crosses worlds:
+///
+/// * boxed event closures (`Box<dyn FnOnce>` carries no `Send` bound);
+/// * the swap-slot allocators, `Rc<RefCell<SlotAllocator>>` shared
+///   between a VM's memory image and the world (`Host::swap_slots`,
+///   `VmdSubsystem::allocators`, clone overlays);
+/// * the clone controller's `CloneCtlConfig::make_workload` factory, an
+///   `Rc<dyn Fn>`;
+/// * the `Rc`'d bindings that `scenario::schedule_step_signals` closures
+///   capture;
+/// * each tracked VM's `Box<dyn WssEstimator>`, whose trait has no `Send`
+///   bound.
+///
+/// Each such value is created inside the world it belongs to (by
+/// `ClusterBuilder`, a scenario's set-up or a controller), and nothing
+/// ever hands one (or a closure capturing one) across worlds:
+/// cross-shard traffic is the plain-data [`BoundaryMsg`]/[`GlobalSignal`]
+/// values only.
 pub struct ShardCell(pub Simulation<World>);
 
-// SAFETY: each cell's interior `Rc` graph is closed (see the type-level
-// comment), and the harness hands each cell to at most one worker thread
-// per epoch via disjoint `chunks_mut` borrows under `std::thread::scope`,
-// so no two threads ever observe the same world concurrently — which is
-// exactly the exclusive-access guarantee moving a `Send` value encodes.
+// SAFETY: each cell's `!Send` values (listed on the type) are reachable
+// from that cell only, and the harness hands each cell to at most one
+// worker thread per epoch via disjoint `chunks_mut` borrows under
+// `std::thread::scope`, so no two threads ever touch the same world's
+// reference counts concurrently — which is exactly the exclusive-access
+// guarantee moving a `Send` value encodes. This is the crate's only
+// `unsafe`: `lib.rs` denies it everywhere else.
+#[allow(unsafe_code)]
 unsafe impl Send for ShardCell {}
 
 /// Wall-clock accounting for one sharded run. Measurement only — never

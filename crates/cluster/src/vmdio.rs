@@ -2,12 +2,15 @@
 //! state machines over the simulated network, and resolves swap-I/O
 //! completions back into the guest/migration paths.
 
-use agile_sim_core::Simulation;
+use agile_sim_core::{SimDuration, Simulation};
 use agile_vmd::{ClientMsg, ServerId, ServerMsg, TierBacking, VmdCompletion};
 
 use crate::netdrv::touch_net;
 use crate::world::{NetPayload, SwapReqCtx, World};
 use crate::{guest, migrate};
+
+/// Period of the servers' availability gossip.
+const GOSSIP_PERIOD: SimDuration = SimDuration::from_millis(1000);
 
 /// Drain a client's outbox onto the network.
 pub fn flush_client(sim: &mut Simulation<World>, client_idx: usize) {
@@ -16,17 +19,12 @@ pub fn flush_client(sim: &mut Simulation<World>, client_idx: usize) {
     // Copy-on-write breaks queued by the sans-IO client: trace them and
     // feed the clone controller's counter. One empty-queue branch on the
     // hot path; nonempty only after a namespace fork.
-    if sim.state().vmd.clients[client_idx]
-        .client
-        .borrow()
-        .has_cow_breaks()
-    {
-        let breaks: Vec<(agile_vmd::NamespaceId, u32)> = sim.state().vmd.clients[client_idx]
+    let w = sim.state_mut();
+    if w.vmd.clients[client_idx].client.has_cow_breaks() {
+        let breaks: Vec<(agile_vmd::NamespaceId, u32)> = w.vmd.clients[client_idx]
             .client
-            .borrow_mut()
             .drain_cow_breaks()
             .collect();
-        let w = sim.state_mut();
         if let Some(c) = w.clone.as_mut() {
             c.counters.cow_breaks += breaks.len() as u64;
         }
@@ -36,11 +34,10 @@ pub fn flush_client(sim: &mut Simulation<World>, client_idx: usize) {
         }
     }
     loop {
-        let batch: Vec<(ServerId, ClientMsg)> = {
-            let w = sim.state_mut();
-            let mut c = w.vmd.clients[client_idx].client.borrow_mut();
-            c.drain_outbox().collect()
-        };
+        let batch: Vec<(ServerId, ClientMsg)> = sim.state_mut().vmd.clients[client_idx]
+            .client
+            .drain_outbox()
+            .collect();
         if batch.is_empty() {
             break;
         }
@@ -97,13 +94,13 @@ pub fn on_server_recv(
             TierBacking::HostSsd => {
                 let w = sim.state_mut();
                 let host = w.vmd.servers[server_idx].host;
-                match &w.hosts[host].ssd {
+                match &mut w.hosts[host].ssd {
                     Some(dev) => {
                         let kind = match msg {
                             ClientMsg::ReadReq { .. } => agile_sim_core::IoKind::Read,
                             _ => agile_sim_core::IoKind::Write,
                         };
-                        dev.borrow_mut().submit(now, kind, page_size)
+                        dev.submit(now, kind, page_size)
                     }
                     None => now,
                 }
@@ -163,16 +160,13 @@ pub fn on_client_recv(
             // dead host.
             return;
         }
-        let mut c = w.vmd.clients[client_idx].client.borrow_mut();
-        c.on_server_msg(ServerId(server_idx as u32), msg)
+        w.vmd.clients[client_idx]
+            .client
+            .on_server_msg(ServerId(server_idx as u32), msg)
     };
     if let Some(completion) = completion {
         handle_completion(sim, client_idx, completion);
-        if sim.state().vmd.clients[client_idx]
-            .client
-            .borrow()
-            .has_outbox()
-        {
+        if sim.state().vmd.clients[client_idx].client.has_outbox() {
             flush_client(sim, client_idx);
         }
     }
@@ -218,11 +212,8 @@ pub fn handle_completion(sim: &mut Simulation<World>, client_idx: usize, c: VmdC
         }
         VmdCompletion::ReadNak { req } => {
             let next = {
-                let w = sim.state_mut();
-                let dir = std::rc::Rc::clone(&w.vmd.directory);
-                let dir = dir.borrow();
-                let mut client = w.vmd.clients[client_idx].client.borrow_mut();
-                client.read_failover(&dir, req)
+                let (client, dir) = sim.state_mut().vmd.client_and_dir(client_idx);
+                client.read_failover(dir, req)
             };
             if let Some(next) = next {
                 handle_completion(sim, client_idx, next);
@@ -230,22 +221,16 @@ pub fn handle_completion(sim: &mut Simulation<World>, client_idx: usize, c: VmdC
         }
         VmdCompletion::WriteNak { req } => {
             let next = {
-                let w = sim.state_mut();
-                let dir = std::rc::Rc::clone(&w.vmd.directory);
-                let mut dir = dir.borrow_mut();
-                let mut client = w.vmd.clients[client_idx].client.borrow_mut();
-                client.write_failover(&mut dir, req)
+                let (client, dir) = sim.state_mut().vmd.client_and_dir(client_idx);
+                client.write_failover(dir, req)
             };
             if let Some(next) = next {
                 handle_completion(sim, client_idx, next);
             }
         }
         VmdCompletion::RepairRead { ns, slot, version } => {
-            let w = sim.state_mut();
-            let dir = std::rc::Rc::clone(&w.vmd.directory);
-            let mut dir = dir.borrow_mut();
-            let mut client = w.vmd.clients[client_idx].client.borrow_mut();
-            client.repair_write(&mut dir, ns, slot, version);
+            let (client, dir) = sim.state_mut().vmd.client_and_dir(client_idx);
+            client.repair_write(dir, ns, slot, version);
         }
         VmdCompletion::RelocateRead {
             ns,
@@ -261,11 +246,8 @@ pub fn handle_completion(sim: &mut Simulation<World>, client_idx: usize, c: VmdC
                 .as_ref()
                 .and_then(|p| p.moves.get(&(ns, slot)).and_then(|m| m.dest));
             let issued = {
-                let w = sim.state_mut();
-                let dir = std::rc::Rc::clone(&w.vmd.directory);
-                let dir = dir.borrow();
-                let mut client = w.vmd.clients[client_idx].client.borrow_mut();
-                client.relocate_write(&dir, ns, slot, version, from, prefer)
+                let (client, dir) = sim.state_mut().vmd.client_and_dir(client_idx);
+                client.relocate_write(dir, ns, slot, version, from, prefer)
             };
             if !issued {
                 if let Some(p) = sim.state_mut().pool.as_mut() {
@@ -276,11 +258,8 @@ pub fn handle_completion(sim: &mut Simulation<World>, client_idx: usize, c: VmdC
         }
         VmdCompletion::RelocateDone { ns, slot, from, to } => {
             let moved = {
-                let w = sim.state_mut();
-                let dir = std::rc::Rc::clone(&w.vmd.directory);
-                let mut dir = dir.borrow_mut();
-                let mut client = w.vmd.clients[client_idx].client.borrow_mut();
-                client.finish_relocation(&mut dir, ns, slot, from, to)
+                let (client, dir) = sim.state_mut().vmd.client_and_dir(client_idx);
+                client.finish_relocation(dir, ns, slot, from, to)
             };
             if let Some(p) = sim.state_mut().pool.as_mut() {
                 p.moves.remove(&(ns, slot));
@@ -333,8 +312,8 @@ pub fn resolve_swap_completion(sim: &mut Simulation<World>, req: u64) {
 }
 
 /// Broadcast every server's availability to every client (the periodic
-/// gossip of §IV-A). Returns `true` so `schedule_every` keeps running.
-pub fn gossip_availability(sim: &mut Simulation<World>) -> bool {
+/// gossip of §IV-A), then schedule the next round one period later.
+pub fn gossip_availability(sim: &mut Simulation<World>) {
     let now = sim.now();
     let page_size = sim.state().cfg.page_size;
     let n_servers = sim.state().vmd.servers.len();
@@ -359,5 +338,7 @@ pub fn gossip_availability(sim: &mut Simulation<World>) -> bool {
         }
     }
     touch_net(sim);
-    true
+    // Scheduled last, so same-instant order is that of a fixed-period
+    // timer re-armed after its body.
+    sim.schedule_at(now + GOSSIP_PERIOD, gossip_availability);
 }

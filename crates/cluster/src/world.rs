@@ -4,17 +4,27 @@
 //! executor logic lives in sibling modules as free functions over
 //! `&mut Simulation<World>`. Cross-references use plain indices — the
 //! world is single-threaded and slab-structured (perf-book idiom: no
-//! `Rc` cycles, no per-event allocation beyond closures).
+//! per-event allocation beyond closures).
+//!
+//! Ownership rule: the world is the one owner of every device and protocol
+//! state machine. Each host's SSD lives in its [`Host`], and the VMD
+//! directory, clients and servers live in [`VmdSubsystem`], all by value.
+//! A VM's [`SwapDev`] is a handle that names its device (a host index, or
+//! a client id plus namespace). Its I/O methods take the hosts and the
+//! VMD subsystem as `&mut`, which callers get by destructuring `World`
+//! into disjoint field borrows. Only the swap-slot allocators are still
+//! shared, as `Rc<RefCell<SlotAllocator>>`, between a VM's memory image
+//! and the world.
 
 use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
 use std::rc::Rc;
 
-use agile_memory::{HostMemory, SsdSwap, SwapBackend, VmMemory};
+use agile_memory::{HostMemory, SsdSwap, SwapIssue, VmMemory};
 use agile_migration::{DestSession, SourceSession};
 use agile_sim_core::{
     BlockDevice, ChannelId, DetRng, IoCounters, Network, NodeId, SeedSequence, SimDuration,
-    ThroughputMeter, TimeSeries,
+    SimTime, ThroughputMeter, TimeSeries,
 };
 use agile_vm::Vm;
 use agile_vmd::{NamespaceId, VmdClient, VmdDirectory, VmdServer, VmdSwapDevice};
@@ -33,7 +43,7 @@ pub struct Host {
     /// Physical-memory ledger.
     pub mem: HostMemory,
     /// Local SSD used as the shared swap partition (baselines), if any.
-    pub ssd: Option<Rc<RefCell<BlockDevice>>>,
+    pub ssd: Option<BlockDevice>,
     /// Slot allocator of the shared swap partition: every VM swapping to
     /// this host's SSD draws from one slot space, so concurrent eviction
     /// streams interleave — which is what destroys sequential layout for
@@ -50,11 +60,43 @@ pub enum SwapDev {
 }
 
 impl SwapDev {
-    /// Trait-object view.
-    pub fn backend(&mut self) -> &mut dyn SwapBackend {
+    /// Issue a read of `slot` (a swap-in) on the device this handle names.
+    /// `req` is echoed through the VMD's asynchronous completion path.
+    pub fn read(
+        &mut self,
+        hosts: &mut [Host],
+        vmd: &mut VmdSubsystem,
+        now: SimTime,
+        slot: u32,
+        req: u64,
+    ) -> SwapIssue {
         match self {
-            SwapDev::Ssd(s) => s,
-            SwapDev::Vmd(v) => v,
+            SwapDev::Ssd(s) => SwapIssue::CompleteAt(s.read(host_ssd(hosts, s.host()), now)),
+            SwapDev::Vmd(v) => {
+                let (client, dir) = vmd.client_and_dir(v.client_id().0 as usize);
+                v.read(client, dir, now, slot, req)
+            }
+        }
+    }
+
+    /// Issue a write of `slot` holding content `version` (a swap-out) on
+    /// the device this handle names.
+    pub fn write(
+        &mut self,
+        hosts: &mut [Host],
+        vmd: &mut VmdSubsystem,
+        now: SimTime,
+        slot: u32,
+        version: u32,
+        req: u64,
+    ) -> SwapIssue {
+        match self {
+            SwapDev::Ssd(s) => SwapIssue::CompleteAt(s.write(host_ssd(hosts, s.host()), now)),
+            SwapDev::Vmd(v) => {
+                let (client, dir) = vmd.client_and_dir(v.client_id().0 as usize);
+                v.write(client, dir, slot, version, req);
+                SwapIssue::Pending
+            }
         }
     }
 
@@ -78,6 +120,11 @@ impl SwapDev {
     pub fn is_vmd(&self) -> bool {
         matches!(self, SwapDev::Vmd(_))
     }
+}
+
+/// The swap SSD of host `host`.
+pub fn host_ssd(hosts: &mut [Host], host: usize) -> &mut BlockDevice {
+    hosts[host].ssd.as_mut().expect("host has no swap SSD")
 }
 
 /// The application served by a VM.
@@ -396,7 +443,7 @@ pub enum SwapReqCtx {
 /// A VMD endpoint (client or server) placement.
 pub struct VmdClientEntry {
     /// The protocol state machine.
-    pub client: Rc<RefCell<VmdClient>>,
+    pub client: VmdClient,
     /// Host it runs on.
     pub host: usize,
 }
@@ -414,8 +461,8 @@ pub struct VmdServerEntry {
 
 /// The VMD subsystem.
 pub struct VmdSubsystem {
-    /// Shared namespace directory (portable-device metadata).
-    pub directory: Rc<RefCell<VmdDirectory>>,
+    /// Namespace directory (portable-device metadata).
+    pub directory: VmdDirectory,
     /// Per-namespace slot allocators (namespace metadata, shared between
     /// the source and destination images of a migrating VM).
     pub allocators: HashMap<NamespaceId, Rc<RefCell<agile_memory::SlotAllocator>>>,
@@ -434,13 +481,19 @@ impl VmdSubsystem {
     /// An empty subsystem.
     pub fn new() -> Self {
         VmdSubsystem {
-            directory: Rc::new(RefCell::new(VmdDirectory::new())),
+            directory: VmdDirectory::new(),
             allocators: HashMap::new(),
             clients: Vec::new(),
             servers: Vec::new(),
             host_client: HashMap::new(),
             channels: Vec::new(),
         }
+    }
+
+    /// Client `client` and the directory, both mutably: the pair most
+    /// client operations take.
+    pub fn client_and_dir(&mut self, client: usize) -> (&mut VmdClient, &mut VmdDirectory) {
+        (&mut self.clients[client].client, &mut self.directory)
     }
 
     /// `(to-server, to-client)` channels between `client` and `server`.
@@ -568,14 +621,6 @@ impl World {
     /// until the delivery (or the channel's close) frees it.
     pub fn tag(&mut self, payload: NetPayload) -> u64 {
         u64::from(self.payloads.insert(payload))
-    }
-
-    /// Allocate a swap request id with its context.
-    pub fn swap_req(&mut self, ctx: SwapReqCtx) -> u64 {
-        let r = self.next_req;
-        self.next_req += 1;
-        self.swap_reqs.insert(r, ctx);
-        r
     }
 
     /// Allocate an op slab slot. The op's generation is overwritten with a

@@ -1,4 +1,5 @@
-//! Working-set-tracking executor (§IV-D) and watermark trigger (§III-B).
+//! Working-set-tracking executor (§IV-D). The watermark trigger it feeds
+//! (§III-B) runs in [`crate::sched`].
 //!
 //! Per tracked VM, a sampling chain drives a pluggable
 //! [`WssEstimator`]: it snapshots the per-VM swap device's cumulative
@@ -9,13 +10,10 @@
 //! default swap-I/O estimator this is bit-for-bit the legacy α/β/τ
 //! chain — 2 s while converging, 30 s once stable.
 
-use std::cell::Cell;
-use std::rc::Rc;
-
 use agile_sim_core::{FastEvent, SimTime, Simulation};
 use agile_wss::{
     ControllerParams, EpochSample, EstimateSignal, PmlEstimator, PmlParams, SwapIoEstimator, VmWss,
-    WatermarkTrigger, WssEstimator, WssObservation,
+    WssEstimator, WssObservation,
 };
 
 use crate::config::WssEstimatorKind;
@@ -256,74 +254,4 @@ pub fn host_wss_of(world: &World, host: usize) -> Vec<VmWss> {
             wss_bytes: s.vm.memory().limit_bytes(),
         })
         .collect()
-}
-
-/// Handle to a periodic watermark trigger armed by
-/// [`arm_watermark_trigger`]. Disarming stops the recurring check: the
-/// next firing sees the cleared flag and unschedules itself without
-/// selecting anything.
-#[derive(Clone)]
-pub struct TriggerHandle(Rc<Cell<bool>>);
-
-impl TriggerHandle {
-    /// Stop the trigger from firing again.
-    pub fn disarm(&self) {
-        self.0.set(false);
-    }
-
-    /// Whether the trigger is still armed.
-    pub fn is_armed(&self) -> bool {
-        self.0.get()
-    }
-}
-
-/// Periodically check a host against the watermarks; when the aggregate
-/// tracked WSS crosses the high watermark, migrate the fewest VMs (largest
-/// first) to `dest_host`. The first check fires one `period` after
-/// *arming* (not after t = 0, so mid-run arming never fires in the past),
-/// and the returned handle stops the recurrence — use it at the scenario
-/// horizon. This is the single-destination convenience path; multi-host
-/// placement lives in [`crate::sched`].
-pub fn arm_watermark_trigger(
-    sim: &mut Simulation<World>,
-    host: usize,
-    dest_host: usize,
-    trigger: WatermarkTrigger,
-    period: agile_sim_core::SimDuration,
-    src_cfg: agile_migration::SourceConfig,
-    dest_reservation_bytes: u64,
-) -> TriggerHandle {
-    let armed = Rc::new(Cell::new(true));
-    let handle = TriggerHandle(Rc::clone(&armed));
-    sim.schedule_every(sim.now() + period, period, move |sim| {
-        if !armed.get() {
-            return false;
-        }
-        let vms = host_wss(sim, host);
-        // Suspect-aware selection: a VM whose portable namespace still has
-        // slots queued for re-replication after a VMD server crash is
-        // deferred — migrating it would ship offset markers whose only
-        // surviving replica is mid-repair. With no chaos the queue is
-        // always empty and this is exactly `select_vms`.
-        let selected = {
-            let w = sim.state();
-            let deferred: std::collections::HashSet<agile_vmd::NamespaceId> =
-                w.chaos.repair_queue.iter().map(|&(ns, _)| ns).collect();
-            trigger.select_vms_filtered(&vms, |vm| match w.vms[vm as usize].swap.namespace() {
-                Some(ns) => !deferred.contains(&ns),
-                None => true,
-            })
-        };
-        for vm in selected {
-            crate::migrate::start_migration(
-                sim,
-                vm as usize,
-                dest_host,
-                src_cfg,
-                dest_reservation_bytes,
-            );
-        }
-        true
-    });
-    handle
 }

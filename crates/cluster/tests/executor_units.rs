@@ -1,9 +1,10 @@
 //! Focused tests of the cluster executor: VMD transport over the network,
 //! guest request flow, reservation rebalancing, WSS sampling chain, and
-//! the watermark trigger wiring.
+//! the watermark scheduler wiring.
 
 use agile_cluster::build::{start_all_workloads, ClusterBuilder, SwapKind};
 use agile_cluster::scenario::{desired_reservation, rebalance_host, set_reservation};
+use agile_cluster::sched::{self, ManagedHost, SchedConfig};
 use agile_cluster::world::WorkloadKind;
 use agile_cluster::{wssctl, ClusterConfig};
 use agile_memory::Touch;
@@ -218,8 +219,32 @@ fn set_reservation_shrink_evicts() {
     assert!(sim.state().vms[vm].swap.counters().write_ops > 0);
 }
 
-/// The trigger's first check fires one period after *arming* — not at
-/// `ZERO + period` — and the returned handle stops the recurrence.
+/// Arm the watermark scheduler over `hosts`, each with watermarks at 60 %
+/// and 75 % of its available memory, checking every `period`.
+fn arm_pair(
+    sim: &mut agile_sim_core::Simulation<agile_cluster::world::World>,
+    hosts: [usize; 2],
+    period: SimDuration,
+) {
+    let managed = hosts
+        .iter()
+        .map(|&host| {
+            let avail = sim.state().hosts[host].mem.available_for_vms();
+            ManagedHost {
+                host,
+                trigger: WatermarkTrigger::fractions(avail, 0.60, 0.75),
+            }
+        })
+        .collect();
+    let mut cfg = SchedConfig::new(agile_migration::SourceConfig::new(
+        agile_migration::Technique::Agile,
+    ));
+    cfg.period = period;
+    sched::arm_scheduler(sim, managed, cfg);
+}
+
+/// The scheduler's first check fires one period after *arming* — not at
+/// `ZERO + period` — and disarming stops the recurrence.
 #[test]
 fn watermark_trigger_anchors_at_arming_and_disarms() {
     let mut b = ClusterBuilder::new(ClusterConfig::default());
@@ -235,23 +260,12 @@ fn watermark_trigger_anchors_at_arming_and_disarms() {
         vms.push(vm);
     }
     let mut sim = b.build();
-    // Put the host over the high watermark *before* the trigger exists.
+    // Put the host over the high watermark *before* the scheduler exists.
     set_reservation(&mut sim, vms[0], 96 * MIB);
     sim.run_until(SimTime::from_secs(10));
 
     // Arm mid-run with a 5 s period: the first check belongs at t = 15 s.
-    let avail = sim.state().hosts[host].mem.available_for_vms();
-    let trigger = WatermarkTrigger::fractions(avail, 0.60, 0.75);
-    let handle = wssctl::arm_watermark_trigger(
-        &mut sim,
-        host,
-        standby,
-        trigger,
-        SimDuration::from_secs(5),
-        agile_migration::SourceConfig::new(agile_migration::Technique::Agile),
-        96 * MIB,
-    );
-    assert!(handle.is_armed());
+    arm_pair(&mut sim, [host, standby], SimDuration::from_secs(5));
     sim.run_until(SimTime::from_millis(14_900));
     assert!(
         sim.state().migrations.is_empty(),
@@ -260,17 +274,17 @@ fn watermark_trigger_anchors_at_arming_and_disarms() {
     sim.run_until(SimTime::from_secs(30));
     assert_eq!(sim.state().migrations.len(), 1, "first check never fired");
     assert!(sim.state().migrations[0].finished);
+    assert_eq!(sim.state().migrations[0].dest_host, standby);
 
-    // Disarm, re-overload the host, and verify the trigger stays quiet.
-    handle.disarm();
-    assert!(!handle.is_armed());
+    // Disarm, re-overload the host, and verify the scheduler stays quiet.
+    sched::disarm_scheduler(&mut sim);
     set_reservation(&mut sim, vms[1], 96 * MIB);
     set_reservation(&mut sim, vms[2], 96 * MIB);
     sim.run_until(SimTime::from_secs(90));
     assert_eq!(
         sim.state().migrations.len(),
         1,
-        "disarmed trigger still fired"
+        "disarmed scheduler still fired"
     );
 }
 
@@ -327,8 +341,9 @@ fn wss_monitor_reprimes_after_migration_pause() {
     );
 }
 
-/// The watermark trigger, armed on a host, fires a real migration once
-/// the aggregate reservations exceed the high watermark.
+/// The watermark scheduler, managing a host and its standby, fires a real
+/// migration once the host's aggregate reservations exceed the high
+/// watermark.
 #[test]
 fn watermark_trigger_fires_migration() {
     let mut b = ClusterBuilder::new(ClusterConfig::default());
@@ -346,15 +361,7 @@ fn watermark_trigger_fires_migration() {
     let mut sim = b.build();
     let avail = sim.state().hosts[host].mem.available_for_vms();
     let trigger = WatermarkTrigger::fractions(avail, 0.60, 0.75);
-    wssctl::arm_watermark_trigger(
-        &mut sim,
-        host,
-        standby,
-        trigger,
-        SimDuration::from_secs(1),
-        agile_migration::SourceConfig::new(agile_migration::Technique::Agile),
-        96 * MIB,
-    );
+    arm_pair(&mut sim, [host, standby], SimDuration::from_secs(1));
     // Aggregate 144 MiB on 240 MiB available = 60% — under the high mark.
     sim.run_until(SimTime::from_secs(3));
     assert!(sim.state().migrations.is_empty(), "fired too early");
@@ -363,7 +370,7 @@ fn watermark_trigger_fires_migration() {
     sim.run_until(SimTime::from_secs(30));
     assert!(
         !sim.state().migrations.is_empty(),
-        "watermark trigger never fired"
+        "watermark scheduler never fired"
     );
     // The fewest-VMs rule picked the largest (vms[0]).
     assert_eq!(sim.state().migrations[0].vm, vms[0]);

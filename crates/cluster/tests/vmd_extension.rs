@@ -136,7 +136,6 @@ fn availability_gossip_converges() {
     let truth = sim.state().vmd.servers[0].server.free_pages();
     let view = sim.state().vmd.clients[client_idx]
         .client
-        .borrow()
         .known_free(agile_vmd::ServerId(0))
         .expect("server known");
     assert_eq!(view, truth, "gossip should synchronize the free count");

@@ -15,8 +15,9 @@
 //! * [`PagemapEntry`] — the `/proc/pid/pagemap` view the Migration Manager
 //!   reads to detect swapped-out pages and their swap offsets (§IV-C of
 //!   the paper).
-//! * [`SwapBackend`] / [`SsdSwap`] — pluggable swap devices; the VMD-backed
-//!   per-VM portable namespace lives in `agile-vmd` behind the same trait.
+//! * [`SsdSwap`] — a VM's handle on its host's shared swap SSD; the VMD-backed
+//!   per-VM portable namespace is `agile_vmd::VmdSwapDevice`. Both are
+//!   handles: every I/O call borrows the device from its owner.
 //! * [`HostMemory`] — per-host reservation ledger feeding the watermark
 //!   migration trigger.
 //!
@@ -24,6 +25,8 @@
 //! descriptions ([`Eviction`], [`Touch::MajorFault`]) and the simulation
 //! executor charges them to devices, so the semantics are unit-testable in
 //! isolation.
+
+#![forbid(unsafe_code)]
 
 pub mod epoch;
 pub mod host;
@@ -40,5 +43,5 @@ pub use lru::{LruLinks, LruList, NIL};
 pub use page::{PageFlags, PagemapEntry};
 pub use pagearray::PageArray;
 pub use slots::{SlotAllocator, NO_SLOT};
-pub use swap::{SsdSwap, SwapBackend, SwapIssue};
+pub use swap::{SsdSwap, SwapIssue};
 pub use vmmem::{Eviction, MemCounters, Slots, Touch, VmMemory, VmMemoryConfig};

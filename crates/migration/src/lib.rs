@@ -22,6 +22,8 @@
 //! the simulated network, swap devices, and VM memory; every protocol
 //! decision lives here and is unit-tested in isolation.
 
+#![forbid(unsafe_code)]
+
 pub mod bitmap;
 pub mod chunk;
 pub mod dest;

@@ -36,7 +36,6 @@ pub struct EventId {
 }
 
 type EventFn<W> = Box<dyn FnOnce(&mut Simulation<W>)>;
-type PeriodicFn<W> = Box<dyn FnMut(&mut Simulation<W>) -> bool>;
 
 /// A plain-data event that schedules and fires without heap allocation.
 ///
@@ -74,9 +73,6 @@ enum Payload<W> {
     Closure(EventFn<W>),
     /// Allocation-free plain-data event, routed to the installed handler.
     Fast(FastEvent),
-    /// Self-rescheduling periodic closure; the box is moved to a fresh slot
-    /// on each tick instead of being reallocated.
-    Periodic(PeriodicFn<W>, SimDuration),
     /// Free slot; the value is the next free slot index (`u32::MAX` ends
     /// the list).
     Vacant(u32),
@@ -321,11 +317,6 @@ impl<W> Simulation<W> {
         self.insert(self.now + delay, Payload::Closure(Box::new(f)))
     }
 
-    /// Schedule an already-boxed event (avoids double boxing in helpers).
-    pub fn schedule_boxed(&mut self, at: SimTime, f: EventFn<W>) -> EventId {
-        self.insert(at, Payload::Closure(f))
-    }
-
     /// Schedule a plain-data [`FastEvent`] at absolute time `at` — no heap
     /// allocation on this path. Requires a handler installed via
     /// [`Simulation::set_fast_handler`] before the event fires.
@@ -336,21 +327,6 @@ impl<W> Simulation<W> {
     /// Schedule a plain-data [`FastEvent`] after `delay`.
     pub fn schedule_fast_in(&mut self, delay: SimDuration, ev: FastEvent) -> EventId {
         self.insert(self.now + delay, Payload::Fast(ev))
-    }
-
-    /// Schedule `f` to fire every `period`, starting at `start`, for as long
-    /// as it returns `true`. The closure is boxed once; ticks move the box
-    /// between slots without reallocating.
-    pub fn schedule_every<F>(&mut self, start: SimTime, period: SimDuration, f: F)
-    where
-        F: FnMut(&mut Simulation<W>) -> bool + 'static,
-        W: 'static,
-    {
-        assert!(
-            !period.is_zero(),
-            "schedule_every requires a non-zero period"
-        );
-        self.insert(start, Payload::Periodic(Box::new(f), period));
     }
 
     /// Cancel a pending event. Cancelling an already-fired or already-
@@ -394,12 +370,6 @@ impl<W> Simulation<W> {
                         .fast_handler
                         .expect("FastEvent fired with no handler installed");
                     handler(self, ev);
-                }
-                Payload::Periodic(mut f, period) => {
-                    if f(self) {
-                        let next = self.now + period;
-                        self.insert(next, Payload::Periodic(f, period));
-                    }
                 }
                 Payload::Vacant(_) => unreachable!("live heap key pointed at a vacant slot"),
             }
@@ -597,18 +567,6 @@ mod tests {
         sim.run();
         assert_eq!(*sim.state(), 1);
         assert_eq!(sim.events_pending(), 1);
-    }
-
-    #[test]
-    fn periodic_runs_until_false() {
-        let mut sim = Simulation::new(Vec::<u64>::new());
-        sim.schedule_every(SimTime::from_secs(1), SimDuration::from_secs(2), |s| {
-            let t = s.now().as_secs();
-            s.state_mut().push(t);
-            t < 7
-        });
-        sim.run();
-        assert_eq!(sim.state(), &[1, 3, 5, 7]);
     }
 
     #[test]

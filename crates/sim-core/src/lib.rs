@@ -30,6 +30,8 @@
 //! assert_eq!(sim.now(), SimTime::from_millis(1500));
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod blockdev;
 pub mod event;
 pub mod net;

@@ -38,6 +38,8 @@
 //! assert!(!off.is_enabled()); // records are no-ops, no buffer exists
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod event;
 pub mod registry;
 pub mod timeline;

@@ -11,6 +11,8 @@
 //! * [`GuestLayout`] — stable mapping from application objects to guest
 //!   page frames (OS region + named dataset regions).
 
+#![forbid(unsafe_code)]
+
 pub mod layout;
 pub mod machine;
 pub mod vcpu;

@@ -16,14 +16,21 @@
 //!   buffer for issued-but-unacked writes, and exposes namespaces.
 //! * [`VmdDirectory`] — namespace metadata (slot → server placements) that
 //!   travels with the portable device.
-//! * [`VmdSwapDevice`] — one namespace bound as an
-//!   [`agile_memory::SwapBackend`] block device (the `/dev/blkN` the
-//!   Migration Manager sees).
+//! * [`VmdSwapDevice`] — one namespace bound as a block device (the
+//!   `/dev/blkN` the Migration Manager sees).
 //!
 //! Everything is sans-IO: clients queue protocol messages in an outbox and
 //! the cluster executor moves them over the simulated network, so VMD
 //! traffic contends with migration and application traffic for NIC
 //! bandwidth exactly as in the paper's testbed.
+//!
+//! Ownership: clients, servers and the directory are plain values with one
+//! owner (the cluster's `World`), and a [`VmdSwapDevice`] is a handle that
+//! names its namespace and client. Operations that need several of them
+//! take each by reference, so no type here is reference-counted or shares
+//! state through interior mutability.
+
+#![forbid(unsafe_code)]
 
 pub mod backend;
 pub mod client;

@@ -16,6 +16,8 @@
 //! CPU burst, wire sizes) and the cluster executor turns them into
 //! latencies by playing them against the VM's memory, devices, and NICs.
 
+#![forbid(unsafe_code)]
+
 pub mod dataset;
 pub mod dist;
 pub mod driver;

@@ -19,6 +19,8 @@
 //! Everything here is pure logic over sampled numbers — no clock, no
 //! devices — so the control behaviour is exactly unit-testable.
 
+#![forbid(unsafe_code)]
+
 pub mod controller;
 pub mod estimator;
 pub mod monitor;

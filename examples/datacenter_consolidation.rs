@@ -1,9 +1,9 @@
 //! Closing the loop the paper sketches in §III-B/§IV-D: working-set
-//! tracking feeds a watermark trigger that *automatically* migrates the
+//! tracking feeds a watermark scheduler that *automatically* migrates the
 //! fewest VMs needed to relieve a consolidated host.
 //!
 //! Four VMs idle on a small working set; two of them heat up, the
-//! aggregate tracked WSS crosses the high watermark, and the trigger
+//! aggregate tracked WSS crosses the high watermark, and the scheduler
 //! migrates the (provably fewest) hottest VM(s) to the standby host using
 //! Agile migration.
 //!
@@ -13,10 +13,11 @@
 
 use agile::cluster::build::{start_all_workloads, ClusterBuilder, SwapKind};
 use agile::cluster::scenario::{rebalance_host, set_ycsb_active_bytes};
-use agile::cluster::world::WorkloadKind;
+use agile::cluster::sched::{self, ManagedHost, SchedConfig};
+use agile::cluster::world::{WorkloadKind, World};
 use agile::cluster::{wssctl, ClusterConfig};
 use agile::migration::SourceConfig;
-use agile::sim::{fmt_bytes, SimDuration, SimTime, GIB, MIB};
+use agile::sim::{fmt_bytes, SimDuration, SimTime, Simulation, GIB, MIB};
 use agile::vm::VmConfig;
 use agile::workload::{Dataset, KeyDist, YcsbParams, YcsbRedis};
 use agile::wss::WatermarkTrigger;
@@ -82,24 +83,27 @@ fn main() {
         );
     }
 
-    // The watermark trigger: checked every 5 s.
-    let avail = sim.state().hosts[consolidated].mem.available_for_vms();
-    let trigger = WatermarkTrigger::fractions(avail, 0.75, 0.92);
+    // The watermark scheduler over both hosts: checked every 5 s.
+    let managed: Vec<ManagedHost> = [consolidated, standby]
+        .iter()
+        .map(|&host| {
+            let avail = sim.state().hosts[host].mem.available_for_vms();
+            ManagedHost {
+                host,
+                trigger: WatermarkTrigger::fractions(avail, 0.75, 0.92),
+            }
+        })
+        .collect();
+    let trigger = managed[0].trigger;
     println!(
         "watermarks on {}: high {}, low {}",
-        fmt_bytes(avail),
+        fmt_bytes(sim.state().hosts[consolidated].mem.available_for_vms()),
         fmt_bytes(trigger.high_bytes),
         fmt_bytes(trigger.low_bytes)
     );
-    wssctl::arm_watermark_trigger(
-        &mut sim,
-        consolidated,
-        standby,
-        trigger,
-        SimDuration::from_secs(5),
-        SourceConfig::new(Technique::Agile),
-        10 * GIB / SC,
-    );
+    let mut sched_cfg = SchedConfig::new(SourceConfig::new(Technique::Agile));
+    sched_cfg.period = SimDuration::from_secs(5);
+    sched::arm_scheduler(&mut sim, managed, sched_cfg);
 
     // At t = 60 s, two VMs heat up to a 6 GB working set each.
     for &vm in &vms[2..4] {
@@ -111,37 +115,8 @@ fn main() {
     }
 
     // Narrate what happens.
-    sim.schedule_every(SimTime::from_secs(10), SimDuration::from_secs(10), {
-        let vms = vms.clone();
-        move |sim| {
-            let w = sim.state();
-            let t = sim.now().as_secs();
-            let agg: u64 = wssctl::host_wss(sim, consolidated)
-                .iter()
-                .map(|v| v.wss_bytes)
-                .sum();
-            let placed: Vec<String> = vms
-                .iter()
-                .map(|&v| {
-                    format!(
-                        "vm{v}@{}",
-                        w.hosts[w.vms[v].host].name.chars().next().unwrap()
-                    )
-                })
-                .collect();
-            let migrating = w.migrations.iter().filter(|m| !m.finished).count();
-            println!(
-                "t={t:>4}s  aggregate tracked WSS {:>10}  [{}]{}",
-                fmt_bytes(agg),
-                placed.join(" "),
-                if migrating > 0 {
-                    "  (migrating…)"
-                } else {
-                    ""
-                }
-            );
-            t < 240
-        }
+    sim.schedule_at(SimTime::from_secs(10), move |sim| {
+        narrate(sim, consolidated, vms)
     });
 
     sim.run_until(SimTime::from_secs(250));
@@ -156,7 +131,7 @@ fn main() {
     println!("\nmigrations performed: {migrated:?}");
     assert!(
         !migrated.is_empty(),
-        "the watermark trigger should have fired"
+        "the watermark scheduler should have fired"
     );
     assert!(
         migrated.iter().all(|vm| *vm >= 2),
@@ -174,5 +149,41 @@ fn main() {
                 .unwrap_or(f64::NAN),
             metrics.pages_sent_as_offsets,
         );
+    }
+}
+
+/// Print the consolidated host's aggregate tracked WSS and where each VM
+/// runs, then re-arm ten seconds later until t = 240 s.
+fn narrate(sim: &mut Simulation<World>, consolidated: usize, vms: Vec<usize>) {
+    let w = sim.state();
+    let t = sim.now().as_secs();
+    let agg: u64 = wssctl::host_wss(sim, consolidated)
+        .iter()
+        .map(|v| v.wss_bytes)
+        .sum();
+    let placed: Vec<String> = vms
+        .iter()
+        .map(|&v| {
+            format!(
+                "vm{v}@{}",
+                w.hosts[w.vms[v].host].name.chars().next().unwrap()
+            )
+        })
+        .collect();
+    let migrating = w.migrations.iter().filter(|m| !m.finished).count();
+    println!(
+        "t={t:>4}s  aggregate tracked WSS {:>10}  [{}]{}",
+        fmt_bytes(agg),
+        placed.join(" "),
+        if migrating > 0 {
+            "  (migrating…)"
+        } else {
+            ""
+        }
+    );
+    if t < 240 {
+        sim.schedule_in(SimDuration::from_secs(10), move |sim| {
+            narrate(sim, consolidated, vms)
+        });
     }
 }

@@ -48,6 +48,8 @@
 //! );
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use agile_chaos as chaos;
 pub use agile_cluster as cluster;
 pub use agile_memory as memory;
