@@ -8,7 +8,8 @@
 //! ```
 //!
 //! `DATACENTER_report.txt` is deterministic (same seed ⇒ byte-identical
-//! at any `--workers`; CI runs small twice and diffs). The wall-clock
+//! at any `--workers`; CI runs small at 1 and 4 workers and large at 2
+//! and 1, and diffs each pair). The wall-clock
 //! scaling lines and the process's peak RSS (`VmHWM` from
 //! `/proc/self/status`, blank where that file does not exist) go to stdout
 //! and `DATACENTER_scaling.csv` only — they are measurement, not part of

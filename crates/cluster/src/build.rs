@@ -193,7 +193,7 @@ impl ClusterBuilder {
             os_bg: None,
             server_queue: std::collections::VecDeque::new(),
             server_active: 0,
-            pending_faults: std::collections::HashMap::new(),
+            pending_faults: agile_sim_core::IdHashMap::default(),
             limbo: Vec::new(),
             client: None,
             meter: ThroughputMeter::new(1),

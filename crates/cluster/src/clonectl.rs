@@ -433,7 +433,7 @@ fn spawn_clone(sim: &mut Simulation<World>) {
             os_bg: None,
             server_queue: std::collections::VecDeque::new(),
             server_active: 0,
-            pending_faults: std::collections::HashMap::new(),
+            pending_faults: agile_sim_core::IdHashMap::default(),
             limbo: Vec::new(),
             client: None,
             meter: ThroughputMeter::new(1),

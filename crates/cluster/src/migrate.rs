@@ -79,7 +79,7 @@ pub fn start_migration(
             source_mem: None,
             dest_swap: Some(dest_swap),
             source_swap: None,
-            swapin_remaining: std::collections::HashMap::new(),
+            swapin_remaining: agile_sim_core::IdHashMap::default(),
             verify_content: false,
             attempt: 0,
             retries: 0,
@@ -900,8 +900,9 @@ fn conn_down_degraded(sim: &mut Simulation<World>, mig: usize) {
     // Ops parked on a demand response that will never arrive: wake them so
     // they re-fault down the degraded path (the sweep made most of them
     // plain hits). Pages with reads genuinely in flight stay parked —
-    // their completions still arrive through the swap device.
-    let stuck: Vec<u32> = {
+    // their completions still arrive through the swap device. Woken in
+    // pfn order: the wake-ups are same-instant events.
+    let mut stuck: Vec<u32> = {
         let w = sim.state();
         let mem = w.vms[vm_idx].vm.memory();
         w.vms[vm_idx]
@@ -911,6 +912,7 @@ fn conn_down_degraded(sim: &mut Simulation<World>, mig: usize) {
             .filter(|&pfn| !mem.page_flags(pfn).any(PageFlags::IO_INFLIGHT))
             .collect()
     };
+    stuck.sort_unstable();
     for pfn in stuck {
         guest::wake_page(sim, vm_idx, pfn);
     }

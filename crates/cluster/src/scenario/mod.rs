@@ -137,13 +137,24 @@ pub(crate) fn run_replicated<S: Scenario>(cfgs: &[S::Config], workers: usize) ->
 ///   still holds) passes [`agile_memory::VmMemory::check_invariants`],
 ///   which costs O(touched pages) per image;
 /// - every live payload slot belongs to a segment the network still
-///   holds, so no delivery or channel close leaked one.
+///   holds, so no delivery or channel close leaked one;
+/// - every VMD server's tier ledger and per-namespace counts match a
+///   recount of its store ([`agile_vmd::VmdServer::ledger_consistent`]),
+///   and the directory's placed counts match a recount of its tables.
 pub(crate) fn audit_memory(w: &World) {
     assert_eq!(
         w.payloads.len(),
         w.net.pending_segments(),
         "live payload slots != segments in the network"
     );
+    for entry in &w.vmd.servers {
+        assert!(
+            entry.server.ledger_consistent(),
+            "VMD server {:?}: ledger != store recount",
+            entry.server.id()
+        );
+    }
+    w.vmd.directory.check_invariants();
     for slot in &w.vms {
         slot.vm.memory().check_invariants();
     }

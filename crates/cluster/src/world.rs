@@ -23,8 +23,8 @@ use std::rc::Rc;
 use agile_memory::{HostMemory, SsdSwap, SwapIssue, VmMemory};
 use agile_migration::{DestSession, SourceSession};
 use agile_sim_core::{
-    BlockDevice, ChannelId, DetRng, IoCounters, Network, NodeId, SeedSequence, SimDuration,
-    SimTime, ThroughputMeter, TimeSeries,
+    BlockDevice, ChannelId, DetRng, IdHashMap, IoCounters, Network, NodeId, SeedSequence,
+    SimDuration, SimTime, ThroughputMeter, TimeSeries,
 };
 use agile_vm::Vm;
 use agile_vmd::{NamespaceId, VmdClient, VmdDirectory, VmdServer, VmdSwapDevice};
@@ -257,7 +257,7 @@ pub struct VmSlot {
     /// Requests being processed right now.
     pub server_active: u32,
     /// Pending page faults with parked ops.
-    pub pending_faults: HashMap<u32, FaultEntry>,
+    pub pending_faults: IdHashMap<u32, FaultEntry>,
     /// Requests held while the VM is suspended (connection limbo).
     pub limbo: Vec<usize>,
     /// Client binding (external load generator).
@@ -318,7 +318,7 @@ pub struct MigrationExec {
     /// so late source-side evictions/swap-ins still have a device.
     pub source_swap: Option<SwapDev>,
     /// Outstanding Migration-Manager swap-in batches: batch → pages left.
-    pub swapin_remaining: HashMap<u64, u32>,
+    pub swapin_remaining: IdHashMap<u64, u32>,
     /// When set, finalization verifies that the destination holds (at
     /// least) the source's final content version of every page — the
     /// end-to-end dirty-tracking check used by the integration tests.
@@ -537,7 +537,7 @@ pub struct World {
     /// payload's slot.
     pub payloads: Slab<NetPayload>,
     /// Outstanding swap I/Os.
-    pub swap_reqs: HashMap<u64, SwapReqCtx>,
+    pub swap_reqs: IdHashMap<u64, SwapReqCtx>,
     /// Next swap request id.
     pub next_req: u64,
     /// In-flight ops; an op id is its slot.
@@ -546,7 +546,7 @@ pub struct World {
     pub next_op_gen: u32,
     /// Migration swap-in batches piggybacking on in-flight guest faults:
     /// `(vm, pfn)` → batches to credit when the page read completes.
-    pub swapin_piggyback: HashMap<(usize, u32), Vec<(usize, u64)>>,
+    pub swapin_piggyback: IdHashMap<(usize, u32), Vec<(usize, u64)>>,
     /// Scratch eviction buffer (reused; perf-book: no per-fault allocs).
     pub evict_buf: Vec<agile_memory::Eviction>,
     /// Fault-injection executor state (empty in non-chaos runs: the
@@ -599,11 +599,11 @@ impl World {
             vmd: VmdSubsystem::new(),
             migrations: Vec::new(),
             payloads: Slab::new(),
-            swap_reqs: HashMap::new(),
+            swap_reqs: IdHashMap::default(),
             next_req: 0,
             ops: Slab::new(),
             next_op_gen: 0,
-            swapin_piggyback: HashMap::new(),
+            swapin_piggyback: IdHashMap::default(),
             evict_buf: Vec::new(),
             chaos: crate::chaosctl::ChaosExec::default(),
             sched: None,

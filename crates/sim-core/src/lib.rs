@@ -34,6 +34,7 @@
 
 pub mod blockdev;
 pub mod event;
+pub mod hash;
 pub mod net;
 pub mod rng;
 pub mod stats;
@@ -42,6 +43,7 @@ pub mod units;
 
 pub use blockdev::{BlockDevice, BlockDeviceSpec, IoCounters, IoKind};
 pub use event::{EventId, FastEvent, Simulation};
+pub use hash::{IdHashMap, IdHasher};
 pub use net::{ChannelId, Delivery, Network, NodeId, RackId, SegmentId};
 pub use rng::{DetRng, SeedSequence};
 pub use stats::{

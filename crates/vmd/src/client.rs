@@ -30,7 +30,11 @@
 //! ([`VmdClient::begin_repair`] / [`VmdClient::repair_write`]) restores
 //! the replication factor after a crash.
 
-use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeSet, VecDeque};
+use std::mem::size_of;
+
+use agile_sim_core::hash::{btree_heap_bytes, map_heap_bytes};
+use agile_sim_core::IdHashMap;
 
 use crate::directory::{ReplicaSet, VmdDirectory};
 use crate::proto::{ClientId, ClientMsg, NamespaceId, ServerId, ServerMsg, VmdError};
@@ -207,14 +211,14 @@ pub struct VmdClient {
     /// Replica count for first writes (1 = the paper's unreplicated VMD).
     replication: usize,
     outbox: VecDeque<(ServerId, ClientMsg)>,
-    pending_reads: HashMap<u64, PendingRead>,
-    pending_writes: HashMap<u64, PendingWrite>,
+    pending_reads: IdHashMap<u64, PendingRead>,
+    pending_writes: IdHashMap<u64, PendingWrite>,
     /// (ns, slot) → (version, latest write req).
-    writeback: HashMap<(NamespaceId, u32), (u32, u64)>,
+    writeback: IdHashMap<(NamespaceId, u32), (u32, u64)>,
     /// Slots with a relocation in flight. The value flips to `false` when
     /// a fresh write or free supersedes the relocated content, so
     /// [`VmdClient::finish_relocation`] never installs a stale copy.
-    relocating: HashMap<(NamespaceId, u32), bool>,
+    relocating: IdHashMap<(NamespaceId, u32), bool>,
     next_internal: u64,
     /// Slots whose every replica is gone (observed by failed reads or
     /// crash-time eviction). Sorted for deterministic reporting.
@@ -247,10 +251,10 @@ impl VmdClient {
             rr: 0,
             replication: 1,
             outbox: VecDeque::new(),
-            pending_reads: HashMap::new(),
-            pending_writes: HashMap::new(),
-            writeback: HashMap::new(),
-            relocating: HashMap::new(),
+            pending_reads: IdHashMap::default(),
+            pending_writes: IdHashMap::default(),
+            writeback: IdHashMap::default(),
+            relocating: IdHashMap::default(),
             next_internal: INTERNAL_REQ_BASE,
             lost_slots: BTreeSet::new(),
             stale_msgs: 0,
@@ -313,6 +317,21 @@ impl VmdClient {
     /// `NsFork` broadcast would store with a stale refcount).
     pub fn unacked_writes(&self) -> usize {
         self.writeback.len()
+    }
+
+    /// Heap bytes held by the client: request and writeback maps from
+    /// their capacities, queues from theirs, the lost-slot set estimated.
+    /// For memory attribution only.
+    #[doc(hidden)]
+    pub fn heap_bytes(&self) -> usize {
+        self.servers.capacity() * size_of::<ServerInfo>()
+            + self.outbox.capacity() * size_of::<(ServerId, ClientMsg)>()
+            + map_heap_bytes(&self.pending_reads)
+            + map_heap_bytes(&self.pending_writes)
+            + map_heap_bytes(&self.writeback)
+            + map_heap_bytes(&self.relocating)
+            + btree_heap_bytes(self.lost_slots.len(), size_of::<(NamespaceId, u32)>())
+            + self.cow_breaks.capacity() * size_of::<(NamespaceId, u32)>()
     }
 
     /// Slots observed lost (every replica gone), sorted.

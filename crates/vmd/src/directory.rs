@@ -9,12 +9,19 @@
 //!
 //! Each slot maps to a [`ReplicaSet`] (primary first) so writes can be
 //! replicated k ways and reads can fail over when an intermediate host
-//! crashes. Two secondary indices keep the fault paths cheap: a
-//! per-namespace slot index makes [`VmdDirectory::purge_namespace`]
-//! O(slots-in-namespace) instead of a full-map scan, and a per-server
-//! index makes crash-time replica enumeration O(slots-on-server).
+//! crashes. The placements are dense tables, one per namespace, indexed
+//! by slot: a namespace's slots come from its lowest-free
+//! `SlotAllocator`, so its table is about as long as the namespace's
+//! peak swapped footprint, and a lookup is two array indexings. Walking
+//! one namespace's table in slot order gives purge, fork and enumeration
+//! their sorted results directly. There is no per-server index: crash
+//! eviction scans every table, in `(ns, slot)` order, which is its sorted
+//! output.
 
 use std::collections::{BTreeSet, HashMap, HashSet};
+use std::mem::size_of;
+
+use agile_sim_core::hash::{btree_heap_bytes, map_heap_bytes, table_heap_bytes};
 
 use crate::proto::{NamespaceId, ServerId};
 
@@ -24,7 +31,9 @@ pub const MAX_REPLICAS: usize = 4;
 /// Deterministically-ordered set of servers holding one slot. The first
 /// entry is the primary (the server the original placement chose); repair
 /// appends, crash eviction removes in place, and order is preserved so
-/// identical histories give identical failover choices.
+/// identical histories give identical failover choices. Entries past
+/// `len` are always `ServerId(0)`, so equality is member-and-order
+/// equality.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct ReplicaSet {
     servers: [ServerId; MAX_REPLICAS],
@@ -101,7 +110,8 @@ impl ReplicaSet {
     }
 
     /// Remove a replica, preserving the order of the rest. Returns true if
-    /// it was present.
+    /// it was present. The vacated entry is zeroed, so a set that empties
+    /// equals [`ReplicaSet::EMPTY`].
     pub fn remove(&mut self, server: ServerId) -> bool {
         let n = self.len();
         let Some(pos) = self.as_slice().iter().position(|&s| s == server) else {
@@ -110,6 +120,7 @@ impl ReplicaSet {
         for i in pos..n - 1 {
             self.servers[i] = self.servers[i + 1];
         }
+        self.servers[n - 1] = ServerId(0);
         self.len -= 1;
         true
     }
@@ -157,16 +168,29 @@ pub struct DropOutcome {
     pub released: bool,
 }
 
+/// One namespace's placements, indexed by slot; [`ReplicaSet::EMPTY`]
+/// marks an unplaced slot.
+#[derive(Clone, Debug, Default)]
+struct NsTable {
+    sets: Vec<ReplicaSet>,
+    /// Non-empty entries of `sets`.
+    placed: u32,
+}
+
 /// Cluster-wide namespace metadata.
+///
+/// Placements live in one dense [`NsTable`] per namespace, indexed by
+/// `NamespaceId.0` (ids come from [`VmdDirectory::create_namespace`]'s
+/// counter) and then by slot. **Precondition:** slots are handed out
+/// densely — each namespace's slots come from its lowest-free
+/// `SlotAllocator` — so a table costs one [`ReplicaSet`] per slot up to
+/// the namespace's highest placed slot. A sparse slot number (say
+/// `u32::MAX`) is still correct, but sizes its table to match.
 #[derive(Clone, Debug, Default)]
 pub struct VmdDirectory {
-    placement: HashMap<(NamespaceId, u32), ReplicaSet>,
-    /// Per-namespace slot index: purge and namespace enumeration touch
-    /// only this namespace's slots.
-    ns_slots: HashMap<NamespaceId, HashSet<u32>>,
-    /// Per-server slot index: crash-time replica enumeration touches only
-    /// the crashed server's slots.
-    server_slots: HashMap<ServerId, HashSet<(NamespaceId, u32)>>,
+    placement: Vec<NsTable>,
+    /// Non-empty sets across all tables.
+    placed: usize,
     /// Fork state of each master namespace with live clones or retained
     /// owner-freed shared pages.
     forks: HashMap<NamespaceId, ForkState>,
@@ -190,15 +214,33 @@ impl VmdDirectory {
 
     /// The primary server for `(ns, slot)`, if it has ever been written.
     pub fn lookup(&self, ns: NamespaceId, slot: u32) -> Option<ServerId> {
-        self.placement.get(&(ns, slot)).and_then(|s| s.primary())
+        self.replicas(ns, slot).primary()
     }
 
     /// Every replica of `(ns, slot)` (empty set if unplaced).
     pub fn replicas(&self, ns: NamespaceId, slot: u32) -> ReplicaSet {
         self.placement
-            .get(&(ns, slot))
+            .get(ns.0 as usize)
+            .and_then(|t| t.sets.get(slot as usize))
             .copied()
             .unwrap_or(ReplicaSet::EMPTY)
+    }
+
+    /// The placed slots of `ns` with their replica sets, in slot order.
+    fn placed_in(&self, ns: NamespaceId) -> impl Iterator<Item = (u32, ReplicaSet)> + '_ {
+        self.placement
+            .get(ns.0 as usize)
+            .into_iter()
+            .flat_map(|t| t.sets.iter().enumerate())
+            .filter(|(_, set)| !set.is_empty())
+            .map(|(slot, &set)| (slot as u32, set))
+    }
+
+    /// The entry of `(ns, slot)` and its table's `placed` count, if the
+    /// table reaches that far.
+    fn entry_mut(&mut self, ns: NamespaceId, slot: u32) -> Option<(&mut ReplicaSet, &mut u32)> {
+        let t = self.placement.get_mut(ns.0 as usize)?;
+        Some((t.sets.get_mut(slot as usize)?, &mut t.placed))
     }
 
     /// Record a single-server placement decision (replaces any existing
@@ -209,68 +251,54 @@ impl VmdDirectory {
 
     /// Install the full replica set for a slot, replacing any previous one.
     pub fn set_replicas(&mut self, ns: NamespaceId, slot: u32, set: ReplicaSet) {
-        if let Some(old) = self.placement.insert((ns, slot), set) {
-            for &srv in old.as_slice() {
-                if let Some(slots) = self.server_slots.get_mut(&srv) {
-                    slots.remove(&(ns, slot));
-                }
-            }
-        }
         if set.is_empty() {
-            self.placement.remove(&(ns, slot));
-            if let Some(slots) = self.ns_slots.get_mut(&ns) {
-                slots.remove(&slot);
-            }
+            self.forget(ns, slot);
             return;
         }
-        self.ns_slots.entry(ns).or_default().insert(slot);
-        for &srv in set.as_slice() {
-            self.server_slots.entry(srv).or_default().insert((ns, slot));
+        let (n, s) = (ns.0 as usize, slot as usize);
+        if self.placement.len() <= n {
+            self.placement.resize_with(n + 1, NsTable::default);
         }
+        let t = &mut self.placement[n];
+        if t.sets.len() <= s {
+            t.sets.resize(s + 1, ReplicaSet::EMPTY);
+        }
+        if t.sets[s].is_empty() {
+            t.placed += 1;
+            self.placed += 1;
+        }
+        t.sets[s] = set;
     }
 
     /// Add one replica to an existing placement (repair / re-replication).
     /// Returns true if the replica was added.
     pub fn add_replica(&mut self, ns: NamespaceId, slot: u32, server: ServerId) -> bool {
-        let Some(set) = self.placement.get_mut(&(ns, slot)) else {
-            return false;
-        };
-        if !set.push(server) {
-            return false;
+        match self.entry_mut(ns, slot) {
+            Some((set, _)) if !set.is_empty() => set.push(server),
+            _ => false,
         }
-        self.server_slots
-            .entry(server)
-            .or_default()
-            .insert((ns, slot));
-        true
     }
 
     /// Remove one replica of a slot (its server NAKed or crashed). Drops
     /// the placement entirely when no replica remains. Returns true if the
     /// replica was present.
     pub fn remove_replica(&mut self, ns: NamespaceId, slot: u32, server: ServerId) -> bool {
-        let Some(set) = self.placement.get_mut(&(ns, slot)) else {
+        let Some((set, placed)) = self.entry_mut(ns, slot) else {
             return false;
         };
         if !set.remove(server) {
             return false;
         }
         if set.is_empty() {
-            self.placement.remove(&(ns, slot));
-            if let Some(slots) = self.ns_slots.get_mut(&ns) {
-                slots.remove(&slot);
-            }
-        }
-        if let Some(slots) = self.server_slots.get_mut(&server) {
-            slots.remove(&(ns, slot));
+            *placed -= 1;
+            self.placed -= 1;
         }
         true
     }
 
     /// Relocation: move one replica of `(ns, slot)` from `old` to `new`,
-    /// position preserved (see [`ReplicaSet::replace`]), keeping both
-    /// secondary indices consistent. Returns false when `old` is not a
-    /// replica or `new` already is.
+    /// position preserved (see [`ReplicaSet::replace`]). Returns false
+    /// when `old` is not a replica or `new` already is.
     pub fn replace_replica(
         &mut self,
         ns: NamespaceId,
@@ -278,39 +306,27 @@ impl VmdDirectory {
         old: ServerId,
         new: ServerId,
     ) -> bool {
-        let Some(set) = self.placement.get_mut(&(ns, slot)) else {
-            return false;
-        };
-        if !set.replace(old, new) {
-            return false;
-        }
-        if let Some(slots) = self.server_slots.get_mut(&old) {
-            slots.remove(&(ns, slot));
-        }
-        self.server_slots.entry(new).or_default().insert((ns, slot));
-        true
+        self.entry_mut(ns, slot)
+            .is_some_and(|(set, _)| set.replace(old, new))
     }
 
     /// Forget a slot (freed); returns the primary it was on, if any.
     pub fn forget(&mut self, ns: NamespaceId, slot: u32) -> Option<ServerId> {
-        let set = self.placement.remove(&(ns, slot))?;
-        if let Some(slots) = self.ns_slots.get_mut(&ns) {
-            slots.remove(&slot);
-        }
-        for &srv in set.as_slice() {
-            if let Some(slots) = self.server_slots.get_mut(&srv) {
-                slots.remove(&(ns, slot));
-            }
-        }
-        set.primary()
+        self.forget_replicas(ns, slot).primary()
     }
 
     /// Forget a slot, returning its whole replica set so every holder can
     /// be notified.
     pub fn forget_replicas(&mut self, ns: NamespaceId, slot: u32) -> ReplicaSet {
-        let set = self.replicas(ns, slot);
-        self.forget(ns, slot);
-        set
+        let Some((set, placed)) = self.entry_mut(ns, slot) else {
+            return ReplicaSet::EMPTY;
+        };
+        let old = std::mem::take(set);
+        if !old.is_empty() {
+            *placed -= 1;
+            self.placed -= 1;
+        }
+        old
     }
 
     /// Fork a copy-on-write clone namespace off `master`. Every slot the
@@ -325,11 +341,7 @@ impl VmdDirectory {
             "cannot fork a clone namespace"
         );
         let clone = self.create_namespace();
-        let shared: BTreeSet<u32> = self
-            .ns_slots
-            .get(&master)
-            .map(|s| s.iter().copied().collect())
-            .unwrap_or_default();
+        let shared: BTreeSet<u32> = self.placed_in(master).map(|(slot, _)| slot).collect();
         let fork = self.forks.entry(master).or_default();
         fork.children.insert(clone);
         for &slot in &shared {
@@ -399,12 +411,8 @@ impl VmdDirectory {
     /// and deduplicated ([`crate::ClientMsg::NsFork`] broadcast targets).
     pub fn fork_servers(&self, master: NamespaceId) -> Vec<ServerId> {
         let mut out: Vec<ServerId> = Vec::new();
-        if let Some(slots) = self.ns_slots.get(&master) {
-            for &slot in slots {
-                for &srv in self.replicas(master, slot).as_slice() {
-                    out.push(srv);
-                }
-            }
+        for (_, set) in self.placed_in(master) {
+            out.extend_from_slice(set.as_slice());
         }
         out.sort_unstable();
         out.dedup();
@@ -479,7 +487,8 @@ impl VmdDirectory {
 
     /// Remove every slot of a namespace; returns `(slot, server)` pairs
     /// (one per replica, sorted) so the caller can notify the servers.
-    /// O(slots-in-namespace) via the per-namespace index.
+    /// O(slots-in-namespace): one walk of the namespace's table, whose
+    /// memory is freed unless retained slots remain.
     ///
     /// Fork-aware: purging a sealed master *retains* the placements of
     /// slots still shared by clones (marked owner-freed — the servers
@@ -489,94 +498,135 @@ impl VmdDirectory {
     /// placements are still listed in the result: the owner's `Free` must
     /// reach every holder to set the server-side owner-freed mark.
     pub fn purge_namespace(&mut self, ns: NamespaceId) -> Vec<(u32, ServerId)> {
-        let shared: HashSet<u32> = self
-            .forks
-            .get(&ns)
-            .map(|f| f.rc.keys().copied().collect())
-            .unwrap_or_default();
-        let slots = self.ns_slots.remove(&ns).unwrap_or_default();
-        let mut out: Vec<(u32, ServerId)> = Vec::with_capacity(slots.len());
-        let mut retained: HashSet<u32> = HashSet::new();
-        for slot in slots {
-            if shared.contains(&slot) {
-                // Still referenced by a clone: keep the placement and both
-                // secondary indices; just mark it owner-freed.
-                for &srv in self.replicas(ns, slot).as_slice() {
-                    out.push((slot, srv));
-                }
-                retained.insert(slot);
+        let Some(t) = self.placement.get_mut(ns.0 as usize) else {
+            return Vec::new();
+        };
+        let mut fork = self.forks.get_mut(&ns);
+        let mut out: Vec<(u32, ServerId)> = Vec::with_capacity(t.placed as usize);
+        let mut freed = 0u32;
+        for (slot, set) in t.sets.iter_mut().enumerate() {
+            if set.is_empty() {
                 continue;
             }
-            if let Some(set) = self.placement.remove(&(ns, slot)) {
-                for &srv in set.as_slice() {
-                    out.push((slot, srv));
-                    if let Some(s) = self.server_slots.get_mut(&srv) {
-                        s.remove(&(ns, slot));
-                    }
+            let slot = slot as u32;
+            let first = out.len();
+            out.extend(set.as_slice().iter().map(|&srv| (slot, srv)));
+            out[first..].sort_unstable();
+            match fork.as_deref_mut() {
+                // Still referenced by a clone: keep the placement; just
+                // mark it owner-freed.
+                Some(f) if f.rc.contains_key(&slot) => {
+                    f.owner_freed.insert(slot);
+                }
+                _ => {
+                    *set = ReplicaSet::EMPTY;
+                    freed += 1;
                 }
             }
         }
-        if !retained.is_empty() {
-            let fork = self.forks.get_mut(&ns).expect("shared without fork");
-            fork.owner_freed.extend(retained.iter().copied());
-            self.ns_slots.insert(ns, retained);
+        t.placed -= freed;
+        self.placed -= freed as usize;
+        if t.placed == 0 {
+            *t = NsTable::default();
         }
-        out.sort_unstable();
         out
     }
 
     /// Remove a crashed server from every replica set it appears in.
     /// Returns the affected slots with their *surviving* replica sets,
     /// sorted by `(ns, slot)`; an empty survivor set means the slot's data
-    /// is lost (the placement is dropped). O(slots-on-server) via the
-    /// per-server index.
+    /// is lost (the placement is dropped).
+    ///
+    /// O(placed slots): a scan of every table in `(ns, slot)` order. Its
+    /// only caller outside tests is the chaos crash path, once per crash.
     pub fn evict_server(&mut self, server: ServerId) -> Vec<(NamespaceId, u32, ReplicaSet)> {
-        let slots = self.server_slots.remove(&server).unwrap_or_default();
-        let mut affected: Vec<(NamespaceId, u32)> = slots.into_iter().collect();
-        affected.sort_unstable();
-        let mut out = Vec::with_capacity(affected.len());
-        for (ns, slot) in affected {
-            let Some(set) = self.placement.get_mut(&(ns, slot)) else {
-                continue;
-            };
-            set.remove(server);
-            let survivors = *set;
-            if survivors.is_empty() {
-                self.placement.remove(&(ns, slot));
-                if let Some(s) = self.ns_slots.get_mut(&ns) {
-                    s.remove(&slot);
+        let mut out = Vec::new();
+        for (n, t) in self.placement.iter_mut().enumerate() {
+            let mut lost = 0u32;
+            for (slot, set) in t.sets.iter_mut().enumerate() {
+                if set.remove(server) {
+                    lost += u32::from(set.is_empty());
+                    out.push((NamespaceId(n as u32), slot as u32, *set));
                 }
             }
-            out.push((ns, slot, survivors));
+            t.placed -= lost;
+            self.placed -= lost as usize;
         }
         out
     }
 
     /// Slots with a replica on `server`, sorted (crash/rebalance reporting).
+    /// O(placed slots), like [`VmdDirectory::evict_server`].
     pub fn slots_on_server(&self, server: ServerId) -> Vec<(NamespaceId, u32)> {
-        let mut out: Vec<(NamespaceId, u32)> = self
-            .server_slots
-            .get(&server)
-            .map(|s| s.iter().copied().collect())
-            .unwrap_or_default();
-        out.sort_unstable();
+        let mut out = Vec::new();
+        for (n, t) in self.placement.iter().enumerate() {
+            for (slot, set) in t.sets.iter().enumerate() {
+                if set.contains(server) {
+                    out.push((NamespaceId(n as u32), slot as u32));
+                }
+            }
+        }
         out
     }
 
     /// Placed slots of one namespace, sorted (conservation checks).
     pub fn namespace_slots(&self, ns: NamespaceId) -> Vec<u32> {
-        let mut out: Vec<u32> = self
-            .ns_slots
-            .get(&ns)
-            .map(|s| s.iter().copied().collect())
-            .unwrap_or_default();
-        out.sort_unstable();
-        out
+        self.placed_in(ns).map(|(slot, _)| slot).collect()
     }
 
     /// Number of placed slots across all namespaces.
     pub fn placed_slots(&self) -> usize {
-        self.placement.len()
+        self.placed
+    }
+
+    /// Consistency check for release-build audits, O(table length): each
+    /// table's `placed` count equals a recount of its non-empty sets, and
+    /// the counts sum to [`VmdDirectory::placed_slots`]. Panics on drift.
+    #[doc(hidden)]
+    pub fn check_invariants(&self) {
+        let mut total = 0usize;
+        for (n, t) in self.placement.iter().enumerate() {
+            let recount = t.sets.iter().filter(|set| !set.is_empty()).count();
+            assert_eq!(
+                recount, t.placed as usize,
+                "namespace {n}: placed count != non-empty sets"
+            );
+            total += recount;
+        }
+        assert_eq!(
+            total, self.placed,
+            "placed_slots != sum of namespace counts"
+        );
+    }
+
+    /// Heap bytes held by the directory: table capacities, plus the fork
+    /// maps (hash tables from capacity, B-trees estimated). For memory
+    /// attribution only.
+    #[doc(hidden)]
+    pub fn heap_bytes(&self) -> usize {
+        let tables = self.placement.capacity() * size_of::<NsTable>()
+            + self
+                .placement
+                .iter()
+                .map(|t| t.sets.capacity() * size_of::<ReplicaSet>())
+                .sum::<usize>();
+        let forks = map_heap_bytes(&self.forks)
+            + self
+                .forks
+                .values()
+                .map(|f| {
+                    btree_heap_bytes(f.children.len(), size_of::<NamespaceId>())
+                        + map_heap_bytes(&f.rc)
+                        + table_heap_bytes(f.owner_freed.capacity(), size_of::<u32>())
+                })
+                .sum::<usize>();
+        let clones = map_heap_bytes(&self.clones)
+            + self
+                .clones
+                .values()
+                .map(|c| btree_heap_bytes(c.shared.len(), size_of::<u32>()))
+                .sum::<usize>();
+        tables + forks + clones
     }
 }
 
@@ -662,7 +712,7 @@ mod tests {
     }
 
     #[test]
-    fn replace_replica_maintains_indices() {
+    fn replace_replica_moves_server_membership() {
         let mut d = VmdDirectory::new();
         let ns = d.create_namespace();
         let mut set = ReplicaSet::one(ServerId(0));
@@ -699,7 +749,7 @@ mod tests {
     }
 
     #[test]
-    fn indices_follow_add_and_forget() {
+    fn server_membership_follows_add_and_forget() {
         let mut d = VmdDirectory::new();
         let ns = d.create_namespace();
         d.record(ns, 1, ServerId(0));
@@ -710,5 +760,66 @@ mod tests {
         assert_eq!(set.as_slice(), &[ServerId(0), ServerId(2)]);
         assert!(d.slots_on_server(ServerId(2)).is_empty());
         assert_eq!(d.placed_slots(), 0);
+    }
+
+    #[test]
+    fn dense_slots_cost_one_replica_set_each() {
+        const N: u32 = 1000;
+        let mut d = VmdDirectory::new();
+        let ns = d.create_namespace();
+        for slot in 0..N {
+            d.record(ns, slot, ServerId(slot % 4));
+        }
+        let set = std::mem::size_of::<ReplicaSet>();
+        assert!(d.heap_bytes() >= N as usize * set);
+        assert!(
+            d.heap_bytes() <= 2 * N as usize * set + 256,
+            "{} bytes for {N} slots",
+            d.heap_bytes()
+        );
+        d.check_invariants();
+        d.purge_namespace(ns);
+        assert_eq!(d.placed_slots(), 0);
+        assert!(d.heap_bytes() <= 256, "purge frees the namespace's table");
+    }
+
+    #[test]
+    fn purge_keeps_the_table_of_retained_slots() {
+        let mut d = VmdDirectory::new();
+        let master = d.create_namespace();
+        d.record(master, 0, ServerId(0));
+        d.record(master, 1, ServerId(1));
+        let clone = d.fork_namespace(master);
+        assert!(d.drop_share(clone, 1).is_some());
+        assert_eq!(
+            d.purge_namespace(master),
+            vec![(0, ServerId(0)), (1, ServerId(1))]
+        );
+        assert_eq!(d.namespace_slots(master), vec![0], "slot 0 still shared");
+        d.check_invariants();
+        let out = d.drop_share(clone, 0).expect("shared");
+        assert!(out.released);
+        assert_eq!(d.placed_slots(), 0);
+        d.check_invariants();
+    }
+
+    #[test]
+    fn evict_scans_in_namespace_slot_order() {
+        let mut d = VmdDirectory::new();
+        let a = d.create_namespace();
+        let b = d.create_namespace();
+        d.record(b, 0, ServerId(2));
+        d.record(a, 3, ServerId(2));
+        d.record(a, 1, ServerId(1));
+        d.record(a, 0, ServerId(2));
+        assert_eq!(d.slots_on_server(ServerId(2)), vec![(a, 0), (a, 3), (b, 0)]);
+        let evicted: Vec<(NamespaceId, u32)> = d
+            .evict_server(ServerId(2))
+            .into_iter()
+            .map(|(ns, slot, _)| (ns, slot))
+            .collect();
+        assert_eq!(evicted, vec![(a, 0), (a, 3), (b, 0)]);
+        assert_eq!(d.placed_slots(), 1);
+        d.check_invariants();
     }
 }

@@ -14,8 +14,8 @@
 //! * [`VmdClient`] — runs on source/destination hosts; routes page I/O to
 //!   servers using load-aware round-robin placement, keeps a writeback
 //!   buffer for issued-but-unacked writes, and exposes namespaces.
-//! * [`VmdDirectory`] — namespace metadata (slot → server placements) that
-//!   travels with the portable device.
+//! * [`VmdDirectory`] — namespace metadata (slot → server placements, one
+//!   dense table per namespace) that travels with the portable device.
 //! * [`VmdSwapDevice`] — one namespace bound as a block device (the
 //!   `/dev/blkN` the Migration Manager sees).
 //!

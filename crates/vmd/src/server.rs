@@ -25,6 +25,10 @@
 //! with the heat policy enabled, coldest *page* first by decayed heat.
 
 use std::collections::HashMap;
+use std::mem::size_of;
+
+use agile_sim_core::hash::map_heap_bytes;
+use agile_sim_core::IdHashMap;
 
 use crate::proto::{ClientMsg, NamespaceId, ServerId, ServerMsg, VmdError};
 use crate::tier::{HeatPolicy, ResolvedTier, TierBacking, TierLedger, TierStackConfig};
@@ -70,7 +74,7 @@ pub struct VmdServer {
     /// Current contribution lease; DRAM beyond `min(lease, capacity)` is
     /// off-limits to new placements. Starts at the full capacity.
     lease_pages: u64,
-    store: HashMap<(NamespaceId, u32), PageMeta>,
+    store: IdHashMap<(NamespaceId, u32), PageMeta>,
     /// Checked per-tier occupancy (the satellite-1 fix: decrements
     /// debug-assert and saturate instead of silently wrapping).
     ledger: TierLedger,
@@ -78,9 +82,9 @@ pub struct VmdServer {
     /// selection can order namespaces coldest-first deterministically.
     access_clock: u64,
     /// Last access-clock value per namespace.
-    ns_last_access: HashMap<NamespaceId, u64>,
+    ns_last_access: IdHashMap<NamespaceId, u64>,
     /// Stored pages per namespace (all tiers).
-    ns_pages: HashMap<NamespaceId, u64>,
+    ns_pages: IdHashMap<NamespaceId, u64>,
 }
 
 impl VmdServer {
@@ -111,11 +115,11 @@ impl VmdServer {
             tiers,
             heat,
             lease_pages: lease,
-            store: HashMap::new(),
+            store: IdHashMap::default(),
             ledger: TierLedger::new(n),
             access_clock: 0,
-            ns_last_access: HashMap::new(),
-            ns_pages: HashMap::new(),
+            ns_last_access: IdHashMap::default(),
+            ns_pages: IdHashMap::default(),
         }
     }
 
@@ -242,6 +246,17 @@ impl VmdServer {
     /// clone references).
     pub fn owner_freed_pages(&self) -> u64 {
         self.store.values().filter(|m| m.owner_freed).count() as u64
+    }
+
+    /// Heap bytes held by the server: the page store and the
+    /// per-namespace maps, from their capacities. For memory attribution
+    /// only.
+    #[doc(hidden)]
+    pub fn heap_bytes(&self) -> usize {
+        self.tiers.capacity() * size_of::<ResolvedTier>()
+            + map_heap_bytes(&self.store)
+            + map_heap_bytes(&self.ns_last_access)
+            + map_heap_bytes(&self.ns_pages)
     }
 
     /// Fork reference count of a stored page (`None` when absent).
