@@ -4,7 +4,7 @@
 
 use crate::harness::{bench, black_box, BenchResult};
 use agile_cluster::world::NetPayload;
-use agile_memory::{Eviction, Touch, VmMemory, VmMemoryConfig};
+use agile_memory::{Eviction, SlotAllocator, Touch, VmMemory, VmMemoryConfig};
 use agile_migration::Bitmap;
 use agile_sim_core::{Bandwidth, DetRng, FastEvent, Network, SimDuration, SimTime, Simulation};
 
@@ -209,24 +209,25 @@ pub fn touch_path() -> BenchResult {
         page_size: 4096,
         limit_pages: 32_768,
     });
+    let mut slots = SlotAllocator::unbounded();
     let mut evs = Vec::new();
     for p in 0..65_536u32 {
-        mem.touch(p, true);
-        mem.fault_in(p, true, &mut evs);
+        mem.touch(p, true, &mut slots);
+        mem.fault_in(p, true, &mut slots, &mut evs);
         evs.clear();
     }
     let mut rng = DetRng::seed_from(3);
     bench("vmmemory/touch_fault_evict_cycle", || {
         let p = rng.index(65_536) as u32;
-        match mem.touch(p, false) {
+        match mem.touch(p, false, &mut slots) {
             Touch::Hit => {}
             Touch::MajorFault { .. } => {
                 mem.begin_swap_in(p);
-                mem.fault_in(p, false, &mut evs);
+                mem.fault_in(p, false, &mut slots, &mut evs);
                 evs.clear();
             }
             Touch::MinorFault => {
-                mem.fault_in(p, false, &mut evs);
+                mem.fault_in(p, false, &mut slots, &mut evs);
                 evs.clear();
             }
             Touch::InFlight => unreachable!(),
@@ -267,9 +268,10 @@ fn sparse_vm(evictions: &mut Vec<Eviction>) -> VmMemory {
         page_size: 4096,
         limit_pages: 16_384,
     });
+    let mut slots = SlotAllocator::unbounded();
     for p in 0..2_048u32 {
-        mem.touch(p, true);
-        mem.fault_in(p, true, evictions);
+        mem.touch(p, true, &mut slots);
+        mem.fault_in(p, true, &mut slots, evictions);
     }
     mem
 }

@@ -4,10 +4,7 @@
 //! testbed and hands back a ready [`Simulation`]; scenario code then
 //! schedules clients, WSS tracking, and migrations on top.
 
-use std::cell::RefCell;
-use std::rc::Rc;
-
-use agile_memory::{HostMemory, SsdSwap};
+use agile_memory::{HostMemory, SlotAllocator, SsdSwap};
 use agile_sim_core::{
     Bandwidth, BlockDevice, DetRng, RackId, SimTime, Simulation, ThroughputMeter, TimeSeries,
 };
@@ -78,14 +75,13 @@ impl ClusterBuilder {
     ) -> usize {
         let node = self.world.net.add_symmetric_node(self.world.cfg.link_bw);
         let ssd = with_ssd.then(|| BlockDevice::new(self.world.cfg.ssd_spec));
-        let swap_slots =
-            with_ssd.then(|| Rc::new(RefCell::new(agile_memory::SlotAllocator::unbounded())));
         self.world.hosts.push(Host {
             name: name.to_string(),
             node,
             mem: HostMemory::new(total_mem, os_overhead),
             ssd,
-            swap_slots,
+            swap_slots: with_ssd.then(SlotAllocator::unbounded),
+            vmd_client: None,
         });
         self.world.hosts.len() - 1
     }
@@ -120,7 +116,7 @@ impl ClusterBuilder {
 
     /// Ensure `host` runs a VMD client module; returns its index.
     pub fn ensure_vmd_client(&mut self, host: usize) -> usize {
-        if let Some(&c) = self.world.vmd.host_client.get(&host) {
+        if let Some(c) = self.world.hosts[host].vmd_client {
             return c;
         }
         let id = ClientId(self.world.vmd.clients.len() as u32);
@@ -138,7 +134,7 @@ impl ClusterBuilder {
             .clients
             .push(VmdClientEntry { client: c, host });
         let idx = self.world.vmd.clients.len() - 1;
-        self.world.vmd.host_client.insert(host, idx);
+        self.world.hosts[host].vmd_client = Some(idx);
         idx
     }
 
@@ -155,10 +151,7 @@ impl ClusterBuilder {
             SwapKind::PerVmVmd => {
                 let client_idx = self.ensure_vmd_client(host);
                 let ns = self.world.vmd.directory.create_namespace();
-                self.world.vmd.allocators.insert(
-                    ns,
-                    Rc::new(RefCell::new(agile_memory::SlotAllocator::unbounded())),
-                );
+                self.world.vmd.reset_slots(ns);
                 SwapDev::Vmd(VmdSwapDevice::new(
                     ClientId(client_idx as u32),
                     ns,
@@ -170,21 +163,6 @@ impl ClusterBuilder {
             .mem
             .set_reservation(vm_idx as u64, config.reservation_bytes);
         let os_rng = self.world.seeds.stream(&format!("osbg.vm{vm_idx}"));
-        let mut vm = vm;
-        match swap.namespace() {
-            // Portable per-VM namespace: private slot space shared only
-            // between the source/destination images of a migration.
-            Some(ns) => vm
-                .memory_mut()
-                .use_shared_slots(Rc::clone(&self.world.vmd.allocators[&ns])),
-            // Shared host swap partition: one slot space for all VMs.
-            None => vm.memory_mut().use_shared_slots(Rc::clone(
-                self.world.hosts[host]
-                    .swap_slots
-                    .as_ref()
-                    .expect("host swap partition has an allocator"),
-            )),
-        }
         self.world.vms.push(VmSlot {
             vm,
             host,
@@ -241,12 +219,16 @@ impl ClusterBuilder {
     pub fn preload_pages(&mut self, vm_idx: usize, start: u32, len: u32) {
         let mut writes: Vec<(u32, u32)> = Vec::new();
         {
-            let slot = &mut self.world.vms[vm_idx];
+            let World {
+                hosts, vms, vmd, ..
+            } = &mut self.world;
+            let slot = &mut vms[vm_idx];
+            let slots = slot.swap.slots(hosts, vmd);
             let mem = slot.vm.memory_mut();
             let mut evs = Vec::new();
             for pfn in start..start + len {
-                match mem.touch(pfn, true) {
-                    agile_memory::Touch::MinorFault => mem.fault_in(pfn, true, &mut evs),
+                match mem.touch(pfn, true, slots) {
+                    agile_memory::Touch::MinorFault => mem.fault_in(pfn, true, slots, &mut evs),
                     agile_memory::Touch::Hit => {}
                     other => panic!("unexpected {other:?} during preload"),
                 }

@@ -333,7 +333,7 @@ pub(crate) fn repair_tick(sim: &mut Simulation<World>) {
 fn repair_client_for(w: &World, ns: NamespaceId) -> usize {
     for slot in &w.vms {
         if slot.swap.namespace() == Some(ns) {
-            if let Some(&c) = w.vmd.host_client.get(&slot.host) {
+            if let Some(c) = w.hosts[slot.host].vmd_client {
                 return c;
             }
         }

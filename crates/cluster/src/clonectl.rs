@@ -23,17 +23,16 @@
 //! state, zero events, no fork is ever issued, and every legacy trace
 //! replays byte-identically.
 
-use std::cell::RefCell;
 use std::rc::Rc;
 
-use agile_memory::{PageFlags, PagemapEntry, SlotAllocator, SwapIssue, VmMemory, VmMemoryConfig};
+use agile_memory::{PageFlags, PagemapEntry, SwapIssue, VmMemory, VmMemoryConfig};
 use agile_sim_core::{FastEvent, SimDuration, SimTime, Simulation, ThroughputMeter, TimeSeries};
 use agile_trace::TraceEvent;
 use agile_vm::{HostId, Vm, VmId};
 use agile_vmd::{ClientId, NamespaceId, VmdSwapDevice};
 use agile_workload::Signal;
 
-use crate::guest::{self, charge_evictions, EvictTarget};
+use crate::guest::{self, evict_with, EvictTarget};
 use crate::world::{ClientBinding, FaultEntry, SwapDev, SwapReqCtx, VmSlot, WorkloadKind, World};
 use crate::{fast, vmdio};
 
@@ -178,6 +177,14 @@ impl CloneExec {
             .filter(|c| !c.draining && !c.torn_down)
             .count()
     }
+
+    /// Whether VM `vm`'s namespace was purged (a torn-down clone, or the
+    /// master after an in-place upgrade): its image is inert and its slot
+    /// space was reset.
+    pub(crate) fn retired(&self, vm: usize) -> bool {
+        (self.master_purged && vm == self.cfg.master)
+            || self.clones.iter().any(|c| c.torn_down && c.vm == vm)
+    }
 }
 
 /// Arm the controller: start sealing the master (evict its whole image
@@ -289,10 +296,8 @@ fn try_seal(sim: &mut Simulation<World>) {
     if mem.resident_pages() != 0 {
         return;
     }
-    let client_idx = *w
-        .vmd
-        .host_client
-        .get(&w.vms[master].host)
+    let client_idx = w.hosts[w.vms[master].host]
+        .vmd_client
         .expect("master host has no VMD client");
     let c = &w.vmd.clients[client_idx].client;
     let quiesced = c.unacked_writes() == 0 && !c.has_outbox();
@@ -365,10 +370,8 @@ fn spawn_clone(sim: &mut Simulation<World>) {
     };
     let (vm_idx, client_idx, clone_ns) = {
         let w = sim.state_mut();
-        let client_idx = *w
-            .vmd
-            .host_client
-            .get(&dest)
+        let client_idx = w.hosts[dest]
+            .vmd_client
             .expect("clone destination host has no VMD client");
         // Metadata fork: the clone shares every stored master page
         // read-only; the refcount bump travels to the servers as an
@@ -387,8 +390,7 @@ fn spawn_clone(sim: &mut Simulation<World>) {
         // Private overlay slot space: `install_swapped` marks the shared
         // master slots as externally owned, so overlay allocations
         // (CoW-broken and newly-evicted pages) never collide with them.
-        let alloc = Rc::new(RefCell::new(SlotAllocator::unbounded()));
-        w.vmd.allocators.insert(clone_ns, Rc::clone(&alloc));
+        w.vmd.reset_slots(clone_ns);
         let page_size = w.cfg.page_size;
         let (pages, vm_cfg, layout) = {
             let m = &w.vms[master];
@@ -399,18 +401,18 @@ fn spawn_clone(sim: &mut Simulation<World>) {
             page_size,
             limit_pages: (clone_res / page_size) as u32,
         });
-        image.use_shared_slots(alloc);
         let mut swapped: Vec<u32> = Vec::new();
         w.vms[master]
             .vm
             .memory()
             .for_each_swapped(|pfn| swapped.push(pfn));
+        let overlay = &mut w.vmd.slots[clone_ns.0 as usize];
         for pfn in swapped {
             let mmem = w.vms[master].vm.memory();
             let PagemapEntry::Swapped { slot } = mmem.pagemap(pfn) else {
                 unreachable!("for_each_swapped yielded a non-swapped page");
             };
-            image.install_swapped(pfn, slot, mmem.version(pfn));
+            image.install_swapped(pfn, slot, mmem.version(pfn), overlay);
         }
         let vm_idx = w.vms.len();
         let mut cfg2 = vm_cfg;
@@ -569,16 +571,14 @@ fn finalize_teardowns(sim: &mut Simulation<World>) {
             (c.vm, c.ns)
         };
         let host = w.vms[vm].host;
-        let client_idx = *w
-            .vmd
-            .host_client
-            .get(&host)
+        let client_idx = w.hosts[host]
+            .vmd_client
             .expect("clone host has no VMD client");
         {
             let (c, dir) = w.vmd.client_and_dir(client_idx);
             c.purge_namespace(dir, ns);
         }
-        w.vmd.allocators.remove(&ns);
+        w.vmd.reset_slots(ns);
         // The slot stays in `World::vms` (index stability) but is inert:
         // no workload, no client events, namespace gone. The host ledger
         // releases its reservation without write-back — a dying clone's
@@ -626,16 +626,14 @@ fn maybe_purge_master(sim: &mut Simulation<World>) {
     let client_idx = {
         let w = sim.state_mut();
         let host = w.vms[master].host;
-        let client_idx = *w
-            .vmd
-            .host_client
-            .get(&host)
+        let client_idx = w.hosts[host]
+            .vmd_client
             .expect("master host has no VMD client");
         {
             let (c, dir) = w.vmd.client_and_dir(client_idx);
             c.purge_namespace(dir, master_ns);
         }
-        w.vmd.allocators.remove(&master_ns);
+        w.vmd.reset_slots(master_ns);
         w.clone.as_mut().expect("armed").master_purged = true;
         client_idx
     };
@@ -739,15 +737,9 @@ pub(crate) fn hydrate_tick(sim: &mut Simulation<World>, clone_idx: usize) {
 /// One hydration read completed: install the page, wake any parked
 /// guest ops, and — on the last page — finish hydration.
 pub(crate) fn complete_hydrate(sim: &mut Simulation<World>, vm_idx: usize, pfn: u32) {
-    let mut buf = std::mem::take(&mut sim.state_mut().evict_buf);
-    buf.clear();
-    sim.state_mut().vms[vm_idx]
-        .vm
-        .memory_mut()
-        .fault_in(pfn, false, &mut buf);
-    charge_evictions(sim, EvictTarget::Vm(vm_idx), &buf);
-    buf.clear();
-    sim.state_mut().evict_buf = buf;
+    evict_with(sim, EvictTarget::Vm(vm_idx), |e| {
+        e.mem.fault_in(pfn, false, e.slots, e.evs)
+    });
     guest::wake_page(sim, vm_idx, pfn);
     let pages = sim.state().vms[vm_idx].vm.memory().pages();
     let finish = {

@@ -13,35 +13,124 @@
 //! the source are demand-requested over the network; cold pages are read
 //! from the per-VM swap device; unknown pages zero-fill locally.
 
-use agile_memory::{SwapIssue, Touch, VmMemory};
+use agile_memory::{Eviction, SlotAllocator, SwapIssue, Touch, VmMemory};
+use agile_migration::DestSession;
 use agile_sim_core::{FastEvent, SimDuration, Simulation};
 use agile_trace::{FaultPath, TraceEvent};
 use agile_vm::VmState;
 use agile_workload::OpSpec;
 
 use crate::netdrv::touch_net;
-use crate::world::{host_ssd, FaultEntry, NetPayload, OpExec, SwapDev, SwapReqCtx, World};
+use crate::world::{
+    host_ssd, FaultEntry, MigrationExec, NetPayload, OpExec, SwapDev, SwapReqCtx, VmSlot, World,
+};
 use crate::{migrate, vmdio};
 
-/// Where to charge eviction write-backs.
+/// A memory image that reclaim can evict from, named by where it lives.
 #[derive(Clone, Copy, Debug)]
-pub enum EvictTarget {
-    /// The VM's current swap device.
+pub(crate) enum EvictTarget {
+    /// The VM's current image and swap device.
     Vm(usize),
-    /// The arriving VM image at the destination of migration `mig`.
+    /// The destination side of migration `mig`: the arriving image and
+    /// its device until resume, then the VM's own.
     MigDest(usize),
-    /// The retained source image of migration `mig`.
+    /// The source side of migration `mig`: the VM's own image and device
+    /// until resume, then the retained source copy.
     MigSource(usize),
+}
+
+impl EvictTarget {
+    /// The image this target names, the swap device it is bound to, and,
+    /// for a migration side, that migration's destination session.
+    fn split<'w>(
+        self,
+        vms: &'w mut [VmSlot],
+        migrations: &'w mut [MigrationExec],
+    ) -> (
+        &'w mut VmMemory,
+        &'w mut SwapDev,
+        Option<&'w mut DestSession>,
+    ) {
+        let (m, dest_side) = match self {
+            EvictTarget::Vm(v) => {
+                let slot = &mut vms[v];
+                return (slot.vm.memory_mut(), &mut slot.swap, None);
+            }
+            EvictTarget::MigDest(m) => (&mut migrations[m], true),
+            EvictTarget::MigSource(m) => (&mut migrations[m], false),
+        };
+        let MigrationExec {
+            vm,
+            dst,
+            dest_mem,
+            dest_swap,
+            source_mem,
+            source_swap,
+            ..
+        } = m;
+        let held = if dest_side {
+            (dest_mem.as_mut(), dest_swap.as_mut())
+        } else {
+            (source_mem.as_mut(), source_swap.as_mut())
+        };
+        match held {
+            (Some(mem), Some(dev)) => (mem, dev, Some(dst)),
+            _ => {
+                let slot = &mut vms[*vm];
+                (slot.vm.memory_mut(), &mut slot.swap, Some(dst))
+            }
+        }
+    }
+}
+
+/// What [`evict_with`] lends its mutator.
+pub(crate) struct Evicting<'a> {
+    /// The target's image.
+    pub mem: &'a mut VmMemory,
+    /// The slot space of the device the image is bound to.
+    pub slots: &'a mut SlotAllocator,
+    /// Where the mutator appends the evictions it causes.
+    pub evs: &'a mut Vec<Eviction>,
+    /// The destination session, when the target is a migration side.
+    pub dst: Option<&'a mut DestSession>,
+}
+
+/// Run one eviction-causing mutation of `target`'s image, then charge the
+/// evictions it made to the image's swap device. The one path by which
+/// the executor evicts: it lends the world's scratch buffer and the slot
+/// space of the image's device, so no caller handles either.
+pub(crate) fn evict_with<R>(
+    sim: &mut Simulation<World>,
+    target: EvictTarget,
+    f: impl FnOnce(Evicting<'_>) -> R,
+) -> R {
+    let mut evs = std::mem::take(&mut sim.state_mut().evict_buf);
+    let out = {
+        let World {
+            hosts,
+            vms,
+            vmd,
+            migrations,
+            ..
+        } = sim.state_mut();
+        let (mem, dev, dst) = target.split(vms, migrations);
+        f(Evicting {
+            mem,
+            slots: dev.slots(hosts, vmd),
+            evs: &mut evs,
+            dst,
+        })
+    };
+    charge_evictions(sim, target, &evs);
+    evs.clear();
+    sim.state_mut().evict_buf = evs;
+    out
 }
 
 /// Issue the write-backs for a batch of evictions. Slot-consecutive
 /// writes to a local SSD coalesce into streaming runs (the kernel's
 /// swap-out clustering); VMD writes travel as per-page protocol messages.
-pub fn charge_evictions(
-    sim: &mut Simulation<World>,
-    target: EvictTarget,
-    evictions: &[agile_memory::Eviction],
-) {
+fn charge_evictions(sim: &mut Simulation<World>, target: EvictTarget, evictions: &[Eviction]) {
     if evictions.is_empty() {
         return;
     }
@@ -59,22 +148,7 @@ pub fn charge_evictions(
         } = sim.state_mut();
         // The device, and the image the pages left (the VMD store needs
         // their content versions).
-        let (mem, dev): (&VmMemory, &mut SwapDev) = match target {
-            EvictTarget::Vm(v) => {
-                let slot = &mut vms[v];
-                (slot.vm.memory(), &mut slot.swap)
-            }
-            EvictTarget::MigDest(m) => {
-                let m = &mut migrations[m];
-                let mem = m.dest_mem.as_ref().expect("dest image");
-                (mem, m.dest_swap.as_mut().expect("dest swap"))
-            }
-            EvictTarget::MigSource(m) => {
-                let m = &mut migrations[m];
-                let mem = m.source_mem.as_ref().expect("source image");
-                (mem, m.source_swap.as_mut().expect("source swap"))
-            }
-        };
+        let (mem, dev, _) = target.split(vms, migrations);
         let writes = evictions.iter().filter(|e| e.needs_write);
         match dev {
             SwapDev::Ssd(ssd) => {
@@ -303,39 +377,15 @@ pub fn step_op(sim: &mut Simulation<World>, id: usize, gen: u32) {
                         .page_flags(pfn)
                         .swapped();
                     if !swapped {
-                        let mut buf = std::mem::take(&mut sim.state_mut().evict_buf);
-                        buf.clear();
-                        {
-                            let w = sim.state_mut();
-                            let (vms, migs) = (&mut w.vms, &mut w.migrations);
-                            migs[m].dst.install_zero_fill(
-                                pfn,
-                                vms[vm_idx].vm.memory_mut(),
-                                &mut buf,
-                            );
-                            migs[m].pages_lost_on_conn_drop += 1;
-                        }
-                        charge_evictions(sim, EvictTarget::Vm(vm_idx), &buf);
-                        buf.clear();
-                        sim.state_mut().evict_buf = buf;
+                        zero_fill(sim, m, pfn);
+                        sim.state_mut().migrations[m].pages_lost_on_conn_drop += 1;
                         continue; // now present → Hit
                     }
                     // swapped: fall through to the normal touch — the
                     // major fault reads from the surviving replicas.
                 }
                 FaultRoute::ZeroFill => {
-                    let mut buf = std::mem::take(&mut sim.state_mut().evict_buf);
-                    buf.clear();
-                    {
-                        let w = sim.state_mut();
-                        let (vms, migs) = (&mut w.vms, &mut w.migrations);
-                        migs[m]
-                            .dst
-                            .install_zero_fill(pfn, vms[vm_idx].vm.memory_mut(), &mut buf);
-                    }
-                    charge_evictions(sim, EvictTarget::Vm(vm_idx), &buf);
-                    buf.clear();
-                    sim.state_mut().evict_buf = buf;
+                    zero_fill(sim, m, pfn);
                     continue; // now present → Hit
                 }
                 FaultRoute::AlreadyHere | FaultRoute::FromSwap { .. } => {
@@ -345,10 +395,15 @@ pub fn step_op(sim: &mut Simulation<World>, id: usize, gen: u32) {
             }
         }
 
-        let result = sim.state_mut().vms[vm_idx]
-            .vm
-            .memory_mut()
-            .touch(pfn, write);
+        let result = {
+            let World {
+                hosts, vms, vmd, ..
+            } = sim.state_mut();
+            let slot = &mut vms[vm_idx];
+            slot.vm
+                .memory_mut()
+                .touch(pfn, write, slot.swap.slots(hosts, vmd))
+        };
         match result {
             Touch::Hit => {
                 if let Some(op) = sim.state_mut().op_mut(id) {
@@ -357,15 +412,9 @@ pub fn step_op(sim: &mut Simulation<World>, id: usize, gen: u32) {
             }
             Touch::MinorFault => {
                 let minor_cost = sim.state().cfg.minor_fault_cost;
-                let mut buf = std::mem::take(&mut sim.state_mut().evict_buf);
-                buf.clear();
-                sim.state_mut().vms[vm_idx]
-                    .vm
-                    .memory_mut()
-                    .fault_in(pfn, write, &mut buf);
-                charge_evictions(sim, EvictTarget::Vm(vm_idx), &buf);
-                buf.clear();
-                sim.state_mut().evict_buf = buf;
+                evict_with(sim, EvictTarget::Vm(vm_idx), |e| {
+                    e.mem.fault_in(pfn, write, e.slots, e.evs)
+                });
                 if let Some(op) = sim.state_mut().op_mut(id) {
                     op.idx += 1;
                     op.cpu += minor_cost;
@@ -381,6 +430,15 @@ pub fn step_op(sim: &mut Simulation<World>, id: usize, gen: u32) {
             }
         }
     }
+}
+
+/// Zero-fill `pfn` at the destination of migration `mig` (the VM's
+/// image, after resume).
+fn zero_fill(sim: &mut Simulation<World>, mig: usize, pfn: u32) {
+    evict_with(sim, EvictTarget::MigDest(mig), |e| {
+        let dst = e.dst.expect("a migration side lends its session");
+        dst.install_zero_fill(pfn, e.mem, e.slots, e.evs)
+    });
 }
 
 /// Park an op on an already-issued fault.
@@ -520,43 +578,28 @@ pub fn complete_guest_fault(
         // The VM's memory image changed hands (resume happened) while this
         // I/O was in flight: apply it to the retained source image so the
         // push phase sees the page resident.
-        let mut buf = std::mem::take(&mut sim.state_mut().evict_buf);
-        buf.clear();
-        let applied = {
-            let w = sim.state_mut();
-            let Some(m) = w.vms[vm_idx].migration else {
-                return;
-            };
-            match w.migrations[m].source_mem.as_mut() {
-                Some(mem) if mem.pagemap(pfn).is_swapped() => {
-                    mem.fault_in(pfn, false, &mut buf);
-                    Some(m)
-                }
-                _ => None,
-            }
+        let w = sim.state();
+        let Some(m) = w.vms[vm_idx].migration else {
+            return;
         };
-        if let Some(m) = applied {
-            charge_evictions(sim, EvictTarget::MigSource(m), &buf);
+        let source_mem = w.migrations[m].source_mem.as_ref();
+        if source_mem.is_some_and(|mem| mem.pagemap(pfn).is_swapped()) {
+            evict_with(sim, EvictTarget::MigSource(m), |e| {
+                e.mem.fault_in(pfn, false, e.slots, e.evs)
+            });
         }
-        buf.clear();
-        sim.state_mut().evict_buf = buf;
         credit_piggybacks(sim, vm_idx, pfn);
         return;
     }
-    let mut buf = std::mem::take(&mut sim.state_mut().evict_buf);
-    buf.clear();
-    {
+    evict_with(sim, EvictTarget::Vm(vm_idx), |e| {
+        e.mem.fault_in(pfn, false, e.slots, e.evs)
+    });
+    if dest_stat {
         let w = sim.state_mut();
-        w.vms[vm_idx].vm.memory_mut().fault_in(pfn, false, &mut buf);
-        if dest_stat {
-            if let Some(m) = w.vms[vm_idx].migration {
-                w.migrations[m].dst.pages_faulted_from_swap += 1;
-            }
+        if let Some(m) = w.vms[vm_idx].migration {
+            w.migrations[m].dst.pages_faulted_from_swap += 1;
         }
     }
-    charge_evictions(sim, EvictTarget::Vm(vm_idx), &buf);
-    buf.clear();
-    sim.state_mut().evict_buf = buf;
     credit_piggybacks(sim, vm_idx, pfn);
     wake_page(sim, vm_idx, pfn);
 }

@@ -16,7 +16,7 @@ use agile_trace::TraceEvent;
 use agile_vm::{HostId, VmState};
 use agile_vmd::{ClientId, VmdSwapDevice};
 
-use crate::guest::{self, charge_evictions, EvictTarget};
+use crate::guest::{self, evict_with, EvictTarget};
 use crate::netdrv::touch_net;
 use crate::world::{host_ssd, MigrationExec, NetPayload, SwapDev, SwapReqCtx, World};
 
@@ -107,12 +107,11 @@ pub fn start_migration(
 /// Build the destination memory image and swap binding for one migration
 /// attempt.
 ///
-/// The portable namespace's slot space is shared metadata: the arriving
-/// image allocates/frees from the same allocator as the departing one.
-/// Baseline images join the destination host's shared partition slot
-/// space instead. The swap binding is the portable VMD namespace re-bound
-/// through the destination's client (Agile), or the destination host's
-/// own SSD partition (baselines).
+/// The swap binding is the portable VMD namespace re-bound through the
+/// destination's client (Agile), or the destination host's own SSD
+/// partition (baselines). The arriving image draws from that device's
+/// slot space: under Agile the namespace the departing image uses, under
+/// the baselines the destination host's shared partition.
 fn build_dest_image(
     w: &World,
     vm_idx: usize,
@@ -121,29 +120,15 @@ fn build_dest_image(
 ) -> (VmMemory, SwapDev) {
     let n_pages = w.vms[vm_idx].vm.memory().pages();
     let page_size = w.cfg.page_size;
-    let mut dest_mem = VmMemory::new(VmMemoryConfig {
+    let dest_mem = VmMemory::new(VmMemoryConfig {
         pages: n_pages,
         page_size,
         limit_pages: (dest_reservation_bytes / page_size) as u32,
     });
-    match w.vms[vm_idx].swap.namespace() {
-        Some(ns) => {
-            dest_mem.use_shared_slots(std::rc::Rc::clone(&w.vmd.allocators[&ns]));
-        }
-        None => {
-            let alloc = w.hosts[dest_host]
-                .swap_slots
-                .as_ref()
-                .expect("destination host swap partition has an allocator");
-            dest_mem.use_shared_slots(std::rc::Rc::clone(alloc));
-        }
-    }
     let dest_swap = match &w.vms[vm_idx].swap {
         SwapDev::Vmd(v) => {
-            let client_idx = *w
-                .vmd
-                .host_client
-                .get(&dest_host)
+            let client_idx = w.hosts[dest_host]
+                .vmd_client
                 .expect("destination host has no VMD client");
             SwapDev::Vmd(VmdSwapDevice::new(
                 ClientId(client_idx as u32),
@@ -396,33 +381,13 @@ fn exec_swapin(sim: &mut Simulation<World>, mig: usize, batch: u64, pages: Vec<(
 
 /// One page of a Migration-Manager swap-in batch finished reading.
 pub fn complete_migration_swapin(sim: &mut Simulation<World>, mig: usize, batch: u64, pfn: u32) {
-    let mut buf = std::mem::take(&mut sim.state_mut().evict_buf);
-    buf.clear();
     let (vm_idx, applied_to_vm) = {
-        let World {
-            vms, migrations, ..
-        } = sim.state_mut();
-        let m = &mut migrations[mig];
-        let vm_idx = m.vm;
-        match m.source_mem.as_mut() {
-            Some(mem) => {
-                mem.fault_in(pfn, false, &mut buf);
-                (vm_idx, false)
-            }
-            None => {
-                vms[vm_idx].vm.memory_mut().fault_in(pfn, false, &mut buf);
-                (vm_idx, true)
-            }
-        }
+        let m = &sim.state().migrations[mig];
+        (m.vm, m.source_mem.is_none())
     };
-    let target = if applied_to_vm {
-        EvictTarget::Vm(vm_idx)
-    } else {
-        EvictTarget::MigSource(mig)
-    };
-    charge_evictions(sim, target, &buf);
-    buf.clear();
-    sim.state_mut().evict_buf = buf;
+    evict_with(sim, EvictTarget::MigSource(mig), |e| {
+        e.mem.fault_in(pfn, false, e.slots, e.evs)
+    });
     if applied_to_vm {
         guest::wake_page(sim, vm_idx, pfn);
     }
@@ -462,23 +427,13 @@ pub fn credit_swapin(sim: &mut Simulation<World>, mig: usize, batch: u64) {
 /// A chunk arrived at the destination.
 pub fn on_chunk_delivered(sim: &mut Simulation<World>, mig: usize, chunk: Chunk, priority: bool) {
     let now = sim.now();
-    let mut buf = std::mem::take(&mut sim.state_mut().evict_buf);
-    buf.clear();
     let (vm_idx, resumed) = {
         let World {
-            vms,
-            migrations,
-            trace,
-            ..
+            migrations, trace, ..
         } = sim.state_mut();
         let m = &mut migrations[mig];
         let vm_idx = m.vm;
         let resumed = m.dst.resumed();
-        let mem: &mut VmMemory = match m.dest_mem.as_mut() {
-            Some(x) => x,
-            None => vms[vm_idx].vm.memory_mut(),
-        };
-        m.dst.on_chunk(&chunk, mem, &mut buf);
         if priority {
             m.demand_in_flight = m.demand_in_flight.saturating_sub(1);
             m.dst.note_demand_served();
@@ -501,14 +456,10 @@ pub fn on_chunk_delivered(sim: &mut Simulation<World>, mig: usize, chunk: Chunk,
         }
         (vm_idx, resumed)
     };
-    let target = if sim.state().migrations[mig].dest_mem.is_some() {
-        EvictTarget::MigDest(mig)
-    } else {
-        EvictTarget::Vm(vm_idx)
-    };
-    charge_evictions(sim, target, &buf);
-    buf.clear();
-    sim.state_mut().evict_buf = buf;
+    evict_with(sim, EvictTarget::MigDest(mig), |e| {
+        let dst = e.dst.expect("a migration side lends its session");
+        dst.on_chunk(&chunk, e.mem, e.slots, e.evs)
+    });
     // Wake ops parked on any page this chunk just installed (or declared
     // zero — their retry will zero-fill locally).
     if resumed {
@@ -864,27 +815,22 @@ fn conn_down_degraded(sim: &mut Simulation<World>, mig: usize) {
     // Sweep every page still owed by the source: with a swap copy it will
     // demand-page from the replicas; without one its content is gone —
     // zero-fill now and count the loss.
-    let mut buf = std::mem::take(&mut sim.state_mut().evict_buf);
-    buf.clear();
-    {
-        let w = sim.state_mut();
-        let (vms, migs) = (&mut w.vms, &mut w.migrations);
-        let m = &mut migs[mig];
-        let mem = vms[vm_idx].vm.memory_mut();
-        for pfn in 0..mem.pages() {
-            if !matches!(m.dst.classify_fault(pfn), FaultRoute::FromSource) {
+    let lost = evict_with(sim, EvictTarget::MigDest(mig), |e| {
+        let dst = e.dst.expect("a migration side lends its session");
+        let mut lost = 0;
+        for pfn in 0..e.mem.pages() {
+            if !matches!(dst.classify_fault(pfn), FaultRoute::FromSource) {
                 continue;
             }
-            let f = mem.page_flags(pfn);
+            let f = e.mem.page_flags(pfn);
             if !f.present() && !f.swapped() && !f.any(PageFlags::IO_INFLIGHT) {
-                m.dst.install_zero_fill(pfn, mem, &mut buf);
-                m.pages_lost_on_conn_drop += 1;
+                dst.install_zero_fill(pfn, e.mem, e.slots, e.evs);
+                lost += 1;
             }
         }
-    }
-    charge_evictions(sim, EvictTarget::Vm(vm_idx), &buf);
-    buf.clear();
-    sim.state_mut().evict_buf = buf;
+        lost
+    });
+    sim.state_mut().migrations[mig].pages_lost_on_conn_drop += lost;
     {
         let now = sim.now();
         let w = sim.state_mut();

@@ -606,7 +606,7 @@ fn namespace_migrating(w: &World, ns: NamespaceId) -> bool {
 fn pump_client_for(w: &World, ns: NamespaceId) -> usize {
     for slot in &w.vms {
         if slot.swap.namespace() == Some(ns) {
-            if let Some(&c) = w.vmd.host_client.get(&slot.host) {
+            if let Some(c) = w.hosts[slot.host].vmd_client {
                 return c;
             }
         }

@@ -46,10 +46,10 @@ pub mod ycsb;
 use agile_sim_core::{SimDuration, SimTime, Simulation};
 use agile_workload::Signal;
 
-use crate::guest::{charge_evictions, EvictTarget};
+use crate::guest::{evict_with, EvictTarget};
 use crate::sched::{self, ManagedHost};
 use crate::shard::{NullCoordinator, ShardedRun};
-use crate::world::{WorkloadKind, World};
+use crate::world::{SwapDev, WorkloadKind, World};
 
 /// The driver slice: the sequential drivers advance in steps of this
 /// much simulated time, and it is also the sharded harness's lookahead,
@@ -140,7 +140,12 @@ pub(crate) fn run_replicated<S: Scenario>(cfgs: &[S::Config], workers: usize) ->
 ///   holds, so no delivery or channel close leaked one;
 /// - every VMD server's tier ledger and per-namespace counts match a
 ///   recount of its store ([`agile_vmd::VmdServer::ledger_consistent`]),
-///   and the directory's placed counts match a recount of its tables.
+///   and the directory's placed counts match a recount of its tables;
+/// - across the VMs' current images bound to one slot space (a host's
+///   swap partition, or a VMD namespace), every referenced slot is
+///   distinct and allocated in that space. Retained source images are
+///   skipped (the destination image took their slots over), and so are
+///   the images of retired clones, whose slot space was reset.
 pub(crate) fn audit_memory(w: &World) {
     assert_eq!(
         w.payloads.len(),
@@ -161,6 +166,28 @@ pub(crate) fn audit_memory(w: &World) {
     for m in &w.migrations {
         for mem in m.dest_mem.iter().chain(&m.source_mem) {
             mem.check_invariants();
+        }
+    }
+    // Slot spaces, keyed (0, host) for a swap partition and (1, ns) for
+    // a namespace: each referenced slot maps to the VM referencing it.
+    let mut owner: agile_sim_core::IdHashMap<(u8, u32, u32), usize> = Default::default();
+    for (v, slot) in w.vms.iter().enumerate() {
+        if w.clone.as_ref().is_some_and(|c| c.retired(v)) {
+            continue;
+        }
+        let (space, key) = match &slot.swap {
+            SwapDev::Ssd(s) => (w.hosts[s.host()].swap_slots.as_ref(), (0, s.host() as u32)),
+            SwapDev::Vmd(d) => (
+                w.vmd.slots.get(d.namespace().0 as usize),
+                (1, d.namespace().0),
+            ),
+        };
+        let space = space.expect("a swap device names its slot space");
+        for s in slot.vm.memory().referenced_slots() {
+            assert!(space.is_allocated(s), "VM {v}: slot {s} is free");
+            if let Some(other) = owner.insert((key.0, key.1, s), v) {
+                panic!("slot {s} of space {key:?} referenced by VMs {other} and {v}");
+            }
         }
     }
 }
@@ -238,18 +265,12 @@ pub fn schedule_step_signals<K, F>(
 /// Change a VM's cgroup reservation at runtime (evictions are charged to
 /// its swap device) and update the host ledger.
 pub fn set_reservation(sim: &mut Simulation<World>, vm_idx: usize, bytes: u64) {
-    let mut buf = std::mem::take(&mut sim.state_mut().evict_buf);
-    buf.clear();
-    {
-        let w = sim.state_mut();
-        let slot = &mut w.vms[vm_idx];
-        slot.vm.memory_mut().set_limit_bytes(bytes, &mut buf);
-        let host = slot.host;
-        w.hosts[host].mem.set_reservation(vm_idx as u64, bytes);
-    }
-    charge_evictions(sim, EvictTarget::Vm(vm_idx), &buf);
-    buf.clear();
-    sim.state_mut().evict_buf = buf;
+    let w = sim.state_mut();
+    let host = w.vms[vm_idx].host;
+    w.hosts[host].mem.set_reservation(vm_idx as u64, bytes);
+    evict_with(sim, EvictTarget::Vm(vm_idx), |e| {
+        e.mem.set_limit_bytes(bytes, e.slots, e.evs)
+    });
 }
 
 /// What a VM currently *needs* resident: its active working set plus

@@ -163,6 +163,7 @@ pub fn run(cfg: &SysbenchScenarioConfig) -> SysbenchScenarioResult {
     });
 
     sim.run_until(SimTime::from_secs(cfg.duration_secs));
+    super::audit_memory(sim.state());
     let world = sim.state();
     let series = report::average_throughput_series(world, &vms);
     let metrics = world.migrations[0].src.metrics().clone();

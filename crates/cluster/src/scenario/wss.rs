@@ -133,6 +133,7 @@ pub fn run(cfg: &WssScenarioConfig) -> WssScenarioResult {
         SimTime::from_secs(cfg.track_from_secs),
     );
     sim.run_until(SimTime::from_secs(cfg.duration_secs));
+    super::audit_memory(sim.state());
 
     let world = sim.state();
     let reservation_series: Vec<(f64, f64)> = world.vms[vm]

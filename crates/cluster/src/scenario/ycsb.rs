@@ -198,22 +198,8 @@ pub fn run(cfg: &YcsbScenarioConfig) -> YcsbScenarioResult {
         watch_completion(sim, mig, src_host, slack);
     });
 
-    // Debug probe (env-gated): dump active channels at a given second.
-    if let Ok(at) = std::env::var("AGILE_NET_PROBE") {
-        if let Ok(at) = at.parse::<u64>() {
-            sim.schedule_at(SimTime::from_secs(at), move |sim| {
-                eprintln!("--- active channels at t={at}s ---");
-                for (i, src, dst, rate, queued) in sim.state().net.debug_active_channels() {
-                    eprintln!(
-                        "ch{i} {src}->{dst} rate={:.1}MB/s queued={}KB",
-                        rate / 1e6,
-                        queued / 1000
-                    );
-                }
-            });
-        }
-    }
     sim.run_until(SimTime::from_secs(cfg.duration_secs));
+    super::audit_memory(sim.state());
     let events_executed = sim.events_executed();
     let world = sim.state();
 

@@ -577,7 +577,7 @@ pub fn place(w: &World, vm: usize) -> Option<usize> {
         // headroom somewhere (an armed pool manager narrows the advertised
         // capacity to what donors actually contribute right now).
         let feasible = match w.vms[vm].swap.namespace() {
-            Some(_) => w.vmd.host_client.contains_key(&h) && crate::poolctl::placement_feasible(w),
+            Some(_) => w.hosts[h].vmd_client.is_some() && crate::poolctl::placement_feasible(w),
             None => w.hosts[h].ssd.is_some(),
         };
         if !feasible {

@@ -113,26 +113,30 @@ impl Coordinator for NullCoordinator {
 
 /// A shard: one complete, closed world, movable to a worker thread.
 ///
-/// The VMD directory, clients and servers and each host's SSD have one
-/// owner, the world, and are `Send`. `Simulation<World>` is still `!Send`
-/// because of exactly these, none of which crosses worlds:
+/// The VMD directory, clients and servers, each host's SSD and every
+/// swap-slot allocator have one owner, the world, and are `Send`, as are
+/// the WSS estimators. `Simulation<World>` is still `!Send` because of
+/// exactly these, none of which crosses worlds:
 ///
 /// * boxed event closures (`Box<dyn FnOnce>` carries no `Send` bound);
-/// * the swap-slot allocators, `Rc<RefCell<SlotAllocator>>` shared
-///   between a VM's memory image and the world (`Host::swap_slots`,
-///   `VmdSubsystem::allocators`, clone overlays);
 /// * the clone controller's `CloneCtlConfig::make_workload` factory, an
 ///   `Rc<dyn Fn>`;
 /// * the `Rc`'d bindings that `scenario::schedule_step_signals` closures
-///   capture;
-/// * each tracked VM's `Box<dyn WssEstimator>`, whose trait has no `Send`
-///   bound.
+///   capture.
 ///
 /// Each such value is created inside the world it belongs to (by
 /// `ClusterBuilder`, a scenario's set-up or a controller), and nothing
 /// ever hands one (or a closure capturing one) across worlds:
 /// cross-shard traffic is the plain-data [`BoundaryMsg`]/[`GlobalSignal`]
 /// values only.
+///
+/// The harness keeps the cells in one `Vec` and runs neighbours on
+/// different threads, so each cell starts on its own 128-byte boundary
+/// (two cache lines, for the adjacent-line prefetcher). Otherwise the hot
+/// fields at one world's end and the next world's start can share a line,
+/// depending on `World`'s layout: on a 2-vCPU host, one added `Host` field
+/// made `diurnal_ycsb` and `clone_crowd` ~35 % slower.
+#[repr(align(128))]
 pub struct ShardCell(pub Simulation<World>);
 
 // SAFETY: each cell's `!Send` values (listed on the type) are reachable

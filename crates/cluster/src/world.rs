@@ -6,21 +6,22 @@
 //! world is single-threaded and slab-structured (perf-book idiom: no
 //! per-event allocation beyond closures).
 //!
-//! Ownership rule: the world is the one owner of every device and protocol
-//! state machine. Each host's SSD lives in its [`Host`], and the VMD
-//! directory, clients and servers live in [`VmdSubsystem`], all by value.
-//! A VM's [`SwapDev`] is a handle that names its device (a host index, or
-//! a client id plus namespace). Its I/O methods take the hosts and the
-//! VMD subsystem as `&mut`, which callers get by destructuring `World`
-//! into disjoint field borrows. Only the swap-slot allocators are still
-//! shared, as `Rc<RefCell<SlotAllocator>>`, between a VM's memory image
-//! and the world.
+//! Ownership rule: the world is the one owner of every device, slot space
+//! and protocol state machine, all held by value. Each host's SSD and the
+//! slot allocator of its swap partition live in its [`Host`]; the VMD
+//! directory, clients, servers and the per-namespace slot allocators live
+//! in [`VmdSubsystem`]. A VM's [`SwapDev`] is a handle that names its
+//! device (a host index, or a client id plus namespace), and through it
+//! the device's slot space. Its methods take the hosts and the VMD
+//! subsystem as `&mut`, which callers get by destructuring `World` into
+//! disjoint field borrows. A memory image holds no allocator: its
+//! slot-touching mutators borrow the one its device names, so every image
+//! bound to one device (each VM on a host's partition, or both sides of
+//! an Agile migration) draws from one space.
 
-use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
-use std::rc::Rc;
 
-use agile_memory::{HostMemory, SsdSwap, SwapIssue, VmMemory};
+use agile_memory::{HostMemory, SlotAllocator, SsdSwap, SwapIssue, VmMemory};
 use agile_migration::{DestSession, SourceSession};
 use agile_sim_core::{
     BlockDevice, ChannelId, DetRng, IdHashMap, IoCounters, Network, NodeId, SeedSequence,
@@ -48,7 +49,9 @@ pub struct Host {
     /// this host's SSD draws from one slot space, so concurrent eviction
     /// streams interleave — which is what destroys sequential layout for
     /// the baselines' bulk swap-ins.
-    pub swap_slots: Option<Rc<RefCell<agile_memory::SlotAllocator>>>,
+    pub swap_slots: Option<SlotAllocator>,
+    /// Index of the VMD client module running on this host, if any.
+    pub vmd_client: Option<usize>,
 }
 
 /// A VM's swap device binding.
@@ -105,6 +108,22 @@ impl SwapDev {
         match self {
             SwapDev::Ssd(s) => s.counters(),
             SwapDev::Vmd(v) => v.counters(),
+        }
+    }
+
+    /// The slot space of the device this handle names: host `h`'s swap
+    /// partition, or the VMD namespace's.
+    pub fn slots<'a>(
+        &self,
+        hosts: &'a mut [Host],
+        vmd: &'a mut VmdSubsystem,
+    ) -> &'a mut SlotAllocator {
+        match self {
+            SwapDev::Ssd(s) => hosts[s.host()]
+                .swap_slots
+                .as_mut()
+                .expect("host has no swap partition"),
+            SwapDev::Vmd(v) => &mut vmd.slots[v.namespace().0 as usize],
         }
     }
 
@@ -463,15 +482,14 @@ pub struct VmdServerEntry {
 pub struct VmdSubsystem {
     /// Namespace directory (portable-device metadata).
     pub directory: VmdDirectory,
-    /// Per-namespace slot allocators (namespace metadata, shared between
-    /// the source and destination images of a migrating VM).
-    pub allocators: HashMap<NamespaceId, Rc<RefCell<agile_memory::SlotAllocator>>>,
+    /// Slot space of each namespace, indexed by `NamespaceId.0`: the
+    /// portable device's metadata, so the source and destination images
+    /// of a migrating VM draw from one allocator.
+    pub slots: Vec<SlotAllocator>,
     /// Clients, one per participating host.
     pub clients: Vec<VmdClientEntry>,
     /// Servers, one per intermediate host.
     pub servers: Vec<VmdServerEntry>,
-    /// Host index → client index.
-    pub host_client: HashMap<usize, usize>,
     /// `(to-server, to-client)` channels of every (client, server) pair,
     /// row-major by client: see [`VmdSubsystem::channels_between`].
     pub channels: Vec<(ChannelId, ChannelId)>,
@@ -482,10 +500,9 @@ impl VmdSubsystem {
     pub fn new() -> Self {
         VmdSubsystem {
             directory: VmdDirectory::new(),
-            allocators: HashMap::new(),
+            slots: Vec::new(),
             clients: Vec::new(),
             servers: Vec::new(),
-            host_client: HashMap::new(),
             channels: Vec::new(),
         }
     }
@@ -494,6 +511,16 @@ impl VmdSubsystem {
     /// client operations take.
     pub fn client_and_dir(&mut self, client: usize) -> (&mut VmdClient, &mut VmdDirectory) {
         (&mut self.clients[client].client, &mut self.directory)
+    }
+
+    /// Give namespace `ns` a fresh, empty slot space (growing the table to
+    /// reach it), for a namespace just created or just purged.
+    pub fn reset_slots(&mut self, ns: NamespaceId) {
+        let i = ns.0 as usize;
+        if self.slots.len() <= i {
+            self.slots.resize_with(i + 1, SlotAllocator::unbounded);
+        }
+        self.slots[i] = SlotAllocator::unbounded();
     }
 
     /// `(to-server, to-client)` channels between `client` and `server`.
@@ -655,15 +682,5 @@ impl World {
     pub fn free_op(&mut self, id: usize) {
         let freed = self.ops.take(id as u32);
         debug_assert!(freed.is_some(), "double free of op {id}");
-    }
-
-    /// The memory image the *source side* of migration `mig` operates on:
-    /// the VM's own memory until resume, then the retained source copy.
-    pub fn source_mem(&self, mig: usize) -> &VmMemory {
-        let m = &self.migrations[mig];
-        match &m.source_mem {
-            Some(mem) => mem,
-            None => self.vms[m.vm].vm.memory(),
-        }
     }
 }

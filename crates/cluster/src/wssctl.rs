@@ -17,7 +17,7 @@ use agile_wss::{
 };
 
 use crate::config::WssEstimatorKind;
-use crate::guest::{charge_evictions, EvictTarget};
+use crate::guest::{evict_with, EvictTarget};
 use crate::world::{World, WssExec};
 
 /// Enable WSS tracking on a VM and start the sampling chain at `at`.
@@ -117,12 +117,10 @@ pub(crate) fn sample(sim: &mut Simulation<World>, vm_idx: usize) {
     if sim.state().vms[vm_idx].wss.is_none() {
         return;
     }
-    let mut buf = std::mem::take(&mut sim.state_mut().evict_buf);
-    buf.clear();
     // Above the pool's high water mark, reservation *shrinks* are deferred:
     // they would push evictions into a pool with nowhere to put them.
     let defer_shrink = crate::poolctl::under_pressure(sim.state());
-    let next = {
+    let (next, resize) = {
         let w = sim.state_mut();
         let slot = &mut w.vms[vm_idx];
         if slot.migration.is_some() || !slot.vm.state().can_execute() {
@@ -132,7 +130,7 @@ pub(crate) fn sample(sim: &mut Simulation<World>, vm_idx: usize) {
             // over the whole paused interval, which would read as a
             // near-zero rate and trigger a bogus shrink.
             slot.wss.as_mut().expect("checked above").estimator.reset();
-            Some(agile_sim_core::SimDuration::from_secs(2))
+            (agile_sim_core::SimDuration::from_secs(2), None)
         } else {
             let counters = slot.swap.counters();
             let epoch = slot.mem_epoch;
@@ -184,9 +182,6 @@ pub(crate) fn sample(sim: &mut Simulation<World>, vm_idx: usize) {
                     } else {
                         adj.new_reservation
                     };
-                    slot.vm
-                        .memory_mut()
-                        .set_limit_bytes(new_reservation, &mut buf);
                     slot.reservation_series.push(now, new_reservation as f64);
                     let host = slot.host;
                     w.hosts[host]
@@ -218,23 +213,23 @@ pub(crate) fn sample(sim: &mut Simulation<World>, vm_idx: usize) {
                             },
                         );
                     }
-                    Some(adj.next_sample_in)
+                    (adj.next_sample_in, Some(new_reservation))
                 }
                 None => {
                     // Still priming (e.g. the swap monitor's first window).
                     slot.reservation_series
                         .push(now, slot.vm.memory().limit_bytes() as f64);
-                    Some(wss.estimator.priming_interval())
+                    (wss.estimator.priming_interval(), None)
                 }
             }
         }
     };
-    charge_evictions(sim, EvictTarget::Vm(vm_idx), &buf);
-    buf.clear();
-    sim.state_mut().evict_buf = buf;
-    if let Some(dt) = next {
-        sim.schedule_fast_in(dt, sample_timer(vm_idx));
+    if let Some(bytes) = resize {
+        evict_with(sim, EvictTarget::Vm(vm_idx), |e| {
+            e.mem.set_limit_bytes(bytes, e.slots, e.evs)
+        });
     }
+    sim.schedule_fast_in(next, sample_timer(vm_idx));
 }
 
 /// The tracked working-set sizes of every running VM on `host`.

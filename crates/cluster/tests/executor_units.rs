@@ -7,7 +7,9 @@ use agile_cluster::scenario::{desired_reservation, rebalance_host, set_reservati
 use agile_cluster::sched::{self, ManagedHost, SchedConfig};
 use agile_cluster::world::WorkloadKind;
 use agile_cluster::{wssctl, ClusterConfig};
-use agile_memory::Touch;
+use std::collections::HashSet;
+
+use agile_memory::{PagemapEntry, Touch};
 use agile_sim_core::{SimDuration, SimTime, GIB, MIB};
 use agile_vm::VmConfig;
 use agile_workload::{Dataset, KeyDist, YcsbParams, YcsbRedis};
@@ -51,7 +53,9 @@ fn vmd_fault_roundtrip_over_network() {
     // Fault it in through the executor path.
     sim.schedule_at(SimTime::from_millis(10), move |sim| {
         let w = sim.state_mut();
-        let r = w.vms[vm].vm.memory_mut().touch(victim, false);
+        let slot = &mut w.vms[vm];
+        let slots = slot.swap.slots(&mut w.hosts, &mut w.vmd);
+        let r = slot.vm.memory_mut().touch(victim, false, slots);
         assert!(matches!(r, Touch::MajorFault { .. }));
         // Issue through the guest engine by creating a minimal op.
         let id = w.alloc_op(agile_cluster::world::OpExec {
@@ -217,6 +221,99 @@ fn set_reservation_shrink_evicts() {
     assert!(mem.swapped_pages() > 0);
     // Device counters saw the write-back (clustered runs).
     assert!(sim.state().vms[vm].swap.counters().write_ops > 0);
+}
+
+/// Images bound to one swap device draw from that device's one slot
+/// space. Two SSD-swapping VMs whose preloads interleave get interleaved,
+/// distinct slots from their host's partition; and an Agile destination
+/// image's first eviction takes the lowest free slot of the namespace its
+/// source image uses.
+#[test]
+fn images_on_one_device_share_its_slot_space() {
+    let mut b = ClusterBuilder::new(ClusterConfig::default());
+    let host = b.add_host("host", GIB, 8 * MIB, true);
+    let pair = [0; 2].map(|_| b.add_vm(host, vm_config(8 * MIB, 4 * MIB), SwapKind::HostSsd));
+    // 2,048 pages each into 1,024-page reservations, in 256-page strides:
+    // from the fifth stride on, every stride evicts 256 pages.
+    for start in (0..2048).step_by(256) {
+        for &vm in &pair {
+            b.preload_pages(vm, start, 256);
+        }
+    }
+    let w = b.world();
+    let [a, c] = pair.map(|vm| {
+        let mut s: Vec<u32> = w.vms[vm].vm.memory().referenced_slots().collect();
+        s.sort_unstable();
+        s
+    });
+    assert_eq!((a.len(), c.len()), (1024, 1024));
+    assert!(a[1023] > c[0] && c[1023] > a[0], "slots not interleaved");
+    let mut all: Vec<u32> = a.iter().chain(&c).copied().collect();
+    all.sort_unstable();
+    assert_eq!(
+        all,
+        (0..2048).collect::<Vec<u32>>(),
+        "slots shared or sparse"
+    );
+    assert_eq!(w.hosts[host].swap_slots.as_ref().unwrap().live(), 2048);
+
+    let mut b = ClusterBuilder::new(ClusterConfig::default());
+    let src = b.add_host("source", 256 * MIB, 16 * MIB, false);
+    let dst = b.add_host("dest", 256 * MIB, 16 * MIB, false);
+    let im = b.add_host("intermediate", GIB, 16 * MIB, false);
+    b.add_vmd_server(im, 512 * MIB, 0);
+    b.ensure_vmd_client(dst);
+    let vm = b.add_vm(src, vm_config(8 * MIB, 4 * MIB), SwapKind::PerVmVmd);
+    b.preload_pages(vm, 0, 2048);
+    // Free one slot below the namespace's high water: write-fault a
+    // swapped page back in under a one-page-larger reservation.
+    let hole = {
+        let w = b.world_mut();
+        let slot = &mut w.vms[vm];
+        let slots = slot.swap.slots(&mut w.hosts, &mut w.vmd);
+        let mem = slot.vm.memory_mut();
+        let pfn = (0..mem.pages()).find(|&p| mem.pagemap(p).is_swapped());
+        let pfn = pfn.expect("preload swapped pages out");
+        let PagemapEntry::Swapped { slot: hole } = mem.pagemap(pfn) else {
+            unreachable!()
+        };
+        let mut evs = Vec::new();
+        mem.set_limit_pages(mem.limit_pages() + 1, slots, &mut evs);
+        mem.begin_swap_in(pfn);
+        mem.fault_in(pfn, true, slots, &mut evs);
+        assert!(evs.is_empty() && !slots.is_allocated(hole));
+        assert!(hole < slots.high_water());
+        hole
+    };
+    let high_water = {
+        let w = b.world_mut();
+        w.vms[vm].swap.slots(&mut w.hosts, &mut w.vmd).high_water()
+    };
+    let source: HashSet<u32> = b.world().vms[vm].vm.memory().referenced_slots().collect();
+    let mut sim = b.build();
+    agile_cluster::migrate::start_migration(
+        &mut sim,
+        vm,
+        dst,
+        agile_migration::SourceConfig::new(agile_migration::Technique::Agile),
+        MIB,
+    );
+    sim.run_until(SimTime::from_secs(30));
+    assert!(sim.state().migrations[0].finished);
+    // The destination's own evictions drew the hole first, then fresh
+    // slots above the source's high water.
+    let mut own: Vec<u32> = sim.state().vms[vm]
+        .vm
+        .memory()
+        .referenced_slots()
+        .filter(|s| !source.contains(s))
+        .collect();
+    own.sort_unstable();
+    assert!(own.len() > 1, "the destination never evicted");
+    let want: Vec<u32> = std::iter::once(hole)
+        .chain(high_water..high_water + own.len() as u32 - 1)
+        .collect();
+    assert_eq!(own, want);
 }
 
 /// Arm the watermark scheduler over `hosts`, each with watermarks at 60 %

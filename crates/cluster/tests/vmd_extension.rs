@@ -91,7 +91,9 @@ fn disk_spill_tier_absorbs_overflow() {
     let expect_version = sim.state().vms[vm].vm.memory().version(victim);
     sim.schedule_at(SimTime::from_millis(10), move |sim| {
         let w = sim.state_mut();
-        let _ = w.vms[vm].vm.memory_mut().touch(victim, false);
+        let slot = &mut w.vms[vm];
+        let slots = slot.swap.slots(&mut w.hosts, &mut w.vmd);
+        let _ = slot.vm.memory_mut().touch(victim, false, slots);
         let id = w.alloc_op(agile_cluster::world::OpExec {
             gen: 0,
             vm,

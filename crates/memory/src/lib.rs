@@ -18,6 +18,9 @@
 //! * [`SsdSwap`] — a VM's handle on its host's shared swap SSD; the VMD-backed
 //!   per-VM portable namespace is `agile_vmd::VmdSwapDevice`. Both are
 //!   handles: every I/O call borrows the device from its owner.
+//! * [`SlotAllocator`] — one swap device's slot space. The device's
+//!   owner keeps it; the [`VmMemory`] mutators that allocate or free slots
+//!   borrow it.
 //! * [`HostMemory`] — per-host reservation ledger feeding the watermark
 //!   migration trigger.
 //!
@@ -44,4 +47,4 @@ pub use page::{PageFlags, PagemapEntry};
 pub use pagearray::PageArray;
 pub use slots::{SlotAllocator, NO_SLOT};
 pub use swap::{SsdSwap, SwapIssue};
-pub use vmmem::{Eviction, MemCounters, Slots, Touch, VmMemory, VmMemoryConfig};
+pub use vmmem::{Eviction, MemCounters, Touch, VmMemory, VmMemoryConfig};

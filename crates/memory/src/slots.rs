@@ -73,6 +73,11 @@ impl SlotAllocator {
         }
     }
 
+    /// Whether `slot` is currently allocated.
+    pub fn is_allocated(&self, slot: u32) -> bool {
+        slot < self.next_fresh && !self.free.contains(&slot)
+    }
+
     /// Slots currently allocated.
     pub fn live(&self) -> u32 {
         self.next_fresh - self.free.len() as u32

@@ -18,62 +18,20 @@
 //! ([`Eviction`] records, [`Touch::MajorFault`] outcomes) and the caller —
 //! the cluster executor — charges them to the right [`agile_sim_core::BlockDevice`]
 //! or VMD namespace. This keeps the memory semantics exactly testable.
+//! Nor does it own a slot space: the mutators that can allocate or free a
+//! swap slot take the [`SlotAllocator`] of the device the image is bound
+//! to, so every image bound to one device draws from one space.
 //!
 //! Content versions: every guest write bumps the page's version counter.
 //! Migration correctness tests assert that the destination ends up holding
 //! the source's final version of every page — a strong end-to-end check on
 //! the dirty-tracking logic of all three migration techniques.
 
-use std::cell::RefCell;
-use std::rc::Rc;
-
 use crate::epoch::{EpochReport, EpochTracker};
 use crate::lru::{LruLinks, LruList};
 use crate::page::{PageFlags, PagemapEntry};
 use crate::pagearray::PageArray;
 use crate::slots::{SlotAllocator, NO_SLOT};
-
-/// The swap-slot allocator behind a VM memory: owned (a private SSD swap
-/// area) or shared (a portable VMD namespace whose slot space is common to
-/// the source and destination sides of a migration).
-#[derive(Clone, Debug)]
-pub enum Slots {
-    /// Allocator private to this memory image.
-    Owned(SlotAllocator),
-    /// Allocator shared with other images of the same namespace.
-    Shared(Rc<RefCell<SlotAllocator>>),
-}
-
-impl Slots {
-    fn alloc(&mut self) -> Option<u32> {
-        match self {
-            Slots::Owned(a) => a.alloc(),
-            Slots::Shared(a) => a.borrow_mut().alloc(),
-        }
-    }
-
-    fn free(&mut self, slot: u32) {
-        match self {
-            Slots::Owned(a) => a.free(slot),
-            Slots::Shared(a) => a.borrow_mut().free(slot),
-        }
-    }
-
-    fn note_external(&mut self, slot: u32) {
-        match self {
-            Slots::Owned(a) => a.note_external(slot),
-            Slots::Shared(a) => a.borrow_mut().note_external(slot),
-        }
-    }
-
-    /// Slots currently allocated.
-    pub fn live(&self) -> u32 {
-        match self {
-            Slots::Owned(a) => a.live(),
-            Slots::Shared(a) => a.borrow().live(),
-        }
-    }
-}
 
 /// Result of a guest access to a page.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -161,7 +119,6 @@ pub struct VmMemory {
     inactive: LruList,
     limit_pages: u32,
     swapped: u32,
-    slots: Slots,
     counters: MemCounters,
     /// Simulated-PML dirty-page epoch tracker; `None` (the default) costs
     /// one branch per guest access and keeps legacy behaviour untouched.
@@ -184,18 +141,9 @@ impl VmMemory {
             inactive: LruList::new(),
             limit_pages: cfg.limit_pages,
             swapped: 0,
-            slots: Slots::Owned(SlotAllocator::unbounded()),
             counters: MemCounters::default(),
             epoch: None,
         }
-    }
-
-    /// Replace the slot allocator with a shared one (the portable per-VM
-    /// swap namespace: source and destination images of a migration must
-    /// draw from one slot space). Must be called before any eviction.
-    pub fn use_shared_slots(&mut self, shared: Rc<RefCell<SlotAllocator>>) {
-        debug_assert_eq!(self.slots.live(), 0, "allocator already in use");
-        self.slots = Slots::Shared(shared);
     }
 
     /// Total guest pages.
@@ -316,6 +264,16 @@ impl VmMemory {
         }
     }
 
+    /// Every swap slot this image references (a swapped page's, or a
+    /// resident page's clean swap-cache copy), in PFN order.
+    pub fn referenced_slots(&self) -> impl Iterator<Item = u32> + '_ {
+        self.swap_slot
+            .materialized()
+            .iter()
+            .copied()
+            .filter(|&s| s != NO_SLOT)
+    }
+
     /// Raw flags of a page (tests and migration internals).
     #[inline]
     pub fn page_flags(&self, pfn: u32) -> PageFlags {
@@ -375,7 +333,7 @@ impl VmMemory {
     }
 
     /// Guest access. See [`Touch`] for the contract.
-    pub fn touch(&mut self, pfn: u32, write: bool) -> Touch {
+    pub fn touch(&mut self, pfn: u32, write: bool, slots: &mut SlotAllocator) -> Touch {
         let i = pfn as usize;
         let f = self.flags.get(pfn);
         if f.present() {
@@ -390,7 +348,7 @@ impl VmMemory {
                 // fresh one — which is what randomizes the swap layout of
                 // a write-heavy (busy) VM.
                 if self.swap_slot[i] != NO_SLOT {
-                    self.slots.free(self.swap_slot[i]);
+                    slots.free(self.swap_slot[i]);
                     self.swap_slot[i] = NO_SLOT;
                     self.flags[i].clear(PageFlags::HAS_SWAP_COPY);
                 }
@@ -418,7 +376,13 @@ impl VmMemory {
     /// Complete a fault (minor, or major once the swap-in I/O finished).
     /// Makes the page resident and returns any evictions needed to stay
     /// within the reservation.
-    pub fn fault_in(&mut self, pfn: u32, write: bool, evictions: &mut Vec<Eviction>) {
+    pub fn fault_in(
+        &mut self,
+        pfn: u32,
+        write: bool,
+        slots: &mut SlotAllocator,
+        evictions: &mut Vec<Eviction>,
+    ) {
         // A completed fault is one guest access, counted here (not at the
         // triggering `touch`) so parked InFlight waiters aren't multiply
         // counted and migration-side installs never register.
@@ -450,31 +414,41 @@ impl VmMemory {
                 f.set(PageFlags::DIRTY);
                 self.version[i] = self.version[i].wrapping_add(1);
                 if self.swap_slot[i] != NO_SLOT {
-                    self.slots.free(self.swap_slot[i]);
+                    slots.free(self.swap_slot[i]);
                     self.swap_slot[i] = NO_SLOT;
                     f.clear(PageFlags::HAS_SWAP_COPY);
                 }
             }
         }
         self.active.push_front(&mut self.links, pfn);
-        self.reclaim_to_limit(evictions);
+        self.reclaim_to_limit(slots, evictions);
     }
 
     /// Change the cgroup reservation; reclaims down immediately if the VM
     /// is over the new limit (what `memory.limit_in_bytes` does).
-    pub fn set_limit_pages(&mut self, limit: u32, evictions: &mut Vec<Eviction>) {
+    pub fn set_limit_pages(
+        &mut self,
+        limit: u32,
+        slots: &mut SlotAllocator,
+        evictions: &mut Vec<Eviction>,
+    ) {
         self.limit_pages = limit;
-        self.reclaim_to_limit(evictions);
+        self.reclaim_to_limit(slots, evictions);
     }
 
     /// Set the reservation in bytes (rounded down to pages).
-    pub fn set_limit_bytes(&mut self, bytes: u64, evictions: &mut Vec<Eviction>) {
-        self.set_limit_pages((bytes / self.page_size) as u32, evictions);
+    pub fn set_limit_bytes(
+        &mut self,
+        bytes: u64,
+        slots: &mut SlotAllocator,
+        evictions: &mut Vec<Eviction>,
+    ) {
+        self.set_limit_pages((bytes / self.page_size) as u32, slots, evictions);
     }
 
-    fn reclaim_to_limit(&mut self, evictions: &mut Vec<Eviction>) {
+    fn reclaim_to_limit(&mut self, slots: &mut SlotAllocator, evictions: &mut Vec<Eviction>) {
         while self.resident_pages() > self.limit_pages {
-            match self.reclaim_one() {
+            match self.reclaim_one(slots) {
                 Some(ev) => evictions.push(ev),
                 None => break, // everything pinned by in-flight I/O
             }
@@ -515,7 +489,7 @@ impl VmMemory {
     }
 
     /// Evict one page using two-list second-chance reclaim.
-    fn reclaim_one(&mut self) -> Option<Eviction> {
+    fn reclaim_one(&mut self, slots: &mut SlotAllocator) -> Option<Eviction> {
         // Keep the inactive list at least a third of resident memory, like
         // Linux's inactive_is_low heuristic for anonymous LRU.
         let target_inactive = self.resident_pages() / 3;
@@ -551,7 +525,7 @@ impl VmMemory {
                 self.active.push_front(&mut self.links, victim);
                 continue;
             }
-            return Some(self.evict(victim));
+            return Some(self.evict(victim, slots));
         }
         // Scan budget exhausted: force-evict the inactive tail if possible.
         match self.inactive.pop_back(&mut self.links) {
@@ -559,14 +533,14 @@ impl VmMemory {
                 self.inactive.push_front(&mut self.links, victim);
                 None
             }
-            Some(victim) => Some(self.evict(victim)),
+            Some(victim) => Some(self.evict(victim, slots)),
             None => None,
         }
     }
 
     /// Detach `victim` (already off the lists) and produce its eviction
     /// record.
-    fn evict(&mut self, victim: u32) -> Eviction {
+    fn evict(&mut self, victim: u32, slots: &mut SlotAllocator) -> Eviction {
         let i = victim as usize;
         let f = self.flags[i];
         debug_assert!(f.present());
@@ -574,7 +548,7 @@ impl VmMemory {
         let slot = if self.swap_slot[i] != NO_SLOT {
             self.swap_slot[i]
         } else {
-            let s = self.slots.alloc().expect("unbounded namespace");
+            let s = slots.alloc().expect("unbounded namespace");
             self.swap_slot[i] = s;
             s
         };
@@ -606,7 +580,13 @@ impl VmMemory {
     /// Install a page received over the migration channel (destination
     /// side), recording the content version it carries. Frees any stale
     /// swap state for the page and may trigger reclaim.
-    pub fn install_page(&mut self, pfn: u32, version: u32, evictions: &mut Vec<Eviction>) {
+    pub fn install_page(
+        &mut self,
+        pfn: u32,
+        version: u32,
+        slots: &mut SlotAllocator,
+        evictions: &mut Vec<Eviction>,
+    ) {
         self.materialize(pfn);
         let i = pfn as usize;
         let f = self.flags[i];
@@ -619,14 +599,14 @@ impl VmMemory {
             fl.set(PageFlags::DIRTY);
             fl.clear(PageFlags::HAS_SWAP_COPY);
             if self.swap_slot[i] != NO_SLOT {
-                self.slots.free(self.swap_slot[i]);
+                slots.free(self.swap_slot[i]);
                 self.swap_slot[i] = NO_SLOT;
             }
             return;
         }
         if f.swapped() || self.swap_slot[i] != NO_SLOT {
             // A newer copy supersedes the swap-resident one.
-            self.slots.free(self.swap_slot[i]);
+            slots.free(self.swap_slot[i]);
             self.swap_slot[i] = NO_SLOT;
             if f.swapped() {
                 self.swapped -= 1;
@@ -639,14 +619,20 @@ impl VmMemory {
         Self::shadow(&mut self.swapped_map, pfn, false);
         self.version[i] = version;
         self.active.push_front(&mut self.links, pfn);
-        self.reclaim_to_limit(evictions);
+        self.reclaim_to_limit(slots, evictions);
     }
 
     /// Record that a page's content lives at `slot` on the VM's (portable)
     /// swap device — the destination-side handling of a `SWAPPED`-flag
     /// message in Agile migration. `version` is the content version the
     /// slot holds.
-    pub fn install_swapped(&mut self, pfn: u32, slot: u32, version: u32) {
+    pub fn install_swapped(
+        &mut self,
+        pfn: u32,
+        slot: u32,
+        version: u32,
+        slots: &mut SlotAllocator,
+    ) {
         self.materialize(pfn);
         let i = pfn as usize;
         debug_assert!(
@@ -658,7 +644,7 @@ impl VmMemory {
         self.swap_slot[i] = slot;
         self.version[i] = version;
         self.swapped += 1;
-        self.slots.note_external(slot);
+        slots.note_external(slot);
     }
 
     /// Drop a stale swapped-page tracking entry *without* freeing the slot
@@ -765,29 +751,30 @@ impl VmMemory {
 mod tests {
     use super::*;
 
-    fn mem(pages: u32, limit: u32) -> VmMemory {
-        VmMemory::new(VmMemoryConfig {
+    fn mem(pages: u32, limit: u32) -> (VmMemory, SlotAllocator) {
+        let m = VmMemory::new(VmMemoryConfig {
             pages,
             page_size: 4096,
             limit_pages: limit,
-        })
+        });
+        (m, SlotAllocator::unbounded())
     }
 
     /// Populate pages [0, n) with minor faults, collecting evictions.
-    fn populate(m: &mut VmMemory, n: u32, evs: &mut Vec<Eviction>) {
+    fn populate(m: &mut VmMemory, sa: &mut SlotAllocator, n: u32, evs: &mut Vec<Eviction>) {
         for p in 0..n {
-            assert_eq!(m.touch(p, false), Touch::MinorFault);
-            m.fault_in(p, false, evs);
+            assert_eq!(m.touch(p, false, sa), Touch::MinorFault);
+            m.fault_in(p, false, sa, evs);
         }
     }
 
     #[test]
     fn first_touch_is_minor_fault_then_hit() {
-        let mut m = mem(16, 16);
+        let (mut m, mut sa) = mem(16, 16);
         let mut evs = Vec::new();
-        assert_eq!(m.touch(3, false), Touch::MinorFault);
-        m.fault_in(3, false, &mut evs);
-        assert_eq!(m.touch(3, false), Touch::Hit);
+        assert_eq!(m.touch(3, false, &mut sa), Touch::MinorFault);
+        m.fault_in(3, false, &mut sa, &mut evs);
+        assert_eq!(m.touch(3, false, &mut sa), Touch::Hit);
         assert!(evs.is_empty());
         assert_eq!(m.resident_pages(), 1);
         assert_eq!(m.counters().minor_faults, 1);
@@ -796,22 +783,22 @@ mod tests {
 
     #[test]
     fn writes_bump_versions() {
-        let mut m = mem(4, 4);
+        let (mut m, mut sa) = mem(4, 4);
         let mut evs = Vec::new();
-        m.touch(0, true);
-        m.fault_in(0, true, &mut evs);
+        m.touch(0, true, &mut sa);
+        m.fault_in(0, true, &mut sa, &mut evs);
         assert_eq!(m.version(0), 1);
-        m.touch(0, true);
+        m.touch(0, true, &mut sa);
         assert_eq!(m.version(0), 2);
-        m.touch(0, false);
+        m.touch(0, false, &mut sa);
         assert_eq!(m.version(0), 2);
     }
 
     #[test]
     fn over_limit_population_evicts_lru() {
-        let mut m = mem(8, 4);
+        let (mut m, mut sa) = mem(8, 4);
         let mut evs = Vec::new();
-        populate(&mut m, 6, &mut evs);
+        populate(&mut m, &mut sa, 6, &mut evs);
         assert_eq!(m.resident_pages(), 4);
         assert_eq!(evs.len(), 2);
         // The first-touched pages (0, 1) are the cold ones.
@@ -826,21 +813,21 @@ mod tests {
 
     #[test]
     fn major_fault_roundtrip() {
-        let mut m = mem(8, 2);
+        let (mut m, mut sa) = mem(8, 2);
         let mut evs = Vec::new();
-        populate(&mut m, 3, &mut evs);
+        populate(&mut m, &mut sa, 3, &mut evs);
         assert_eq!(evs.len(), 1);
         let slot = evs[0].slot;
         let victim = evs[0].pfn;
-        match m.touch(victim, false) {
+        match m.touch(victim, false, &mut sa) {
             Touch::MajorFault { slot: s } => assert_eq!(s, slot),
             other => panic!("expected major fault, got {other:?}"),
         }
         m.begin_swap_in(victim);
-        assert_eq!(m.touch(victim, false), Touch::InFlight);
+        assert_eq!(m.touch(victim, false, &mut sa), Touch::InFlight);
         let mut evs2 = Vec::new();
-        m.fault_in(victim, false, &mut evs2);
-        assert_eq!(m.touch(victim, false), Touch::Hit);
+        m.fault_in(victim, false, &mut sa, &mut evs2);
+        assert_eq!(m.touch(victim, false, &mut sa), Touch::Hit);
         assert_eq!(m.counters().major_faults, 1);
         assert_eq!(evs2.len(), 1, "faulting in over limit evicts another");
         m.check_invariants();
@@ -848,18 +835,18 @@ mod tests {
 
     #[test]
     fn clean_swap_cache_eviction_is_free() {
-        let mut m = mem(8, 2);
+        let (mut m, mut sa) = mem(8, 2);
         let mut evs = Vec::new();
-        populate(&mut m, 3, &mut evs);
+        populate(&mut m, &mut sa, 3, &mut evs);
         let victim = evs[0].pfn;
         let slot = evs[0].slot;
         // Swap it back in read-only...
         m.begin_swap_in(victim);
         let mut evs2 = Vec::new();
-        m.fault_in(victim, false, &mut evs2);
+        m.fault_in(victim, false, &mut sa, &mut evs2);
         // ...then force everything out: the clean copy drops for free.
         let mut evs3 = Vec::new();
-        m.set_limit_pages(0, &mut evs3);
+        m.set_limit_pages(0, &mut sa, &mut evs3);
         let e = evs3
             .iter()
             .find(|e| e.pfn == victim)
@@ -872,15 +859,15 @@ mod tests {
 
     #[test]
     fn dirtied_page_invalidates_swap_copy() {
-        let mut m = mem(8, 2);
+        let (mut m, mut sa) = mem(8, 2);
         let mut evs = Vec::new();
-        populate(&mut m, 3, &mut evs);
+        populate(&mut m, &mut sa, 3, &mut evs);
         let victim = evs[0].pfn;
         m.begin_swap_in(victim);
         let mut tmp = Vec::new();
-        m.fault_in(victim, true, &mut tmp); // write during fault-in
+        m.fault_in(victim, true, &mut sa, &mut tmp); // write during fault-in
         let mut evs3 = Vec::new();
-        m.set_limit_pages(0, &mut evs3);
+        m.set_limit_pages(0, &mut sa, &mut evs3);
         let e = evs3
             .iter()
             .find(|e| e.pfn == victim)
@@ -891,11 +878,11 @@ mod tests {
 
     #[test]
     fn shrinking_limit_reclaims_immediately() {
-        let mut m = mem(16, 16);
+        let (mut m, mut sa) = mem(16, 16);
         let mut evs = Vec::new();
-        populate(&mut m, 10, &mut evs);
+        populate(&mut m, &mut sa, 10, &mut evs);
         assert!(evs.is_empty());
-        m.set_limit_pages(4, &mut evs);
+        m.set_limit_pages(4, &mut sa, &mut evs);
         assert_eq!(m.resident_pages(), 4);
         assert_eq!(evs.len(), 6);
         m.check_invariants();
@@ -903,12 +890,12 @@ mod tests {
 
     #[test]
     fn growing_limit_does_not_fault_anything_in() {
-        let mut m = mem(16, 4);
+        let (mut m, mut sa) = mem(16, 4);
         let mut evs = Vec::new();
-        populate(&mut m, 8, &mut evs);
+        populate(&mut m, &mut sa, 8, &mut evs);
         let resident_before = m.resident_pages();
         let mut evs2 = Vec::new();
-        m.set_limit_pages(16, &mut evs2);
+        m.set_limit_pages(16, &mut sa, &mut evs2);
         assert!(evs2.is_empty());
         assert_eq!(m.resident_pages(), resident_before);
     }
@@ -920,32 +907,32 @@ mod tests {
         // the hot pages must stay resident: the cold stream churns through
         // the inactive list while re-touched hot pages keep earning their
         // second chance.
-        let mut m = mem(32, 8);
+        let (mut m, mut sa) = mem(32, 8);
         let mut evs = Vec::new();
         let mut hot_major_faults_late = 0;
         for iter in 0..2000u32 {
             for p in 0..4 {
-                match m.touch(p, false) {
+                match m.touch(p, false, &mut sa) {
                     Touch::Hit => {}
                     Touch::MajorFault { .. } => {
                         if iter > 100 {
                             hot_major_faults_late += 1;
                         }
                         m.begin_swap_in(p);
-                        m.fault_in(p, false, &mut evs);
+                        m.fault_in(p, false, &mut sa, &mut evs);
                     }
-                    Touch::MinorFault => m.fault_in(p, false, &mut evs),
+                    Touch::MinorFault => m.fault_in(p, false, &mut sa, &mut evs),
                     Touch::InFlight => unreachable!(),
                 }
             }
             let cold = 5 + (iter % 24);
-            match m.touch(cold, false) {
+            match m.touch(cold, false, &mut sa) {
                 Touch::Hit => {}
                 Touch::MajorFault { .. } => {
                     m.begin_swap_in(cold);
-                    m.fault_in(cold, false, &mut evs);
+                    m.fault_in(cold, false, &mut sa, &mut evs);
                 }
-                Touch::MinorFault => m.fault_in(cold, false, &mut evs),
+                Touch::MinorFault => m.fault_in(cold, false, &mut sa, &mut evs),
                 Touch::InFlight => unreachable!(),
             }
         }
@@ -961,23 +948,23 @@ mod tests {
 
     #[test]
     fn pagemap_views() {
-        let mut m = mem(8, 2);
+        let (mut m, mut sa) = mem(8, 2);
         let mut evs = Vec::new();
         assert_eq!(m.pagemap(5), PagemapEntry::None);
-        populate(&mut m, 3, &mut evs);
+        populate(&mut m, &mut sa, 3, &mut evs);
         assert!(m.pagemap(2).is_present());
         assert!(m.pagemap(evs[0].pfn).is_swapped());
     }
 
     #[test]
     fn install_page_makes_resident_with_version() {
-        let mut m = mem(8, 8);
+        let (mut m, mut sa) = mem(8, 8);
         let mut evs = Vec::new();
-        m.install_page(3, 42, &mut evs);
+        m.install_page(3, 42, &mut sa, &mut evs);
         assert!(m.pagemap(3).is_present());
         assert_eq!(m.version(3), 42);
         // A newer pushed copy overwrites in place.
-        m.install_page(3, 43, &mut evs);
+        m.install_page(3, 43, &mut sa, &mut evs);
         assert_eq!(m.version(3), 43);
         assert_eq!(m.resident_pages(), 1);
         m.check_invariants();
@@ -985,15 +972,15 @@ mod tests {
 
     #[test]
     fn install_swapped_then_fault() {
-        let mut m = mem(8, 8);
-        m.install_swapped(2, 17, 5);
-        match m.touch(2, false) {
+        let (mut m, mut sa) = mem(8, 8);
+        m.install_swapped(2, 17, 5, &mut sa);
+        match m.touch(2, false, &mut sa) {
             Touch::MajorFault { slot } => assert_eq!(slot, 17),
             other => panic!("{other:?}"),
         }
         let mut evs = Vec::new();
         m.begin_swap_in(2);
-        m.fault_in(2, false, &mut evs);
+        m.fault_in(2, false, &mut sa, &mut evs);
         assert!(m.pagemap(2).is_present());
         assert_eq!(m.version(2), 5);
         m.check_invariants();
@@ -1001,10 +988,10 @@ mod tests {
 
     #[test]
     fn install_page_supersedes_swapped_state() {
-        let mut m = mem(8, 8);
-        m.install_swapped(2, 9, 1);
+        let (mut m, mut sa) = mem(8, 8);
+        m.install_swapped(2, 9, 1, &mut sa);
         let mut evs = Vec::new();
-        m.install_page(2, 7, &mut evs);
+        m.install_page(2, 7, &mut sa, &mut evs);
         assert!(m.pagemap(2).is_present());
         assert_eq!(m.version(2), 7);
         m.check_invariants();
@@ -1012,9 +999,9 @@ mod tests {
 
     #[test]
     fn resident_pfns_enumerates_all_resident() {
-        let mut m = mem(16, 8);
+        let (mut m, mut sa) = mem(16, 8);
         let mut evs = Vec::new();
-        populate(&mut m, 12, &mut evs);
+        populate(&mut m, &mut sa, 12, &mut evs);
         let listed: Vec<u32> = m.resident_pfns().collect();
         assert_eq!(listed.len(), m.resident_pages() as usize);
         for p in &listed {
@@ -1024,10 +1011,10 @@ mod tests {
 
     #[test]
     fn sparse_vm_materializes_only_its_touched_prefix() {
-        let mut m = mem(16_384, 16_384);
+        let (mut m, mut sa) = mem(16_384, 16_384);
         assert_eq!(m.materialized_pages(), 0);
         let mut evs = Vec::new();
-        populate(&mut m, 2_048, &mut evs);
+        populate(&mut m, &mut sa, 2_048, &mut evs);
         assert!(
             m.materialized_pages() <= 2_048 + crate::pagearray::GROW_PAGES,
             "materialized {} pages",
@@ -1040,9 +1027,9 @@ mod tests {
 
     #[test]
     fn counters_balance() {
-        let mut m = mem(32, 8);
+        let (mut m, mut sa) = mem(32, 8);
         let mut evs = Vec::new();
-        populate(&mut m, 20, &mut evs);
+        populate(&mut m, &mut sa, 20, &mut evs);
         let c = m.counters();
         assert_eq!(c.minor_faults, 20);
         assert_eq!(c.swap_out_writes + c.clean_drops, evs.len() as u64);

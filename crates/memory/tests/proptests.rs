@@ -16,16 +16,16 @@ fn trace(rng: &mut DetRng, pages: u32, max_len: usize) -> Vec<(u32, bool)> {
 }
 
 /// Apply a trace, resolving faults immediately (a zero-latency device).
-fn apply(mem: &mut VmMemory, trace: &[(u32, bool)]) -> Vec<Eviction> {
+fn apply(mem: &mut VmMemory, slots: &mut SlotAllocator, trace: &[(u32, bool)]) -> Vec<Eviction> {
     let mut all = Vec::new();
     let mut evs = Vec::new();
     for &(pfn, write) in trace {
-        match mem.touch(pfn, write) {
+        match mem.touch(pfn, write, slots) {
             Touch::Hit => {}
-            Touch::MinorFault => mem.fault_in(pfn, write, &mut evs),
+            Touch::MinorFault => mem.fault_in(pfn, write, slots, &mut evs),
             Touch::MajorFault { .. } => {
                 mem.begin_swap_in(pfn);
-                mem.fault_in(pfn, write, &mut evs);
+                mem.fault_in(pfn, write, slots, &mut evs);
             }
             Touch::InFlight => unreachable!("no concurrency in this test"),
         }
@@ -42,12 +42,13 @@ fn residency_never_exceeds_limit() {
         let mut rng = DetRng::seed_from(0x11ee * 7 + case);
         let limit = 1 + rng.index(31) as u32;
         let t = trace(&mut rng, 64, 400);
+        let mut slots = SlotAllocator::unbounded();
         let mut mem = VmMemory::new(VmMemoryConfig {
             pages: 64,
             page_size: 4096,
             limit_pages: limit,
         });
-        apply(&mut mem, &t);
+        apply(&mut mem, &mut slots, &t);
         assert!(mem.resident_pages() <= limit, "case {case}");
         mem.check_invariants();
         let mut resident = 0;
@@ -72,12 +73,13 @@ fn versions_count_writes_exactly() {
         let mut rng = DetRng::seed_from(0x22ee * 13 + case);
         let limit = 1 + rng.index(15) as u32;
         let t = trace(&mut rng, 32, 400);
+        let mut slots = SlotAllocator::unbounded();
         let mut mem = VmMemory::new(VmMemoryConfig {
             pages: 32,
             page_size: 4096,
             limit_pages: limit,
         });
-        apply(&mut mem, &t);
+        apply(&mut mem, &mut slots, &t);
         let mut writes = [0u32; 32];
         for &(p, w) in &t {
             if w {
@@ -90,25 +92,52 @@ fn versions_count_writes_exactly() {
     }
 }
 
-/// Swap slots are never shared by two pages.
+/// Swap slots are never shared by two pages: within one image, or
+/// across two images drawing from one slot space with their traces
+/// interleaved (the host partition every SSD-swapping VM shares, or a
+/// namespace shared by a migration's source and destination images).
 #[test]
 fn swap_slots_are_exclusive() {
     for case in 0..120u64 {
         let mut rng = DetRng::seed_from(0x33ee * 17 + case);
         let limit = 1 + rng.index(15) as u32;
         let t = trace(&mut rng, 64, 400);
+        let mut slots = SlotAllocator::unbounded();
         let mut mem = VmMemory::new(VmMemoryConfig {
             pages: 64,
             page_size: 4096,
             limit_pages: limit,
         });
-        apply(&mut mem, &t);
+        apply(&mut mem, &mut slots, &t);
         let mut seen = std::collections::HashSet::new();
         for p in 0..64 {
             if let PagemapEntry::Swapped { slot } = mem.pagemap(p) {
                 assert!(seen.insert(slot), "case {case}: slot {slot} shared");
             }
         }
+    }
+    for case in 0..60u64 {
+        let mut rng = DetRng::seed_from(0x88ee * 37 + case);
+        let mut slots = SlotAllocator::unbounded();
+        let mut mems: Vec<VmMemory> = (0..2)
+            .map(|_| {
+                VmMemory::new(VmMemoryConfig {
+                    pages: 64,
+                    page_size: 4096,
+                    limit_pages: 1 + rng.index(15) as u32,
+                })
+            })
+            .collect();
+        for _ in 0..400 {
+            let access = (rng.index(64) as u32, rng.chance(0.5));
+            apply(&mut mems[rng.index(2) as usize], &mut slots, &[access]);
+        }
+        let mut seen = std::collections::HashSet::new();
+        for slot in mems.iter().flat_map(|m| m.referenced_slots()) {
+            assert!(seen.insert(slot), "case {case}: slot {slot} shared");
+            assert!(slots.is_allocated(slot), "case {case}: slot {slot} free");
+        }
+        assert_eq!(slots.live() as usize, seen.len(), "case {case}");
     }
 }
 
@@ -120,18 +149,19 @@ fn clean_drops_preserve_content() {
         let mut rng = DetRng::seed_from(0x44ee * 19 + case);
         let limit = 2 + rng.index(6) as u32;
         let t = trace(&mut rng, 24, 400);
+        let mut slots = SlotAllocator::unbounded();
         let mut mem = VmMemory::new(VmMemoryConfig {
             pages: 24,
             page_size: 4096,
             limit_pages: limit,
         });
-        apply(&mut mem, &t);
+        apply(&mut mem, &mut slots, &t);
         let mut evs = Vec::new();
-        mem.set_limit_pages(24, &mut evs);
+        mem.set_limit_pages(24, &mut slots, &mut evs);
         for p in 0..24u32 {
-            if let Touch::MajorFault { .. } = mem.touch(p, false) {
+            if let Touch::MajorFault { .. } = mem.touch(p, false, &mut slots) {
                 mem.begin_swap_in(p);
-                mem.fault_in(p, false, &mut evs);
+                mem.fault_in(p, false, &mut slots, &mut evs);
             }
         }
         let mut writes = [0u32; 24];
@@ -158,6 +188,7 @@ fn scattered_high_first_touches_leave_the_rest_unpopulated() {
         let mut rng = DetRng::seed_from(0x77ee * 31 + case);
         let pages = 1_024 + rng.index(7_168) as u32;
         let limit = 1 + rng.index(48) as u32;
+        let mut slots = SlotAllocator::unbounded();
         let mut mem = VmMemory::new(VmMemoryConfig {
             pages,
             page_size: 4096,
@@ -179,14 +210,14 @@ fn scattered_high_first_touches_leave_the_rest_unpopulated() {
             };
             match rng.index(10) {
                 // Destination-side install of a freshly received page.
-                0 => mem.install_page(pfn, 1 + rng.index(9) as u32, &mut evs),
+                0 => mem.install_page(pfn, 1 + rng.index(9) as u32, &mut slots, &mut evs),
                 // Swapped marker for a page with no state yet.
                 1 if mem.pagemap(pfn) == PagemapEntry::None => {
-                    mem.install_swapped(pfn, next_external_slot, rng.index(5) as u32);
+                    mem.install_swapped(pfn, next_external_slot, rng.index(5) as u32, &mut slots);
                     next_external_slot += 1;
                 }
                 _ => {
-                    apply(&mut mem, &[(pfn, rng.chance(0.5))]);
+                    apply(&mut mem, &mut slots, &[(pfn, rng.chance(0.5))]);
                 }
             }
             evs.clear();

@@ -11,7 +11,7 @@
 //! (delivered in the handoff) consulted first, since a dirtied page's swap
 //! slot may hold stale content.
 
-use agile_memory::{Eviction, PageArray, VmMemory, NO_SLOT};
+use agile_memory::{Eviction, PageArray, SlotAllocator, VmMemory, NO_SLOT};
 
 use crate::bitmap::Bitmap;
 use crate::chunk::Chunk;
@@ -128,8 +128,15 @@ impl DestSession {
 
     /// Install a chunk into the arriving VM's memory. Evictions triggered
     /// by the install (destination under its own reservation) are appended
-    /// to `evictions` for the executor to charge.
-    pub fn on_chunk(&mut self, chunk: &Chunk, mem: &mut VmMemory, evictions: &mut Vec<Eviction>) {
+    /// to `evictions` for the executor to charge. `slots` is the slot space
+    /// of the device `mem` is bound to.
+    pub fn on_chunk(
+        &mut self,
+        chunk: &Chunk,
+        mem: &mut VmMemory,
+        slots: &mut SlotAllocator,
+        evictions: &mut Vec<Eviction>,
+    ) {
         for fp in &chunk.full {
             if self.received.get(fp.pfn) {
                 if self.resumed() {
@@ -141,7 +148,7 @@ impl DestSession {
                 }
                 // Pre-resume retransmission (pre-copy round ≥ 2 or
                 // stop-and-copy): the newer copy overwrites.
-                mem.install_page(fp.pfn, fp.version, evictions);
+                mem.install_page(fp.pfn, fp.version, slots, evictions);
                 self.pages_installed_stream += 1;
                 continue;
             }
@@ -150,7 +157,7 @@ impl DestSession {
             if self.swapped.get(fp.pfn) {
                 self.swapped.clear(fp.pfn);
             }
-            mem.install_page(fp.pfn, fp.version, evictions);
+            mem.install_page(fp.pfn, fp.version, slots, evictions);
             self.pages_installed_stream += 1;
             if let Some(d) = &mut self.dirty {
                 d.clear(fp.pfn);
@@ -161,7 +168,7 @@ impl DestSession {
             self.swapped.set(sm.pfn);
             self.swap_slots.set(sm.pfn, sm.slot);
             self.swap_versions.set(sm.pfn, sm.version);
-            mem.install_swapped(sm.pfn, sm.slot, sm.version);
+            mem.install_swapped(sm.pfn, sm.slot, sm.version, slots);
         }
         for &z in &chunk.zero {
             if !self.received.get(z) {
@@ -231,11 +238,12 @@ impl DestSession {
         &mut self,
         pfn: u32,
         mem: &mut VmMemory,
+        slots: &mut SlotAllocator,
         evictions: &mut Vec<Eviction>,
     ) {
         debug_assert!(self.known_zero.get(pfn) || !self.resumed());
         self.received.set(pfn);
-        mem.install_page(pfn, 0, evictions);
+        mem.install_page(pfn, 0, slots, evictions);
     }
 
     /// Are any pages still neither received, swapped-resident, nor zero?
@@ -254,12 +262,13 @@ mod tests {
     use crate::chunk::{FullPage, SwappedMarker};
     use agile_memory::VmMemoryConfig;
 
-    fn dest_mem(pages: u32) -> VmMemory {
-        VmMemory::new(VmMemoryConfig {
+    fn dest_mem(pages: u32) -> (VmMemory, SlotAllocator) {
+        let mem = VmMemory::new(VmMemoryConfig {
             pages,
             page_size: 4096,
             limit_pages: pages,
-        })
+        });
+        (mem, SlotAllocator::unbounded())
     }
 
     fn chunk_full(pfns: &[(u32, u32)]) -> Chunk {
@@ -273,9 +282,9 @@ mod tests {
     #[test]
     fn stream_install_and_resume() {
         let mut d = DestSession::new(Technique::Agile, 16);
-        let mut mem = dest_mem(16);
+        let (mut mem, mut sa) = dest_mem(16);
         let mut evs = Vec::new();
-        d.on_chunk(&chunk_full(&[(0, 5), (1, 7)]), &mut mem, &mut evs);
+        d.on_chunk(&chunk_full(&[(0, 5), (1, 7)]), &mut mem, &mut sa, &mut evs);
         assert_eq!(d.received_pages(), 2);
         assert_eq!(mem.version(0), 5);
         assert!(!d.resumed());
@@ -287,7 +296,7 @@ mod tests {
     #[test]
     fn swapped_markers_route_to_swap() {
         let mut d = DestSession::new(Technique::Agile, 16);
-        let mut mem = dest_mem(16);
+        let (mut mem, mut sa) = dest_mem(16);
         let mut evs = Vec::new();
         let mut c = Chunk::default();
         c.swapped.push(SwappedMarker {
@@ -295,7 +304,7 @@ mod tests {
             slot: 42,
             version: 9,
         });
-        d.on_chunk(&c, &mut mem, &mut evs);
+        d.on_chunk(&c, &mut mem, &mut sa, &mut evs);
         d.on_handoff(Bitmap::zeros(16), &mut mem);
         assert_eq!(
             d.classify_fault(3),
@@ -314,7 +323,7 @@ mod tests {
         // suspension: its slot holds stale content; the fault must go to
         // the source.
         let mut d = DestSession::new(Technique::Agile, 16);
-        let mut mem = dest_mem(16);
+        let (mut mem, mut sa) = dest_mem(16);
         let mut evs = Vec::new();
         let mut c = Chunk::default();
         c.swapped.push(SwappedMarker {
@@ -322,7 +331,7 @@ mod tests {
             slot: 42,
             version: 9,
         });
-        d.on_chunk(&c, &mut mem, &mut evs);
+        d.on_chunk(&c, &mut mem, &mut sa, &mut evs);
         let mut dirty = Bitmap::zeros(16);
         dirty.set(3);
         d.on_handoff(dirty, &mut mem);
@@ -332,14 +341,14 @@ mod tests {
     #[test]
     fn unknown_pages_zero_fill() {
         let mut d = DestSession::new(Technique::Agile, 16);
-        let mut mem = dest_mem(16);
+        let (mut mem, mut sa) = dest_mem(16);
         let mut evs = Vec::new();
         let mut c = Chunk::default();
         c.zero.push(8);
-        d.on_chunk(&c, &mut mem, &mut evs);
+        d.on_chunk(&c, &mut mem, &mut sa, &mut evs);
         d.on_handoff(Bitmap::zeros(16), &mut mem);
         assert_eq!(d.classify_fault(8), FaultRoute::ZeroFill);
-        d.install_zero_fill(8, &mut mem, &mut evs);
+        d.install_zero_fill(8, &mut mem, &mut sa, &mut evs);
         assert_eq!(d.classify_fault(8), FaultRoute::AlreadyHere);
         assert_eq!(mem.version(8), 0);
     }
@@ -349,11 +358,11 @@ mod tests {
         // Pre-copy rounds ≥ 2 resend dirtied pages before the VM resumes;
         // the newer copy must win.
         let mut d = DestSession::new(Technique::PreCopy, 16);
-        let mut mem = dest_mem(16);
+        let (mut mem, mut sa) = dest_mem(16);
         let mut evs = Vec::new();
-        d.on_chunk(&chunk_full(&[(5, 2)]), &mut mem, &mut evs);
+        d.on_chunk(&chunk_full(&[(5, 2)]), &mut mem, &mut sa, &mut evs);
         assert_eq!(mem.version(5), 2);
-        d.on_chunk(&chunk_full(&[(5, 7)]), &mut mem, &mut evs);
+        d.on_chunk(&chunk_full(&[(5, 7)]), &mut mem, &mut sa, &mut evs);
         assert_eq!(mem.version(5), 7, "retransmission must overwrite");
         assert_eq!(d.duplicate_pages_ignored, 0);
     }
@@ -361,13 +370,13 @@ mod tests {
     #[test]
     fn postcopy_faults_route_to_source() {
         let mut d = DestSession::new(Technique::PostCopy, 16);
-        let mut mem = dest_mem(16);
+        let (mut mem, mut sa) = dest_mem(16);
         // Post-copy handoff: everything still at the source.
         d.on_handoff(Bitmap::ones(16), &mut mem);
         assert_eq!(d.classify_fault(5), FaultRoute::FromSource);
         // Push arrives: installs and clears dirty.
         let mut evs = Vec::new();
-        d.on_chunk(&chunk_full(&[(5, 2)]), &mut mem, &mut evs);
+        d.on_chunk(&chunk_full(&[(5, 2)]), &mut mem, &mut sa, &mut evs);
         assert_eq!(d.classify_fault(5), FaultRoute::AlreadyHere);
     }
 
@@ -376,15 +385,15 @@ mod tests {
         // Post-resume semantics: the race duplicate must not clobber a
         // newer guest write.
         let mut d = DestSession::new(Technique::PostCopy, 16);
-        let mut mem = dest_mem(16);
+        let (mut mem, mut sa) = dest_mem(16);
         let mut evs = Vec::new();
         d.on_handoff(Bitmap::ones(16), &mut mem);
-        d.on_chunk(&chunk_full(&[(5, 2)]), &mut mem, &mut evs);
+        d.on_chunk(&chunk_full(&[(5, 2)]), &mut mem, &mut sa, &mut evs);
         // The VM wrote to the page after receiving it...
-        mem.touch(5, true);
+        mem.touch(5, true, &mut sa);
         let v_after_write = mem.version(5);
         // ...then a duplicate (raced push) arrives with the old content.
-        d.on_chunk(&chunk_full(&[(5, 2)]), &mut mem, &mut evs);
+        d.on_chunk(&chunk_full(&[(5, 2)]), &mut mem, &mut sa, &mut evs);
         assert_eq!(mem.version(5), v_after_write, "newer write preserved");
         assert_eq!(d.duplicate_pages_ignored, 1);
     }
@@ -394,7 +403,7 @@ mod tests {
         // Agile: page 3 swapped at round 1 (marker), dirtied, then pushed
         // in full after resume.
         let mut d = DestSession::new(Technique::Agile, 16);
-        let mut mem = dest_mem(16);
+        let (mut mem, mut sa) = dest_mem(16);
         let mut evs = Vec::new();
         let mut c = Chunk::default();
         c.swapped.push(SwappedMarker {
@@ -402,11 +411,11 @@ mod tests {
             slot: 42,
             version: 9,
         });
-        d.on_chunk(&c, &mut mem, &mut evs);
+        d.on_chunk(&c, &mut mem, &mut sa, &mut evs);
         let mut dirty = Bitmap::zeros(16);
         dirty.set(3);
         d.on_handoff(dirty, &mut mem);
-        d.on_chunk(&chunk_full(&[(3, 11)]), &mut mem, &mut evs);
+        d.on_chunk(&chunk_full(&[(3, 11)]), &mut mem, &mut sa, &mut evs);
         assert_eq!(d.classify_fault(3), FaultRoute::AlreadyHere);
         assert_eq!(mem.version(3), 11);
         assert!(mem.pagemap(3).is_present());
@@ -415,7 +424,7 @@ mod tests {
     #[test]
     fn accounting_covers_all_pages() {
         let mut d = DestSession::new(Technique::Agile, 8);
-        let mut mem = dest_mem(8);
+        let (mut mem, mut sa) = dest_mem(8);
         let mut evs = Vec::new();
         let mut c = Chunk::default();
         for pfn in 0..4 {
@@ -428,7 +437,7 @@ mod tests {
         });
         c.zero.push(5);
         c.zero.push(6);
-        d.on_chunk(&c, &mut mem, &mut evs);
+        d.on_chunk(&c, &mut mem, &mut sa, &mut evs);
         let mut dirty = Bitmap::zeros(8);
         dirty.set(7);
         d.on_handoff(dirty, &mut mem);

@@ -714,27 +714,29 @@ impl SourceSession {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use agile_memory::VmMemoryConfig;
+    use agile_memory::{SlotAllocator, VmMemoryConfig};
 
     /// A 32-page VM with pages 0..16 populated, of which 16.. limit forces
     /// 0..8 swapped out when limit = 8.
-    fn fixture(limit: u32) -> VmMemory {
+    fn fixture(limit: u32) -> (VmMemory, SlotAllocator) {
         let mut mem = VmMemory::new(VmMemoryConfig {
             pages: 32,
             page_size: 4096,
             limit_pages: limit,
         });
+        let mut sa = SlotAllocator::unbounded();
         let mut evs = Vec::new();
         for p in 0..16 {
-            mem.touch(p, true);
-            mem.fault_in(p, true, &mut evs);
+            mem.touch(p, true, &mut sa);
+            mem.fault_in(p, true, &mut sa, &mut evs);
         }
-        mem
+        (mem, sa)
     }
 
     fn drive_until_quiet(
         s: &mut SourceSession,
         mem: &mut VmMemory,
+        sa: &mut SlotAllocator,
         now: SimTime,
     ) -> Vec<SourceCmd> {
         let mut all = Vec::new();
@@ -753,7 +755,7 @@ mod tests {
                         for (pfn, _) in pages {
                             if matches!(mem.pagemap(*pfn), PagemapEntry::Swapped { .. }) {
                                 mem.begin_swap_in(*pfn);
-                                mem.fault_in(*pfn, false, &mut evs);
+                                mem.fault_in(*pfn, false, sa, &mut evs);
                             }
                         }
                         queue.push(SourceEvent::SwapInDone { batch: *batch });
@@ -801,7 +803,7 @@ mod tests {
 
     #[test]
     fn reset_for_retry_allows_a_clean_second_attempt() {
-        let mut mem = fixture(32);
+        let (mut mem, mut sa) = fixture(32);
         let mut s = SourceSession::new(
             SourceConfig {
                 chunk_pages: 8,
@@ -821,7 +823,7 @@ mod tests {
         // Second attempt runs to completion from scratch: the full
         // populated set ships again (the aborted destination was thrown
         // away), then the handoff commits.
-        let cmds = drive_until_quiet(&mut s, &mut mem, SimTime::ZERO);
+        let cmds = drive_until_quiet(&mut s, &mut mem, &mut sa, SimTime::ZERO);
         assert!(s.is_done());
         assert!(s.handoff_committed());
         assert_eq!(count_full(&cmds), 16, "retry re-covers every page");
@@ -830,7 +832,7 @@ mod tests {
 
     #[test]
     fn precopy_idle_vm_sends_everything_once() {
-        let mut mem = fixture(32); // nothing swapped
+        let (mut mem, mut sa) = fixture(32); // nothing swapped
         let mut s = SourceSession::new(
             SourceConfig {
                 chunk_pages: 8,
@@ -839,7 +841,7 @@ mod tests {
             32,
             SimTime::ZERO,
         );
-        let cmds = drive_until_quiet(&mut s, &mut mem, SimTime::ZERO);
+        let cmds = drive_until_quiet(&mut s, &mut mem, &mut sa, SimTime::ZERO);
         assert!(s.is_done());
         assert_eq!(count_full(&cmds), 16, "populated pages sent full");
         assert_eq!(count_zero(&cmds), 16, "untouched pages sent as zeros");
@@ -850,7 +852,7 @@ mod tests {
 
     #[test]
     fn precopy_swapped_pages_are_swapped_in_and_sent_full() {
-        let mut mem = fixture(8); // 8 of the 16 populated pages swapped out
+        let (mut mem, mut sa) = fixture(8); // 8 of the 16 populated pages swapped out
         assert_eq!(mem.swapped_pages(), 8);
         let mut s = SourceSession::new(
             SourceConfig {
@@ -860,7 +862,7 @@ mod tests {
             32,
             SimTime::ZERO,
         );
-        let cmds = drive_until_quiet(&mut s, &mut mem, SimTime::ZERO);
+        let cmds = drive_until_quiet(&mut s, &mut mem, &mut sa, SimTime::ZERO);
         assert!(s.is_done());
         assert_eq!(count_full(&cmds), 16);
         // Migration-induced thrashing (§V-B): swapping in the 8 cold pages
@@ -877,7 +879,7 @@ mod tests {
 
     #[test]
     fn agile_sends_offsets_for_swapped_pages() {
-        let mut mem = fixture(8);
+        let (mut mem, mut sa) = fixture(8);
         let mut s = SourceSession::new(
             SourceConfig {
                 chunk_pages: 8,
@@ -886,7 +888,7 @@ mod tests {
             32,
             SimTime::ZERO,
         );
-        let cmds = drive_until_quiet(&mut s, &mut mem, SimTime::ZERO);
+        let cmds = drive_until_quiet(&mut s, &mut mem, &mut sa, SimTime::ZERO);
         assert!(s.is_done());
         assert_eq!(count_full(&cmds), 8, "only resident pages travel in full");
         assert_eq!(count_markers(&cmds), 8, "swapped pages travel as offsets");
@@ -900,12 +902,12 @@ mod tests {
 
     #[test]
     fn agile_bytes_much_smaller_than_precopy_under_swap() {
-        let mut mem_a = fixture(8);
-        let mut mem_p = fixture(8);
+        let (mut mem_a, mut sa_a) = fixture(8);
+        let (mut mem_p, mut sa_p) = fixture(8);
         let mut agile = SourceSession::new(SourceConfig::new(Technique::Agile), 32, SimTime::ZERO);
         let mut pre = SourceSession::new(SourceConfig::new(Technique::PreCopy), 32, SimTime::ZERO);
-        drive_until_quiet(&mut agile, &mut mem_a, SimTime::ZERO);
-        drive_until_quiet(&mut pre, &mut mem_p, SimTime::ZERO);
+        drive_until_quiet(&mut agile, &mut mem_a, &mut sa_a, SimTime::ZERO);
+        drive_until_quiet(&mut pre, &mut mem_p, &mut sa_p, SimTime::ZERO);
         assert!(
             agile.metrics().migration_bytes < pre.metrics().migration_bytes,
             "agile {} >= precopy {}",
@@ -916,7 +918,7 @@ mod tests {
 
     #[test]
     fn postcopy_suspends_immediately_then_pushes_all() {
-        let mem = fixture(32);
+        let (mem, _) = fixture(32);
         let mut s = SourceSession::new(SourceConfig::new(Technique::PostCopy), 32, SimTime::ZERO);
         let first = s.on_event(SimTime::ZERO, SourceEvent::Start, &mem);
         assert!(matches!(first[0], SourceCmd::Suspend));
@@ -946,7 +948,7 @@ mod tests {
 
     #[test]
     fn precopy_retransmits_dirtied_pages() {
-        let mut mem = fixture(32);
+        let (mut mem, mut sa) = fixture(32);
         let mut s = SourceSession::new(
             SourceConfig {
                 chunk_pages: 4,
@@ -960,7 +962,7 @@ mod tests {
         // Drive round 1 manually, dirtying page 3 mid-round (after it was
         // sent in the first chunk).
         let mut pending = s.on_event(SimTime::ZERO, SourceEvent::Start, &mem);
-        mem.touch(3, true); // dirty an already-sent page
+        mem.touch(3, true, &mut sa); // dirty an already-sent page
         let mut guard = 0;
         while !s.is_done() {
             guard += 1;
@@ -988,14 +990,15 @@ mod tests {
     #[test]
     fn aborted_stashed_chunk_leaves_no_phantom_retransmits() {
         let mut evs = Vec::new();
+        let mut sa = SlotAllocator::unbounded();
         let mut mem = VmMemory::new(VmMemoryConfig {
             pages: 8,
             page_size: 4096,
             limit_pages: 8,
         });
         for p in 0..8 {
-            mem.touch(p, true);
-            mem.fault_in(p, true, &mut evs);
+            mem.touch(p, true, &mut sa);
+            mem.fault_in(p, true, &mut sa, &mut evs);
         }
         let mut s = SourceSession::new(
             SourceConfig {
@@ -1014,8 +1017,8 @@ mod tests {
         // the two-list second-chance reclaimer picks is an implementation
         // detail; either way round 2's chunk re-adds the present one (a
         // retransmit) and stalls on a swap-in for the swapped one.
-        mem.touch(0, true);
-        mem.touch(1, true);
+        mem.touch(0, true, &mut sa);
+        mem.touch(1, true, &mut sa);
         let mut limit = 8u64;
         loop {
             let sw0 = matches!(mem.pagemap(0), PagemapEntry::Swapped { .. });
@@ -1028,7 +1031,7 @@ mod tests {
                 "could not arrange exactly one of pages 0/1 swapped"
             );
             limit -= 1;
-            mem.set_limit_bytes(limit * 4096, &mut evs);
+            mem.set_limit_bytes(limit * 4096, &mut sa, &mut evs);
         }
         // Drive until a stashed chunk carrying a retransmit forms: round
         // 2's dirty set is {0, 1}, and building its chunk re-adds the
@@ -1047,7 +1050,7 @@ mod tests {
                 for (pfn, _) in &pages {
                     if matches!(mem.pagemap(*pfn), PagemapEntry::Swapped { .. }) {
                         mem.begin_swap_in(*pfn);
-                        mem.fault_in(*pfn, false, &mut evs);
+                        mem.fault_in(*pfn, false, &mut sa, &mut evs);
                     }
                 }
                 s.on_event(SimTime::ZERO, SourceEvent::SwapInDone { batch }, &mem)
@@ -1069,7 +1072,7 @@ mod tests {
         );
         // The retry re-ships everything from scratch; with per-attempt
         // state cleared those sends are all first transmissions.
-        let cmds = drive_until_quiet(&mut s, &mut mem, SimTime::ZERO);
+        let cmds = drive_until_quiet(&mut s, &mut mem, &mut sa, SimTime::ZERO);
         assert!(s.is_done());
         assert!(count_full(&cmds) >= 8, "retry re-covers the populated set");
         assert_eq!(
@@ -1088,7 +1091,7 @@ mod tests {
     #[test]
     fn phase_log_tracks_transitions() {
         use agile_trace::PhaseKind;
-        let mut mem = fixture(32);
+        let (mut mem, mut sa) = fixture(32);
         let mut s = SourceSession::new(
             SourceConfig {
                 chunk_pages: 8,
@@ -1097,7 +1100,7 @@ mod tests {
             32,
             SimTime::ZERO,
         );
-        drive_until_quiet(&mut s, &mut mem, SimTime::ZERO);
+        drive_until_quiet(&mut s, &mut mem, &mut sa, SimTime::ZERO);
         assert!(s.is_done());
         let kinds: Vec<PhaseKind> = s.metrics().phase_log.iter().map(|p| p.phase).collect();
         assert_eq!(
@@ -1119,7 +1122,7 @@ mod tests {
 
     #[test]
     fn demand_request_for_present_page_is_priority() {
-        let mem = fixture(32);
+        let (mem, _) = fixture(32);
         let mut s = SourceSession::new(SourceConfig::new(Technique::PostCopy), 32, SimTime::ZERO);
         s.on_event(SimTime::ZERO, SourceEvent::Start, &mem);
         s.on_event(SimTime::ZERO, SourceEvent::HandoffDelivered, &mem);
@@ -1140,7 +1143,7 @@ mod tests {
 
     #[test]
     fn demand_request_for_swapped_page_swaps_in_first() {
-        let mut mem = fixture(8);
+        let (mut mem, mut sa) = fixture(8);
         let victim = (0..32u32)
             .find(|p| matches!(mem.pagemap(*p), PagemapEntry::Swapped { .. }))
             .unwrap();
@@ -1163,7 +1166,7 @@ mod tests {
         // Complete the swap-in.
         let mut evs = Vec::new();
         mem.begin_swap_in(victim);
-        mem.fault_in(victim, false, &mut evs);
+        mem.fault_in(victim, false, &mut sa, &mut evs);
         let cmds = s.on_event(SimTime::ZERO, SourceEvent::SwapInDone { batch }, &mem);
         match &cmds[0] {
             SourceCmd::SendChunk { chunk, priority } => {
@@ -1176,7 +1179,7 @@ mod tests {
 
     #[test]
     fn agile_push_set_is_only_dirty_pages() {
-        let mem = fixture(32);
+        let (mem, _) = fixture(32);
         let mut s = SourceSession::new(
             SourceConfig {
                 chunk_pages: 64,

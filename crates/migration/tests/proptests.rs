@@ -2,7 +2,7 @@
 //! arbitrary write/migration interleavings, driven by the deterministic
 //! simulation RNG (fixed seeds, so failures reproduce).
 
-use agile_memory::{PagemapEntry, VmMemory, VmMemoryConfig};
+use agile_memory::{PagemapEntry, SlotAllocator, VmMemory, VmMemoryConfig};
 use agile_migration::{
     Bitmap, DestSession, SourceCmd, SourceConfig, SourceEvent, SourceSession, Technique,
 };
@@ -53,6 +53,7 @@ fn agile_protocol_never_loses_writes() {
             .map(|_| (rng.index(64) as u32, rng.index(8) as u8))
             .collect();
         let n_pages = 64u32;
+        let mut src_slots = SlotAllocator::unbounded();
         let mut src_mem = VmMemory::new(VmMemoryConfig {
             pages: n_pages,
             page_size: 4096,
@@ -60,10 +61,11 @@ fn agile_protocol_never_loses_writes() {
         });
         let mut evs = Vec::new();
         for p in 0..n_pages {
-            src_mem.touch(p, true);
-            src_mem.fault_in(p, true, &mut evs);
+            src_mem.touch(p, true, &mut src_slots);
+            src_mem.fault_in(p, true, &mut src_slots, &mut evs);
             evs.clear();
         }
+        let mut dst_slots = SlotAllocator::unbounded();
         let mut dst_mem = VmMemory::new(VmMemoryConfig {
             pages: n_pages,
             page_size: 4096,
@@ -93,7 +95,7 @@ fn agile_protocol_never_loses_writes() {
             for cmd in cmds {
                 match cmd {
                     SourceCmd::SendChunk { chunk, .. } => {
-                        dst.on_chunk(&chunk, &mut dst_mem, &mut evs);
+                        dst.on_chunk(&chunk, &mut dst_mem, &mut dst_slots, &mut evs);
                         evs.clear();
                         queue.push(SourceEvent::ChannelReady);
                     }
@@ -101,7 +103,7 @@ fn agile_protocol_never_loses_writes() {
                         for (pfn, _) in pages {
                             if matches!(src_mem.pagemap(pfn), PagemapEntry::Swapped { .. }) {
                                 src_mem.begin_swap_in(pfn);
-                                src_mem.fault_in(pfn, false, &mut evs);
+                                src_mem.fault_in(pfn, false, &mut src_slots, &mut evs);
                                 evs.clear();
                             }
                         }
@@ -125,15 +127,15 @@ fn agile_protocol_never_loses_writes() {
             if !suspended {
                 if let Some((pfn, reps)) = write_iter.next() {
                     for _ in 0..=reps {
-                        match src_mem.touch(pfn, true) {
+                        match src_mem.touch(pfn, true, &mut src_slots) {
                             agile_memory::Touch::Hit => {}
                             agile_memory::Touch::MajorFault { .. } => {
                                 src_mem.begin_swap_in(pfn);
-                                src_mem.fault_in(pfn, true, &mut evs);
+                                src_mem.fault_in(pfn, true, &mut src_slots, &mut evs);
                                 evs.clear();
                             }
                             agile_memory::Touch::MinorFault => {
-                                src_mem.fault_in(pfn, true, &mut evs);
+                                src_mem.fault_in(pfn, true, &mut src_slots, &mut evs);
                                 evs.clear();
                             }
                             agile_memory::Touch::InFlight => {}
@@ -165,6 +167,7 @@ fn precopy_protocol_never_loses_writes() {
         let n_writes = rng.index(40) as usize;
         let writes: Vec<u32> = (0..n_writes).map(|_| rng.index(32) as u32).collect();
         let n_pages = 32u32;
+        let mut src_slots = SlotAllocator::unbounded();
         let mut src_mem = VmMemory::new(VmMemoryConfig {
             pages: n_pages,
             page_size: 4096,
@@ -172,10 +175,11 @@ fn precopy_protocol_never_loses_writes() {
         });
         let mut evs = Vec::new();
         for p in 0..n_pages {
-            src_mem.touch(p, true);
-            src_mem.fault_in(p, true, &mut evs);
+            src_mem.touch(p, true, &mut src_slots);
+            src_mem.fault_in(p, true, &mut src_slots, &mut evs);
             evs.clear();
         }
+        let mut dst_slots = SlotAllocator::unbounded();
         let mut dst_mem = VmMemory::new(VmMemoryConfig {
             pages: n_pages,
             page_size: 4096,
@@ -203,7 +207,7 @@ fn precopy_protocol_never_loses_writes() {
             for cmd in cmds {
                 match cmd {
                     SourceCmd::SendChunk { chunk, .. } => {
-                        dst.on_chunk(&chunk, &mut dst_mem, &mut evs);
+                        dst.on_chunk(&chunk, &mut dst_mem, &mut dst_slots, &mut evs);
                         evs.clear();
                         queue.push(SourceEvent::ChannelReady);
                     }
@@ -224,7 +228,7 @@ fn precopy_protocol_never_loses_writes() {
             }
             if !suspended {
                 if let Some(pfn) = write_iter.next() {
-                    src_mem.touch(pfn, true);
+                    src_mem.touch(pfn, true, &mut src_slots);
                 }
             }
         }
@@ -248,6 +252,7 @@ fn precopy_protocol_never_loses_writes() {
 fn releasing_page_state_keeps_metrics_and_counters() {
     for technique in [Technique::PreCopy, Technique::PostCopy, Technique::Agile] {
         let n_pages = 4_096u32;
+        let mut src_slots = SlotAllocator::unbounded();
         let mut src_mem = VmMemory::new(VmMemoryConfig {
             pages: n_pages,
             page_size: 4096,
@@ -255,9 +260,10 @@ fn releasing_page_state_keeps_metrics_and_counters() {
         });
         let mut evs = Vec::new();
         for p in 0..300 {
-            src_mem.touch(p, true);
-            src_mem.fault_in(p, true, &mut evs);
+            src_mem.touch(p, true, &mut src_slots);
+            src_mem.fault_in(p, true, &mut src_slots, &mut evs);
         }
+        let mut dst_slots = SlotAllocator::unbounded();
         let mut dst_mem = VmMemory::new(VmMemoryConfig {
             pages: n_pages,
             page_size: 4096,
@@ -270,13 +276,13 @@ fn releasing_page_state_keeps_metrics_and_counters() {
             for cmd in src.on_event(SimTime::ZERO, ev, &src_mem) {
                 match cmd {
                     SourceCmd::SendChunk { chunk, .. } => {
-                        dst.on_chunk(&chunk, &mut dst_mem, &mut evs);
+                        dst.on_chunk(&chunk, &mut dst_mem, &mut dst_slots, &mut evs);
                         queue.push(SourceEvent::ChannelReady);
                     }
                     SourceCmd::SwapIn { batch, pages } => {
                         for (pfn, _) in pages {
                             src_mem.begin_swap_in(pfn);
-                            src_mem.fault_in(pfn, false, &mut evs);
+                            src_mem.fault_in(pfn, false, &mut src_slots, &mut evs);
                         }
                         queue.push(SourceEvent::SwapInDone { batch });
                     }

@@ -81,8 +81,9 @@ pub struct EstimatorTick {
     pub signal: EstimateSignal,
 }
 
-/// A pluggable working-set-size estimator (see module docs).
-pub trait WssEstimator {
+/// A pluggable working-set-size estimator (see module docs). `Send`, so
+/// a world that owns one can move to a worker thread.
+pub trait WssEstimator: Send {
     /// Stable short name, used in traces and reports.
     fn kind(&self) -> &'static str;
 
