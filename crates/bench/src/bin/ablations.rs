@@ -15,12 +15,14 @@
 //! 5. **WSS controller α/β** — convergence time of the Fig. 9 scenario.
 
 use agile_bench::Args;
-use agile_cluster::build::{ClusterBuilder, SwapKind};
+use agile_cluster::build::{start_all_workloads, ClusterBuilder, SwapKind};
+use agile_cluster::scenario::testbed::Testbed;
 use agile_cluster::scenario::wss::{self, WssScenarioConfig};
-use agile_cluster::{migrate, ClusterConfig};
-use agile_migration::{SourceConfig, Technique};
-use agile_sim_core::{SimDuration, SimTime, GIB, MIB};
+use agile_cluster::{migrate, ClusterConfig, WorkloadKind, World};
+use agile_migration::{MigrationMetrics, SourceConfig, Technique};
+use agile_sim_core::{SimDuration, SimTime, Simulation, GIB, MIB};
 use agile_vm::VmConfig;
+use agile_workload::YcsbParams;
 
 /// One pressured Agile migration with explicit knobs; returns
 /// (simulated seconds, bytes).
@@ -52,23 +54,50 @@ fn agile_once(chunk_pages: u32, n_servers: usize, scale: u64) -> (f64, u64) {
     );
     b.preload_pages(vm, 0, ((10 * GIB / scale) / 4096) as u32);
     let mut sim = b.build();
-    let mig = migrate::start_migration(
-        &mut sim,
-        vm,
-        dst,
-        SourceConfig {
-            chunk_pages,
-            ..SourceConfig::new(Technique::Agile)
-        },
-        10 * GIB / scale,
-    );
+    let src_cfg = SourceConfig {
+        chunk_pages,
+        ..SourceConfig::new(Technique::Agile)
+    };
+    let m = migrate_to_completion(&mut sim, vm, dst, src_cfg, 10 * GIB / scale);
+    (m.total_time().unwrap().as_secs_f64(), m.migration_bytes)
+}
+
+/// Migrate `vm` to `dst` and run until the migration finishes; returns
+/// its metrics.
+fn migrate_to_completion(
+    sim: &mut Simulation<World>,
+    vm: usize,
+    dst: usize,
+    src_cfg: SourceConfig,
+    dest_reservation: u64,
+) -> MigrationMetrics {
+    let mig = migrate::start_migration(sim, vm, dst, src_cfg, dest_reservation);
     while !sim.state().migrations[mig].finished {
         let next = sim.now() + SimDuration::from_secs(1);
         sim.run_until(next);
         assert!(sim.now() < SimTime::from_secs(3600), "stuck migration");
     }
-    let m = sim.state().migrations[mig].src.metrics();
-    (m.total_time().unwrap().as_secs_f64(), m.migration_bytes)
+    sim.state().migrations[mig].src.metrics().clone()
+}
+
+/// The §V-B testbed without a VMD, with a busy Redis VM of `vm_mem`
+/// bytes (already scaled) whose dataset is `dataset_bytes`, loaded and
+/// running from t = 1 s. Returns the simulation, the VM and the
+/// destination host.
+fn busy_vm(
+    cfg: ClusterConfig,
+    scale: u64,
+    vm_mem: u64,
+    dataset_bytes: u64,
+) -> (Simulation<World>, usize, usize) {
+    let mut b = ClusterBuilder::new(cfg);
+    let (bed, vm) = Testbed::single_vm(&mut b, 6 * GIB / scale, vm_mem, scale, 0);
+    let model = b.alloc_redis(vm, dataset_bytes, YcsbParams::update_heavy());
+    b.attach_workload(vm, bed.client, WorkloadKind::Ycsb(model));
+    b.preload_layout(vm);
+    let mut sim = b.build();
+    start_all_workloads(&mut sim, SimTime::from_secs(1));
+    (sim, vm, bed.dst)
 }
 
 fn main() {
@@ -150,137 +179,31 @@ fn main() {
 /// Busy post-copy sweep point with an explicit readahead setting; returns
 /// (guest ops completed during the 10 s pressure warm-up, migration secs).
 fn busy_postcopy_with_readahead(readahead: u32, scale: u64) -> (u64, f64) {
-    use agile_cluster::world::WorkloadKind;
-    use agile_workload::{Dataset, KeyDist, YcsbParams, YcsbRedis};
     let cfg = ClusterConfig {
         guest_readahead_pages: readahead,
         ..ClusterConfig::default()
     };
-    let page = cfg.page_size;
-    let mut b = ClusterBuilder::new(cfg);
-    let src = b.add_host("source", 6 * GIB / scale, 300 * MIB / scale, true);
-    let dst = b.add_host("dest", 6 * GIB / scale, 300 * MIB / scale, true);
-    let cli = b.add_host("client", 8 * GIB / scale, 300 * MIB / scale, false);
     let vm_mem = 10 * GIB / scale;
-    let vm = b.add_vm(
-        src,
-        VmConfig {
-            mem_bytes: vm_mem,
-            page_size: page,
-            vcpus: 2,
-            reservation_bytes: (6 * GIB / scale - 300 * MIB / scale).min(vm_mem),
-            guest_os_bytes: 300 * MIB / scale,
-        },
-        SwapKind::HostSsd,
-    );
     let dataset_bytes = vm_mem - 500 * MIB / scale - 300 * MIB / scale;
-    let (ir, dr) = {
-        let world = b.world_mut();
-        let layout = world.vms[vm].vm.layout_mut();
-        (
-            layout.alloc_region("redis-index", ((dataset_bytes / 50) / page).max(4) as u32),
-            layout.alloc_region("redis-data", (dataset_bytes / page) as u32),
-        )
-    };
-    let dataset = Dataset::new(dr, dataset_bytes / 1024, 1024, page);
-    let model = YcsbRedis::new(
-        dataset,
-        ir,
-        KeyDist::UniformPrefix,
-        YcsbParams::update_heavy(),
-    );
-    b.attach_workload(vm, cli, WorkloadKind::Ycsb(model));
-    b.preload_layout(vm);
-    let mut sim = b.build();
-    agile_cluster::build::start_all_workloads(&mut sim, SimTime::from_secs(1));
+    let (mut sim, vm, dst) = busy_vm(cfg, scale, vm_mem, dataset_bytes);
     sim.run_until(SimTime::from_secs(10));
     let warmup_ops = sim.state().vms[vm].meter.total();
-    let mig = migrate::start_migration(
-        &mut sim,
-        vm,
-        dst,
-        SourceConfig::new(Technique::PostCopy),
-        vm_mem,
-    );
-    while !sim.state().migrations[mig].finished {
-        let next = sim.now() + SimDuration::from_secs(1);
-        sim.run_until(next);
-        assert!(sim.now() < SimTime::from_secs(3600), "stuck migration");
-    }
-    let t = sim.state().migrations[mig]
-        .src
-        .metrics()
-        .total_time()
-        .unwrap()
-        .as_secs_f64();
-    (warmup_ops, t)
+    let src_cfg = SourceConfig::new(Technique::PostCopy);
+    let m = migrate_to_completion(&mut sim, vm, dst, src_cfg, vm_mem);
+    (warmup_ops, m.total_time().unwrap().as_secs_f64())
 }
 
 /// Busy pre-copy with an explicit convergence threshold; returns
 /// (rounds, seconds, bytes).
 fn precopy_with_threshold(threshold: u32, scale: u64) -> (u32, f64, u64) {
-    let r = single_vm_precopy(threshold, scale);
-    (r.0, r.1, r.2)
-}
-
-fn single_vm_precopy(threshold: u32, scale: u64) -> (u32, f64, u64) {
-    use agile_cluster::world::WorkloadKind;
-    use agile_workload::{Dataset, KeyDist, YcsbParams, YcsbRedis};
-    let cfg = ClusterConfig::default();
-    let page = cfg.page_size;
-    let mut b = ClusterBuilder::new(cfg);
-    let src = b.add_host("source", 6 * GIB / scale, 300 * MIB / scale, true);
-    let dst = b.add_host("dest", 6 * GIB / scale, 300 * MIB / scale, true);
-    let cli = b.add_host("client", 8 * GIB / scale, 300 * MIB / scale, false);
     let vm_mem = 4 * GIB / scale; // fits: write-heavy dirtying is the knob
-    let vm = b.add_vm(
-        src,
-        VmConfig {
-            mem_bytes: vm_mem,
-            page_size: page,
-            vcpus: 2,
-            reservation_bytes: vm_mem,
-            guest_os_bytes: 300 * MIB / scale,
-        },
-        SwapKind::HostSsd,
-    );
-    let dataset_bytes = vm_mem / 2;
-    let (ir, dr) = {
-        let world = b.world_mut();
-        let layout = world.vms[vm].vm.layout_mut();
-        (
-            layout.alloc_region("redis-index", ((dataset_bytes / 50) / page).max(4) as u32),
-            layout.alloc_region("redis-data", (dataset_bytes / page) as u32),
-        )
-    };
-    let dataset = Dataset::new(dr, dataset_bytes / 1024, 1024, page);
-    let model = YcsbRedis::new(
-        dataset,
-        ir,
-        KeyDist::UniformPrefix,
-        YcsbParams::update_heavy(),
-    );
-    b.attach_workload(vm, cli, WorkloadKind::Ycsb(model));
-    b.preload_layout(vm);
-    let mut sim = b.build();
-    agile_cluster::build::start_all_workloads(&mut sim, SimTime::from_secs(1));
+    let (mut sim, vm, dst) = busy_vm(ClusterConfig::default(), scale, vm_mem, vm_mem / 2);
     sim.run_until(SimTime::from_secs(5));
-    let mig = migrate::start_migration(
-        &mut sim,
-        vm,
-        dst,
-        SourceConfig {
-            precopy_threshold_pages: threshold,
-            ..SourceConfig::new(Technique::PreCopy)
-        },
-        vm_mem,
-    );
-    while !sim.state().migrations[mig].finished {
-        let next = sim.now() + SimDuration::from_secs(1);
-        sim.run_until(next);
-        assert!(sim.now() < SimTime::from_secs(3600), "stuck migration");
-    }
-    let m = sim.state().migrations[mig].src.metrics();
+    let src_cfg = SourceConfig {
+        precopy_threshold_pages: threshold,
+        ..SourceConfig::new(Technique::PreCopy)
+    };
+    let m = migrate_to_completion(&mut sim, vm, dst, src_cfg, vm_mem);
     (
         m.rounds,
         m.total_time().unwrap().as_secs_f64(),

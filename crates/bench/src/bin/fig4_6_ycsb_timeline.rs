@@ -47,10 +47,7 @@ fn main() {
         println!(
             "{:<10} {:>8.1} s {:>10} MB {:>14.0} {:>12.0} {:>12}",
             name,
-            r.metrics
-                .total_time()
-                .map(|d| d.as_secs_f64())
-                .unwrap_or(f64::NAN),
+            r.metrics.total_secs(),
             r.metrics.migration_bytes / 1_000_000,
             r.avg_during_migration,
             r.peak_reference,

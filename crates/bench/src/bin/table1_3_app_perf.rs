@@ -39,7 +39,7 @@ fn run_cell(technique: Technique, sysbench_wl: bool, scale: u64) -> Row {
 fn row_from(m: &MigrationMetrics, perf: f64) -> Row {
     Row {
         perf,
-        time_s: m.total_time().map(|d| d.as_secs_f64()).unwrap_or(f64::NAN),
+        time_s: m.total_secs(),
         mb: m.migration_bytes / 1_000_000,
     }
 }

@@ -214,24 +214,6 @@ impl ChaosScheduleBuilder {
             .fault(at + downtime, FaultKind::ServerRejoin { server })
     }
 
-    /// Convenience: degrade `host`'s NIC for `duration`.
-    pub fn nic_outage(
-        self,
-        host: u32,
-        at: SimTime,
-        duration: SimDuration,
-        bw_permille: u32,
-    ) -> Self {
-        self.fault(at, FaultKind::NicDegrade { host, bw_permille })
-            .fault(at + duration, FaultKind::NicRestore { host })
-    }
-
-    /// Convenience: slow `host`'s swap device for `duration`.
-    pub fn swap_spike(self, host: u32, at: SimTime, duration: SimDuration, extra_us: u64) -> Self {
-        self.fault(at, FaultKind::SwapSlow { host, extra_us })
-            .fault(at + duration, FaultKind::SwapRestore { host })
-    }
-
     /// Finish: sort by time, keeping insertion order among ties.
     pub fn build(self) -> ChaosSchedule {
         let mut indexed: Vec<(usize, FaultEvent)> = self.events.into_iter().enumerate().collect();

@@ -6,11 +6,11 @@
 
 use agile_memory::{HostMemory, SlotAllocator, SsdSwap};
 use agile_sim_core::{
-    Bandwidth, BlockDevice, DetRng, RackId, SimTime, Simulation, ThroughputMeter, TimeSeries,
+    Bandwidth, BlockDevice, RackId, SimTime, Simulation, ThroughputMeter, TimeSeries,
 };
 use agile_vm::{HostId, Vm, VmConfig, VmId};
 use agile_vmd::{ClientId, ServerId, VmdClient, VmdServer, VmdSwapDevice};
-use agile_workload::OsBackground;
+use agile_workload::{Dataset, KeyDist, OsBackground, YcsbParams, YcsbRedis};
 
 use crate::config::ClusterConfig;
 use crate::world::{
@@ -211,6 +211,24 @@ impl ClusterBuilder {
         self.world.vms[vm_idx].os_bg = Some(OsBackground::new(region));
     }
 
+    /// Carve the paper's Redis layout into `vm_idx`'s guest memory and
+    /// return a YCSB model over it: a hash-table index of ~2 % of the
+    /// dataset (at least 4 pages), then the values as 1 KiB records, read
+    /// with uniform-prefix keys. The caller attaches the model.
+    pub fn alloc_redis(
+        &mut self,
+        vm_idx: usize,
+        dataset_bytes: u64,
+        params: YcsbParams,
+    ) -> YcsbRedis {
+        let page = self.world.cfg.page_size;
+        let layout = self.world.vms[vm_idx].vm.layout_mut();
+        let index = layout.alloc_region("redis-index", ((dataset_bytes / 50) / page).max(4) as u32);
+        let data = layout.alloc_region("redis-data", (dataset_bytes / page) as u32);
+        let dataset = Dataset::new(data, dataset_bytes / 1024, 1024, page);
+        YcsbRedis::new(dataset, index, KeyDist::UniformPrefix, params)
+    }
+
     /// Populate a range of guest pages (writes, version 1) without charging
     /// device time — the paper's experiments start *after* datasets are
     /// loaded, with cold pages already swapped out. Evicted pages are
@@ -361,11 +379,6 @@ pub fn start_all_workloads(sim: &mut Simulation<World>, at: SimTime) {
             guest::start_os_bg(sim, vm_idx, at);
         }
     }
-}
-
-/// Helper: a deterministic RNG stream for ad-hoc scenario decisions.
-pub fn scenario_rng(sim: &Simulation<World>, label: &str) -> DetRng {
-    sim.state().seeds.stream(label)
 }
 
 /// Pump VMD client↔server messages synchronously (zero simulated time);

@@ -62,11 +62,6 @@ pub fn recovery_time(
     None
 }
 
-/// The completed migration metrics of migration `mig`.
-pub fn migration_metrics(world: &World, mig: usize) -> &agile_migration::MigrationMetrics {
-    world.migrations[mig].src.metrics()
-}
-
 /// Fold migration `mig`'s phase log, source totals, and destination
 /// counters into the exportable [`PhaseTimeline`].
 pub fn phase_timeline(

@@ -11,14 +11,15 @@
 //! losses are *reported*, never panicked on.
 
 use agile_chaos::ChaosSchedule;
-use agile_migration::{SourceConfig, Technique};
-use agile_sim_core::{SimTime, GIB, MIB};
-use agile_vm::VmConfig;
+use agile_migration::Technique;
+use agile_sim_core::{SimTime, Simulation, GIB};
 
-use crate::build::{start_all_workloads, ClusterBuilder, SwapKind};
+use super::testbed::{migrate_to_fit, paper_source, Testbed};
+use super::Scenario;
+use crate::build::{start_all_workloads, ClusterBuilder};
 use crate::chaosctl::{self, CrashRecord};
 use crate::config::ClusterConfig;
-use crate::migrate;
+use crate::world::World;
 
 /// One chaos run.
 #[derive(Clone, Debug)]
@@ -32,7 +33,7 @@ pub struct ChaosScenarioConfig {
     pub host_mem: u64,
     /// Divide every byte quantity by this (1 = paper scale).
     pub scale: u64,
-    /// VMD replication factor `k` (1 = no redundancy, legacy behavior).
+    /// VMD replication factor `k` (1 = no redundancy).
     pub replication: usize,
     /// Number of intermediate hosts contributing VMD servers.
     pub vmd_servers: usize,
@@ -50,9 +51,9 @@ pub struct ChaosScenarioConfig {
     /// Enable the event tracer (off by default; chaos fault windows then
     /// appear as `chaos_fault` spans in the JSONL export).
     pub trace: bool,
-    /// Swap tier stack on every VMD server (legacy Memory+Disk pair by
-    /// default). Multi-tier stacks put demotions in flight across tier
-    /// boundaries for the crash schedule to interrupt.
+    /// Swap tier stack on every VMD server (by default DRAM over host
+    /// SSD, heat off). Multi-tier stacks put demotions in flight across
+    /// tier boundaries for the crash schedule to interrupt.
     pub tiers: agile_vmd::TierStackConfig,
 }
 
@@ -115,121 +116,95 @@ pub struct ChaosScenarioResult {
 
 /// Run one chaos scenario.
 pub fn run(cfg: &ChaosScenarioConfig) -> ChaosScenarioResult {
-    let sc = cfg.scale.max(1);
-    let host_mem = cfg.host_mem / sc;
-    let vm_mem = cfg.vm_mem / sc;
-    let host_os = 300 * MIB / sc;
-    let guest_os = 300 * MIB / sc;
-    let reservation = (host_mem - host_os).min(vm_mem);
+    super::run::<Chaos>(cfg)
+}
 
-    let cluster_cfg = ClusterConfig {
-        seed: cfg.seed,
-        vmd_replication: cfg.replication,
-        vmd_tiers: cfg.tiers,
-        ..ClusterConfig::default()
-    };
-    let page = cluster_cfg.page_size;
-    let mut b = ClusterBuilder::new(cluster_cfg);
-    let src_host = b.add_host("source", host_mem, host_os, true);
-    let dst_host = b.add_host("dest", host_mem, host_os, true);
-    let _client_host = b.add_host("client", 8 * GIB / sc, host_os, false);
-    for i in 0..cfg.vmd_servers.max(1) {
-        let im = b.add_host(&format!("intermediate{i}"), 64 * GIB / sc, host_os, true);
-        b.add_vmd_server(im, 48 * GIB / sc, 0);
+/// One chaos run as a [`Scenario`]. It settles once the migration has
+/// finished, every scheduled fault has fired, and the background
+/// re-replication pump has drained, so rejoin times and unavailability
+/// windows are fully stamped in the report.
+pub struct Chaos {
+    deadline: SimTime,
+    /// The last scheduled fault.
+    horizon: SimTime,
+}
+
+impl Scenario for Chaos {
+    type Config = ChaosScenarioConfig;
+    type Output = ChaosScenarioResult;
+
+    /// The §V-B testbed with `vmd_servers` intermediates, the fault
+    /// schedule, and the migration.
+    fn setup(cfg: &ChaosScenarioConfig) -> (Simulation<World>, Self) {
+        let sc = cfg.scale.max(1);
+        let vm_mem = cfg.vm_mem / sc;
+        let mut b = ClusterBuilder::new(ClusterConfig {
+            seed: cfg.seed,
+            vmd_replication: cfg.replication,
+            vmd_tiers: cfg.tiers,
+            ..ClusterConfig::default()
+        });
+        let page = b.world().cfg.page_size;
+        let servers = cfg.vmd_servers.max(1);
+        let (bed, vm) = Testbed::single_vm(&mut b, cfg.host_mem / sc, vm_mem, sc, servers);
+        // Idle-style guest: memory fully populated (the over-commit spills
+        // to the VMD namespace) with OS background touching pages.
+        b.enable_os_background(vm);
+        b.preload_pages(vm, 0, (vm_mem / page) as u32);
+
+        let mut sim = b.build();
+        if cfg.trace {
+            sim.state_mut().trace = agile_trace::Tracer::with_capacity(1 << 16);
+        }
+        start_all_workloads(&mut sim, SimTime::from_secs(1));
+        chaosctl::install(&mut sim, cfg.schedule.clone());
+
+        let (technique, verify, dst) = (cfg.technique, cfg.verify_content, bed.dst);
+        sim.schedule_at(SimTime::from_secs(cfg.warmup_secs), move |sim| {
+            let mig = migrate_to_fit(sim, vm, dst, paper_source(technique, sc));
+            sim.state_mut().migrations[mig].verify_content = verify;
+        });
+
+        let horizon = cfg
+            .schedule
+            .events()
+            .iter()
+            .map(|e| e.at)
+            .max()
+            .unwrap_or(SimTime::ZERO);
+        let deadline = SimTime::from_secs(cfg.deadline_secs);
+        (sim, Chaos { deadline, horizon })
     }
-    b.ensure_vmd_client(dst_host);
 
-    let vm = b.add_vm(
-        src_host,
-        VmConfig {
-            mem_bytes: vm_mem,
-            page_size: page,
-            vcpus: 2,
-            reservation_bytes: reservation,
-            guest_os_bytes: guest_os,
-        },
-        SwapKind::PerVmVmd,
-    );
-    // Idle-style guest: memory fully populated (the over-commit spills to
-    // the VMD namespace) with OS background touching pages.
-    b.enable_os_background(vm);
-    b.preload_pages(vm, 0, (vm_mem / page) as u32);
-
-    let mut sim = b.build();
-    if cfg.trace {
-        sim.state_mut().trace = agile_trace::Tracer::with_capacity(1 << 16);
+    fn deadline(&self) -> SimTime {
+        self.deadline
     }
-    start_all_workloads(&mut sim, SimTime::from_secs(1));
-    chaosctl::install(&mut sim, cfg.schedule.clone());
 
-    let technique = cfg.technique;
-    let verify = cfg.verify_content;
-    sim.schedule_at(SimTime::from_secs(cfg.warmup_secs), move |sim| {
-        let dest_resv = {
-            let w = sim.state();
-            w.hosts[dst_host]
-                .mem
-                .available_for_vms()
-                .min(w.vms[vm].vm.config().mem_bytes)
-        };
-        let src_cfg = SourceConfig {
-            precopy_threshold_pages: (9_000 / sc as u32).max(64),
-            ..SourceConfig::new(technique)
-        };
-        let mig = migrate::start_migration(sim, vm, dst_host, src_cfg, dest_resv);
-        sim.state_mut().migrations[mig].verify_content = verify;
-    });
-
-    // Run until the migration completes (or the deadline), every
-    // scheduled fault has fired, and the background re-replication pump
-    // has drained — so rejoin times and unavailability windows are fully
-    // stamped in the report.
-    let deadline = SimTime::from_secs(cfg.deadline_secs);
-    let horizon = cfg
-        .schedule
-        .events()
-        .iter()
-        .map(|e| e.at)
-        .max()
-        .unwrap_or(SimTime::ZERO);
-    super::run_sliced(&mut sim, deadline, |sim| {
+    fn settled(&self, sim: &Simulation<World>) -> bool {
         let w = sim.state();
-        let mig_done = w.migrations.first().map(|m| m.finished).unwrap_or(false);
-        mig_done && w.chaos.repair_queue.is_empty() && sim.now() >= horizon
-    });
-
-    let events_executed = sim.events_executed();
-    let w = sim.state();
-    // Tier-ledger invariant: whatever the crash interrupted (demotions,
-    // relocations, purges), every surviving server's per-tier accounting
-    // must still reconcile with its actual placements.
-    for (i, s) in w.vmd.servers.iter().enumerate() {
-        assert!(
-            s.server.ledger_consistent(),
-            "server {i} tier ledger inconsistent after chaos run"
-        );
+        let mig_done = w.migrations.first().is_some_and(|m| m.finished);
+        mig_done && w.chaos.repair_queue.is_empty() && sim.now() >= self.horizon
     }
-    let metrics = w.migrations[0].src.metrics();
-    ChaosScenarioResult {
-        finished: w.migrations[0].finished,
-        migration_secs: metrics
-            .total_time()
-            .map(|d| d.as_secs_f64())
-            .unwrap_or(f64::NAN),
-        downtime_secs: metrics
-            .downtime()
-            .map(|d| d.as_secs_f64())
-            .unwrap_or(f64::NAN),
-        migration_bytes: metrics.migration_bytes,
-        retries: w.migrations[0].retries,
-        pages_lost_on_conn_drop: w.migrations[0].pages_lost_on_conn_drop,
-        slots_lost: w.chaos.total_slots_lost(),
-        slots_repaired: w.chaos.slots_repaired,
-        lost_reads: w.chaos.lost_reads,
-        conn_drops: w.chaos.conn_drops,
-        worst_unavailability_secs: w.chaos.worst_unavailability_secs(),
-        crashes: w.chaos.crashes.clone(),
-        events_executed,
-        trace_jsonl: cfg.trace.then(|| w.trace.to_jsonl()),
+
+    fn finish(&self, sim: Simulation<World>, cfg: &ChaosScenarioConfig) -> ChaosScenarioResult {
+        let w = sim.state();
+        let mig = &w.migrations[0];
+        let metrics = mig.src.metrics();
+        ChaosScenarioResult {
+            finished: mig.finished,
+            migration_secs: metrics.total_secs(),
+            downtime_secs: metrics.downtime_secs(),
+            migration_bytes: metrics.migration_bytes,
+            retries: mig.retries,
+            pages_lost_on_conn_drop: mig.pages_lost_on_conn_drop,
+            slots_lost: w.chaos.total_slots_lost(),
+            slots_repaired: w.chaos.slots_repaired,
+            lost_reads: w.chaos.lost_reads,
+            conn_drops: w.chaos.conn_drops,
+            worst_unavailability_secs: w.chaos.worst_unavailability_secs(),
+            crashes: w.chaos.crashes.clone(),
+            events_executed: sim.events_executed(),
+            trace_jsonl: cfg.trace.then(|| w.trace.to_jsonl()),
+        }
     }
 }

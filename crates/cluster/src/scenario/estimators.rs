@@ -31,15 +31,16 @@
 //! pins the headline (PML detects the ramp at least one epoch before
 //! swap-I/O, with strictly lower error on the no-swap phase).
 
-use agile_migration::{SourceConfig, Technique};
+use agile_migration::Technique;
 use agile_sim_core::{FixedHistogram, SimDuration, SimTime, Simulation, GIB, MIB};
 use agile_vm::VmConfig;
 use agile_workload::driver::{Binding, Knob};
-use agile_workload::{Dataset, KeyDist, Signal, WorkloadDriver, YcsbParams, YcsbRedis};
+use agile_workload::{Signal, WorkloadDriver, YcsbParams};
 use agile_wss::{ControllerParams, WatermarkTrigger};
 
 use crate::build::{start_all_workloads, ClusterBuilder, SwapKind};
 use crate::config::{ClusterConfig, WssEstimatorKind};
+use crate::scenario::testbed::paper_source;
 use crate::scenario::Scenario;
 use crate::sched::{self, ManagedHost, PlacementPolicy, SchedConfig, SchedCounters};
 use crate::wlctl;
@@ -131,7 +132,7 @@ pub struct EstimatorsResult {
 }
 
 /// What an estimator run keeps from set-up for its report.
-struct Estimators {
+pub struct Estimators {
     vms: Vec<usize>,
     managed: Vec<ManagedHost>,
     deadline: SimTime,
@@ -266,25 +267,11 @@ impl Scenario for Estimators {
                 },
                 SwapKind::PerVmVmd,
             );
-            let index_pages = ((dataset_bytes / 50) / page).max(4) as u32;
-            let data_pages = (dataset_bytes / page) as u32;
-            let (index_region, data_region) = {
-                let world = b.world_mut();
-                let layout = world.vms[vm].vm.layout_mut();
-                let idx = layout.alloc_region("redis-index", index_pages);
-                let dat = layout.alloc_region("redis-data", data_pages);
-                (idx, dat)
+            let params = YcsbParams {
+                client_threads: 4,
+                ..YcsbParams::default()
             };
-            let dataset = Dataset::new(data_region, dataset_bytes / 1024, 1024, page);
-            let model = YcsbRedis::new(
-                dataset,
-                index_region,
-                KeyDist::UniformPrefix,
-                YcsbParams {
-                    client_threads: 4,
-                    ..YcsbParams::default()
-                },
-            );
+            let model = b.alloc_redis(vm, dataset_bytes, params);
             b.attach_workload(vm, client_host, WorkloadKind::Ycsb(model));
             b.enable_os_background(vm);
             vms.push(vm);
@@ -358,12 +345,8 @@ impl Scenario for Estimators {
             max_in_flight: 1,
             hysteresis: 0.25,
             cooldown: SimDuration::from_secs(600),
-            src_cfg: SourceConfig {
-                precopy_threshold_pages: (9_000 / sc as u32).max(64),
-                ..SourceConfig::new(Technique::Agile)
-            },
             verify_content: true,
-            ..SchedConfig::new(SourceConfig::new(Technique::Agile))
+            ..SchedConfig::new(paper_source(Technique::Agile, sc))
         };
         sched::arm_scheduler(&mut sim, managed.clone(), sched_cfg);
 

@@ -7,6 +7,11 @@
 //! | [`single_vm`] | §V-B Figures 7–8 (single-VM sweep: migration time & data vs VM size, idle & busy) |
 //! | [`wss`] | §V-D Figures 9–10 (transparent WSS tracking) |
 //!
+//! [`ycsb`], [`sysbench`], [`single_vm`] and [`chaos`] run on the paper's
+//! 3-host testbed, built by [`testbed::Testbed`], and start their
+//! migrations through one helper with the paper's source configuration.
+//! [`wss`] migrates nothing: one host, its client, and the VMD.
+//!
 //! Every scenario takes a config with the paper's numbers as defaults plus
 //! a `scale` divisor: `scale = 1` is paper scale (10 GB VMs); integration
 //! tests use `scale = 32`+ so they run in milliseconds. Scaling divides
@@ -15,20 +20,21 @@
 //!
 //! # Driving a scenario
 //!
-//! The cluster-scale scenarios ([`multihost`], [`pressure`], [`diurnal`],
-//! [`estimators`], [`tiers`], [`scaleout`]) plug in by implementing the
-//! crate-private `Scenario` trait: `setup` builds and arms the world
-//! and returns what the scenario keeps from set-up, `settled` says when a
-//! run may stop early, and `finish` turns the final world into the
-//! result. Their `pub fn run` and `pub fn run_replicated` are one-line
-//! calls into the two generic drivers here: the sequential reference
-//! `run` and the sharded `run_replicated`, which runs many configs
-//! as shards of one epoch harness. Both advance every world through the
-//! same `SLICE`-spaced `run_until` targets, so a replica's result is
-//! byte-identical to the sequential run of its config at any worker
-//! count. [`datacenter`] keeps its own coordinated driver (one config,
-//! many rack worlds, a real coordinator); [`chaos`] and [`single_vm`]
-//! call `run_sliced` with their own predicate.
+//! Every scenario but one implements the [`Scenario`] trait: `setup`
+//! builds and arms the world and returns what the scenario keeps from
+//! set-up, `settled` says when a run may stop early, and `finish` turns
+//! the final world into the result. Each module's `pub fn run` is a
+//! one-line call into the sequential driver here, which advances the
+//! world in `SLICE` steps, audits it, and finishes it. The cluster-scale
+//! scenarios also offer `run_replicated`, which runs many configs as
+//! shards of one epoch harness; it stops at the same `SLICE`-spaced
+//! targets, so a replica's result is byte-identical to the sequential
+//! run of its config at any worker count.
+//!
+//! [`datacenter`] is the one exception. Its single config builds many
+//! rack worlds that a real coordinator links, so it cannot be one
+//! `Simulation<World>`; it keeps its own coordinated driver and calls
+//! the same audit.
 
 pub mod chaos;
 pub mod datacenter;
@@ -39,6 +45,7 @@ pub mod pressure;
 pub mod scaleout;
 pub mod single_vm;
 pub mod sysbench;
+pub mod testbed;
 pub mod tiers;
 pub mod wss;
 pub mod ycsb;
@@ -56,9 +63,11 @@ use crate::world::{SwapDev, WorkloadKind, World};
 /// so both drivers stop at the same `run_until` targets.
 pub(crate) const SLICE: SimDuration = SimDuration::from_secs(5);
 
-/// A scripted cluster scenario the generic drivers can run. `Self` is
-/// what the scenario keeps from set-up for its predicate and report.
-pub(crate) trait Scenario: Sized {
+/// A scripted scenario the generic drivers can run. `Self` is what the
+/// scenario keeps from set-up for its predicate and report. A caller
+/// outside this crate can drive the simulation `setup` returns itself
+/// and hand the final world to `finish`.
+pub trait Scenario: Sized {
     /// The run's parameters.
     type Config;
     /// The run's deterministic result.
@@ -77,28 +86,21 @@ pub(crate) trait Scenario: Sized {
     fn finish(&self, sim: Simulation<World>, cfg: &Self::Config) -> Self::Output;
 }
 
-/// Advance `sim` in [`SLICE`] steps until `settled` holds at a slice
-/// boundary or the deadline is reached, then audit its memory images.
-pub(crate) fn run_sliced(
-    sim: &mut Simulation<World>,
-    deadline: SimTime,
-    settled: impl Fn(&Simulation<World>) -> bool,
-) {
+/// Run one scenario sequentially, the reference the sharded driver must
+/// reproduce: advance in [`SLICE`] steps until `settled` holds at a
+/// slice boundary or the deadline is reached, audit the world, and
+/// finish it.
+pub(crate) fn run<S: Scenario>(cfg: &S::Config) -> S::Output {
+    let (mut sim, s) = S::setup(cfg);
+    let deadline = s.deadline();
     loop {
         let next = sim.now() + SLICE;
         sim.run_until(next.min(deadline));
-        if sim.now() >= deadline || settled(sim) {
+        if sim.now() >= deadline || s.settled(&sim) {
             break;
         }
     }
     audit_memory(sim.state());
-}
-
-/// Run one scenario sequentially: the reference the sharded driver must
-/// reproduce.
-pub(crate) fn run<S: Scenario>(cfg: &S::Config) -> S::Output {
-    let (mut sim, s) = S::setup(cfg);
-    run_sliced(&mut sim, s.deadline(), |sim| s.settled(sim));
     s.finish(sim, cfg)
 }
 
@@ -131,7 +133,7 @@ pub(crate) fn run_replicated<S: Scenario>(cfgs: &[S::Config], workers: usize) ->
 }
 
 /// Release-build conservation audit at the end of every run
-/// ([`run_sliced`], [`run_replicated`], `datacenter::run`):
+/// ([`run`], [`run_replicated`], `datacenter::run`):
 ///
 /// - every memory image in the world (each VM's, and any a migration
 ///   still holds) passes [`agile_memory::VmMemory::check_invariants`],
@@ -338,24 +340,6 @@ pub fn rebalance_host(sim: &mut Simulation<World>, host: usize, slack: u64) {
     for (vm, grant) in grants {
         set_reservation(sim, vm, grant);
     }
-}
-
-/// Poll every second until migration `mig` finishes, then re-balance
-/// the source host. Each poll that finds the migration still running
-/// re-arms the next as its last action.
-pub(crate) fn watch_completion(
-    sim: &mut Simulation<World>,
-    mig: usize,
-    src_host: usize,
-    slack: u64,
-) {
-    sim.schedule_in(SimDuration::from_secs(1), move |sim| {
-        if sim.state().migrations[mig].finished {
-            rebalance_host(sim, src_host, slack);
-        } else {
-            watch_completion(sim, mig, src_host, slack);
-        }
-    });
 }
 
 /// Set a YCSB workload's active query window at runtime (the ramp knob of

@@ -16,7 +16,7 @@
 //! slots free, and least-loaded placement spreads the four VMs across
 //! both empty hosts — with zero ping-pong (no VM migrates twice).
 
-use agile_migration::{SourceConfig, Technique};
+use agile_migration::Technique;
 use agile_sim_core::{SimDuration, SimTime, Simulation, GIB, MIB};
 use agile_vm::VmConfig;
 use agile_workload::Signal;
@@ -24,6 +24,7 @@ use agile_wss::WatermarkTrigger;
 
 use crate::build::{ClusterBuilder, SwapKind};
 use crate::config::ClusterConfig;
+use crate::scenario::testbed::paper_source;
 use crate::scenario::{set_reservation, Scenario};
 use crate::sched::{self, ManagedHost, PlacementPolicy, SchedConfig, SchedCounters};
 use crate::world::World;
@@ -132,7 +133,7 @@ pub struct MultihostResult {
 }
 
 /// What a multihost run keeps from set-up for its predicate and report.
-struct Multihost {
+pub struct Multihost {
     managed: Vec<ManagedHost>,
     ramp_end: SimTime,
     deadline: SimTime,
@@ -232,12 +233,8 @@ impl Scenario for Multihost {
             max_in_flight: cfg.max_in_flight,
             hysteresis: cfg.hysteresis,
             cooldown: SimDuration::from_secs(600),
-            src_cfg: SourceConfig {
-                precopy_threshold_pages: (9_000 / sc as u32).max(64),
-                ..SourceConfig::new(Technique::Agile)
-            },
             verify_content: true,
-            ..SchedConfig::new(SourceConfig::new(Technique::Agile))
+            ..SchedConfig::new(paper_source(Technique::Agile, sc))
         };
         sched::arm_scheduler(&mut sim, managed.clone(), sched_cfg);
 

@@ -147,7 +147,7 @@ fn audit(w: &World, namespaces: &[NamespaceId]) -> (u64, u64, Vec<(u32, u64)>, u
 }
 
 /// What a pressure run keeps from set-up for its predicate and report.
-struct Pressure {
+pub struct Pressure {
     namespaces: Vec<NamespaceId>,
     initial_leases: Vec<u64>,
     ramp_at: SimTime,

@@ -31,7 +31,7 @@
 use agile_chaos::ChaosSchedule;
 use agile_sim_core::{SimDuration, SimTime, Simulation, GIB, MIB};
 use agile_vm::VmConfig;
-use agile_workload::{Dataset, KeyDist, Signal, YcsbParams, YcsbRedis};
+use agile_workload::{Signal, YcsbParams};
 
 use crate::build::{start_all_workloads, ClusterBuilder, SwapKind};
 use crate::clonectl::{self, CloneCtlConfig, HydrationMode};
@@ -135,7 +135,7 @@ pub struct ScaleoutResult {
 }
 
 /// What a scale-out run keeps from set-up for its predicate.
-struct Scaleout {
+pub struct Scaleout {
     deadline: SimTime,
     clones: usize,
 }
@@ -221,15 +221,17 @@ impl Scenario for Scaleout {
             },
             SwapKind::PerVmVmd,
         );
-        let index_pages = ((dataset_bytes / 50) / page).max(4) as u32;
-        let data_pages = (dataset_bytes / page) as u32;
-        let (index_region, data_region) = {
-            let world = b.world_mut();
-            let layout = world.vms[master].vm.layout_mut();
-            let idx = layout.alloc_region("redis-index", index_pages);
-            let dat = layout.alloc_region("redis-data", data_pages);
-            (idx, dat)
-        };
+        // Update-heavy mix: each clone takes writes from the crowd and
+        // diverges from the gold image — dirtied shared pages are what the
+        // CoW machinery exists for.
+        let clone_model = b.alloc_redis(
+            master,
+            dataset_bytes,
+            YcsbParams {
+                client_threads: 2,
+                ..YcsbParams::update_heavy()
+            },
+        );
         b.preload_layout(master);
 
         // The bystander: over-committed, steadily faulting through the same
@@ -247,17 +249,9 @@ impl Scenario for Scaleout {
             },
             SwapKind::PerVmVmd,
         );
-        let (by_index, by_data) = {
-            let world = b.world_mut();
-            let layout = world.vms[bystander].vm.layout_mut();
-            let idx = layout.alloc_region("redis-index", ((by_dataset / 50) / page).max(4) as u32);
-            let dat = layout.alloc_region("redis-data", (by_dataset / page) as u32);
-            (idx, dat)
-        };
-        let by_model = YcsbRedis::new(
-            Dataset::new(by_data, by_dataset / 1024, 1024, page),
-            by_index,
-            KeyDist::UniformPrefix,
+        let by_model = b.alloc_redis(
+            bystander,
+            by_dataset,
             YcsbParams {
                 client_threads: 2,
                 ..YcsbParams::default()
@@ -313,18 +307,7 @@ impl Scenario for Scaleout {
         let active = active_bytes;
         sim.schedule_at(SimTime::from_secs(2), move |sim| {
             let make_workload = std::rc::Rc::new(move |_clone_idx: usize| {
-                // Update-heavy mix: each instance takes writes from the
-                // crowd and diverges from the gold image — dirtied shared
-                // pages are what the CoW machinery exists for.
-                let mut model = YcsbRedis::new(
-                    Dataset::new(data_region, dataset_bytes / 1024, 1024, page),
-                    index_region,
-                    KeyDist::UniformPrefix,
-                    YcsbParams {
-                        client_threads: 2,
-                        ..YcsbParams::update_heavy()
-                    },
-                );
+                let mut model = clone_model.clone();
                 model.set_active_bytes(active);
                 WorkloadKind::Ycsb(model)
             });

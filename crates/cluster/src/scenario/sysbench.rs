@@ -8,17 +8,14 @@
 //! performance is measured over a 300-second window spanning the
 //! migration.
 
-use agile_migration::{SourceConfig, Technique};
-use agile_sim_core::{SimTime, GIB, MIB};
-use agile_vm::VmConfig;
+use agile_migration::Technique;
+use agile_sim_core::{SimTime, Simulation, GIB, MIB};
 use agile_workload::{Dataset, KeyDist, OltpParams, SysbenchOltp};
 
-use crate::build::{start_all_workloads, ClusterBuilder, SwapKind};
-use crate::config::ClusterConfig;
-use crate::migrate;
+use super::testbed::{LoadedSource, LoadedSourceRun};
+use super::Scenario;
 use crate::report;
-use crate::scenario::watch_completion;
-use crate::world::WorkloadKind;
+use crate::world::{WorkloadKind, World};
 
 /// Configuration (defaults = the paper's §V-C setup).
 #[derive(Clone, Copy, Debug)]
@@ -67,112 +64,76 @@ pub struct SysbenchScenarioResult {
 
 /// Run the scenario.
 pub fn run(cfg: &SysbenchScenarioConfig) -> SysbenchScenarioResult {
-    let sc = cfg.scale.max(1);
-    let host_mem = 23 * GIB / sc;
-    let host_os = 200 * MIB / sc;
-    let vm_mem = 10 * GIB / sc;
-    let reservation = 11 * GIB / 2 / sc;
-    let dataset_bytes = 8 * GIB / sc;
-    let guest_os = 300 * MIB / sc;
-    let slack = 256 * MIB / sc;
+    super::run::<Sysbench>(cfg)
+}
 
-    let cluster_cfg = ClusterConfig {
-        seed: cfg.seed,
-        ..ClusterConfig::default()
-    };
-    let page = cluster_cfg.page_size;
-    let mut b = ClusterBuilder::new(cluster_cfg);
-    let src_host = b.add_host("source", host_mem, host_os, true);
-    let dst_host = b.add_host("dest", host_mem, host_os, true);
-    let client_host = b.add_host("client", 16 * GIB / sc, host_os, false);
-    let agile = cfg.technique == Technique::Agile;
-    if agile {
-        let im = b.add_host("intermediate", 128 * GIB / sc, host_os, true);
-        b.add_vmd_server(im, 100 * GIB / sc, 0);
-        b.ensure_vmd_client(dst_host);
-    }
-    let swap_kind = if agile {
-        SwapKind::PerVmVmd
-    } else {
-        SwapKind::HostSsd
-    };
+/// The §V-C run as a [`Scenario`]: the guests of its loaded source host.
+pub struct Sysbench {
+    source: LoadedSource,
+}
 
-    let mut vms = Vec::new();
-    for _ in 0..cfg.n_vms {
-        let vm = b.add_vm(
-            src_host,
-            VmConfig {
-                mem_bytes: vm_mem,
-                page_size: page,
-                vcpus: 2,
-                reservation_bytes: reservation,
-                guest_os_bytes: guest_os,
+impl Scenario for Sysbench {
+    type Config = SysbenchScenarioConfig;
+    type Output = SysbenchScenarioResult;
+
+    /// MySQL guests whose buffer pools never fit, and the migration.
+    fn setup(cfg: &SysbenchScenarioConfig) -> (Simulation<World>, Self) {
+        let sc = cfg.scale.max(1);
+        let dataset_bytes = 8 * GIB / sc;
+        let run = LoadedSourceRun {
+            technique: cfg.technique,
+            sc,
+            n_vms: cfg.n_vms,
+            seed: cfg.seed,
+            duration_secs: cfg.duration_secs,
+            migrate_at_secs: cfg.migrate_at_secs,
+        };
+        let (sim, source) = LoadedSource::setup(
+            &run,
+            |b, vm| {
+                // InnoDB layout: hot B-tree upper levels, the row buffer
+                // pool, and a circular redo log.
+                let page = b.world().cfg.page_size;
+                let layout = b.world_mut().vms[vm].vm.layout_mut();
+                let index = layout
+                    .alloc_region("innodb-index", ((dataset_bytes / 40) / page).max(4) as u32);
+                let rows = layout.alloc_region("innodb-rows", (dataset_bytes / page) as u32);
+                let log = layout.alloc_region("innodb-log", ((64 * MIB / sc) / page).max(8) as u32);
+                WorkloadKind::Oltp(SysbenchOltp::new(
+                    Dataset::new(rows, dataset_bytes / 256, 256, page),
+                    index,
+                    log,
+                    KeyDist::UniformPrefix,
+                    OltpParams::default(),
+                ))
             },
-            swap_kind,
+            |_, _| {},
         );
-        // InnoDB layout: hot B-tree upper levels, the row buffer pool,
-        // and a circular redo log.
-        let index_pages = ((dataset_bytes / 40) / page).max(4) as u32;
-        let data_pages = (dataset_bytes / page) as u32;
-        let log_pages = ((64 * MIB / sc) / page).max(8) as u32;
-        let (index_region, rows_region, log_region) = {
-            let world = b.world_mut();
-            let layout = world.vms[vm].vm.layout_mut();
-            let idx = layout.alloc_region("innodb-index", index_pages);
-            let rows = layout.alloc_region("innodb-rows", data_pages);
-            let log = layout.alloc_region("innodb-log", log_pages);
-            (idx, rows, log)
-        };
-        let rows = Dataset::new(rows_region, dataset_bytes / 256, 256, page);
-        let model = SysbenchOltp::new(
-            rows,
-            index_region,
-            log_region,
-            KeyDist::UniformPrefix,
-            OltpParams::default(),
-        );
-        b.attach_workload(vm, client_host, WorkloadKind::Oltp(model));
-        b.enable_os_background(vm);
-        vms.push(vm);
+        (sim, Sysbench { source })
     }
 
-    // The four datasets load concurrently (the paper's 4 YCSB load
-    // clients): their eviction streams interleave on the shared swap
-    // partition.
-    b.preload_layouts_interleaved(&vms, 256);
+    fn deadline(&self) -> SimTime {
+        self.source.deadline
+    }
 
-    let mut sim = b.build();
-    start_all_workloads(&mut sim, SimTime::from_secs(1));
-
-    let technique = cfg.technique;
-    let migrate_vm = vms[0];
-    sim.schedule_at(SimTime::from_secs(cfg.migrate_at_secs), move |sim| {
-        let dest_resv = {
-            let w = sim.state();
-            w.hosts[dst_host]
-                .mem
-                .available_for_vms()
-                .min(w.vms[migrate_vm].vm.config().mem_bytes)
-        };
-        let src_cfg = SourceConfig {
-            precopy_threshold_pages: (9_000 / sc as u32).max(64),
-            ..SourceConfig::new(technique)
-        };
-        let mig = migrate::start_migration(sim, migrate_vm, dst_host, src_cfg, dest_resv);
-        watch_completion(sim, mig, src_host, slack);
-    });
-
-    sim.run_until(SimTime::from_secs(cfg.duration_secs));
-    super::audit_memory(sim.state());
-    let world = sim.state();
-    let series = report::average_throughput_series(world, &vms);
-    let metrics = world.migrations[0].src.metrics().clone();
-    let from = cfg.migrate_at_secs.saturating_sub(10);
-    let avg_during_window =
-        report::average_throughput_in_window(world, &vms, from, from + cfg.window_secs);
-    SysbenchScenarioResult {
-        series,
-        metrics,
-        avg_during_window,
+    fn finish(
+        &self,
+        sim: Simulation<World>,
+        cfg: &SysbenchScenarioConfig,
+    ) -> SysbenchScenarioResult {
+        let world = sim.state();
+        let (series, metrics) = self.source.measure(world);
+        let from = cfg.migrate_at_secs.saturating_sub(10);
+        let to = from + cfg.window_secs;
+        SysbenchScenarioResult {
+            series,
+            metrics,
+            avg_during_window: report::average_throughput_in_window(
+                world,
+                &self.source.vms,
+                from,
+                to,
+            ),
+        }
     }
 }

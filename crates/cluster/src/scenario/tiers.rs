@@ -38,7 +38,7 @@ use agile_vmd::{HeatPolicy, TierCapacity, TierSpec, TierStackConfig};
 use crate::build::{start_all_workloads, ClusterBuilder, SwapKind};
 use crate::config::ClusterConfig;
 use crate::guest;
-use crate::migrate;
+use crate::scenario::testbed::migrate_to_fit;
 use crate::scenario::Scenario;
 use crate::world::{OpExec, World};
 
@@ -171,7 +171,7 @@ pub struct TiersResult {
 }
 
 /// What a tier-sweep point keeps from set-up.
-struct Tiers {
+pub struct Tiers {
     deadline: SimTime,
 }
 
@@ -309,13 +309,6 @@ impl Scenario for Tiers {
         });
 
         sim.schedule_at(SimTime::from_secs(cfg.warmup_secs), move |sim| {
-            let dest_resv = {
-                let w = sim.state();
-                w.hosts[dst_host]
-                    .mem
-                    .available_for_vms()
-                    .min(w.vms[vm].vm.config().mem_bytes)
-            };
             // Round-capped pre-copy: one warm-up pass, then stop-and-copy.
             // The final pass pulls dirtied-then-evicted pages back through
             // the tier stack while the VM is suspended.
@@ -324,7 +317,7 @@ impl Scenario for Tiers {
                 precopy_max_rounds: 1,
                 ..SourceConfig::new(Technique::PreCopy)
             };
-            migrate::start_migration(sim, vm, dst_host, src_cfg, dest_resv);
+            migrate_to_fit(sim, vm, dst_host, src_cfg);
         });
 
         (

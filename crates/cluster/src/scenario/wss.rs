@@ -7,14 +7,15 @@
 //! Figure 9 plots the reservation converging onto the true working set;
 //! Figure 10 plots the client's throughput through the transients.
 
-use agile_sim_core::{SimTime, GIB, MIB};
+use agile_sim_core::{SimTime, Simulation, GIB, MIB};
 use agile_vm::VmConfig;
-use agile_workload::{Dataset, KeyDist, YcsbParams, YcsbRedis};
+use agile_workload::YcsbParams;
 use agile_wss::ControllerParams;
 
+use super::Scenario;
 use crate::build::{start_all_workloads, ClusterBuilder, SwapKind};
 use crate::config::ClusterConfig;
-use crate::world::WorkloadKind;
+use crate::world::{WorkloadKind, World};
 use crate::wssctl;
 
 /// Configuration (defaults = the paper's §V-D setup).
@@ -66,87 +67,102 @@ pub struct WssScenarioResult {
 
 /// Run the scenario.
 pub fn run(cfg: &WssScenarioConfig) -> WssScenarioResult {
-    let sc = cfg.scale.max(1);
-    let host_mem = 128 * GIB / sc;
-    let host_os = 300 * MIB / sc;
-    let vm_mem = 5 * GIB / sc;
-    let dataset_bytes = 3 * GIB / 2 / sc; // 1.5 GiB
-    let guest_os = 300 * MIB / sc;
+    super::run::<Wss>(cfg)
+}
 
-    let cluster_cfg = ClusterConfig {
-        seed: cfg.seed,
-        ..ClusterConfig::default()
-    };
-    let page = cluster_cfg.page_size;
-    let mut b = ClusterBuilder::new(cluster_cfg);
-    let host = b.add_host("host", host_mem, host_os, true);
-    let client_host = b.add_host("client", 8 * GIB / sc, host_os, false);
-    let im = b.add_host("intermediate", 64 * GIB / sc, host_os, false);
-    b.add_vmd_server(im, 48 * GIB / sc, 0);
+/// The §V-D run as a [`Scenario`]: the tracked VM and its true working
+/// set.
+pub struct Wss {
+    vm: usize,
+    true_wss_bytes: u64,
+    deadline: SimTime,
+}
 
-    let vm = b.add_vm(
-        host,
-        VmConfig {
-            mem_bytes: vm_mem,
-            page_size: page,
-            vcpus: 2,
-            reservation_bytes: vm_mem, // starts at the full VM size
-            guest_os_bytes: guest_os,
-        },
-        SwapKind::PerVmVmd,
-    );
-    let index_pages = ((dataset_bytes / 50) / page).max(4) as u32;
-    let data_pages = (dataset_bytes / page) as u32;
-    let (index_region, data_region) = {
-        let world = b.world_mut();
-        let layout = world.vms[vm].vm.layout_mut();
-        let idx = layout.alloc_region("redis-index", index_pages);
-        let dat = layout.alloc_region("redis-data", data_pages);
-        (idx, dat)
-    };
-    let dataset = Dataset::new(data_region, dataset_bytes / 1024, 1024, page);
-    let model = YcsbRedis::new(
-        dataset,
-        index_region,
-        KeyDist::UniformPrefix,
-        YcsbParams::default(),
-    );
-    // The guest's working set: the queried dataset, the Redis index, and
-    // the *hot* portion of the OS region (the background generator touches
-    // 90% / 10% hotspot-style; the cold OS tail is not working set).
-    let true_wss_bytes = dataset_bytes + index_pages as u64 * page + guest_os / 10;
-    b.attach_workload(vm, client_host, WorkloadKind::Ycsb(model));
-    b.enable_os_background(vm);
-    b.preload_layout(vm);
+impl Scenario for Wss {
+    type Config = WssScenarioConfig;
+    type Output = WssScenarioResult;
 
-    let mut sim = b.build();
-    start_all_workloads(&mut sim, SimTime::from_secs(1));
-    wssctl::enable_tracking(
-        &mut sim,
-        vm,
-        ControllerParams {
-            alpha: cfg.alpha,
-            beta: cfg.beta,
-            tau_kbps: cfg.tau_kbps,
-            ..ControllerParams::paper(64 * MIB / sc, vm_mem)
-        },
-        SimTime::from_secs(cfg.track_from_secs),
-    );
-    sim.run_until(SimTime::from_secs(cfg.duration_secs));
-    super::audit_memory(sim.state());
+    /// The Redis VM at full reservation, its client, and the tracker.
+    fn setup(cfg: &WssScenarioConfig) -> (Simulation<World>, Self) {
+        let sc = cfg.scale.max(1);
+        let host_os = 300 * MIB / sc;
+        let vm_mem = 5 * GIB / sc;
+        let dataset_bytes = 3 * GIB / 2 / sc; // 1.5 GiB
+        let guest_os = 300 * MIB / sc;
 
-    let world = sim.state();
-    let reservation_series: Vec<(f64, f64)> = world.vms[vm]
-        .reservation_series
-        .points()
-        .iter()
-        .map(|(t, v)| (t.as_secs_f64(), *v))
-        .collect();
-    let throughput_series = world.vms[vm].meter.rates();
-    WssScenarioResult {
-        reservation_series,
-        true_wss_bytes,
-        throughput_series,
-        final_reservation: world.vms[vm].vm.memory().limit_bytes(),
+        let mut b = ClusterBuilder::new(ClusterConfig {
+            seed: cfg.seed,
+            ..ClusterConfig::default()
+        });
+        let page = b.world().cfg.page_size;
+        let host = b.add_host("host", 128 * GIB / sc, host_os, true);
+        let client_host = b.add_host("client", 8 * GIB / sc, host_os, false);
+        let im = b.add_host("intermediate", 64 * GIB / sc, host_os, false);
+        b.add_vmd_server(im, 48 * GIB / sc, 0);
+
+        let vm = b.add_vm(
+            host,
+            VmConfig {
+                mem_bytes: vm_mem,
+                page_size: page,
+                vcpus: 2,
+                reservation_bytes: vm_mem, // starts at the full VM size
+                guest_os_bytes: guest_os,
+            },
+            SwapKind::PerVmVmd,
+        );
+        let model = b.alloc_redis(vm, dataset_bytes, YcsbParams::default());
+        // The guest's working set: the queried dataset, the Redis index,
+        // and the *hot* portion of the OS region (the background generator
+        // touches 90% / 10% hotspot-style; the cold OS tail is not working
+        // set).
+        let index = b.world().vms[vm].vm.layout().region("redis-index");
+        let index_bytes = index.expect("Redis layout carved").len as u64 * page;
+        let true_wss_bytes = dataset_bytes + index_bytes + guest_os / 10;
+        b.attach_workload(vm, client_host, WorkloadKind::Ycsb(model));
+        b.enable_os_background(vm);
+        b.preload_layout(vm);
+
+        let mut sim = b.build();
+        start_all_workloads(&mut sim, SimTime::from_secs(1));
+        wssctl::enable_tracking(
+            &mut sim,
+            vm,
+            ControllerParams {
+                alpha: cfg.alpha,
+                beta: cfg.beta,
+                tau_kbps: cfg.tau_kbps,
+                ..ControllerParams::paper(64 * MIB / sc, vm_mem)
+            },
+            SimTime::from_secs(cfg.track_from_secs),
+        );
+        let deadline = SimTime::from_secs(cfg.duration_secs);
+        (
+            sim,
+            Wss {
+                vm,
+                true_wss_bytes,
+                deadline,
+            },
+        )
+    }
+
+    fn deadline(&self) -> SimTime {
+        self.deadline
+    }
+
+    fn finish(&self, sim: Simulation<World>, _cfg: &WssScenarioConfig) -> WssScenarioResult {
+        let slot = &sim.state().vms[self.vm];
+        WssScenarioResult {
+            reservation_series: slot
+                .reservation_series
+                .points()
+                .iter()
+                .map(|(t, v)| (t.as_secs_f64(), *v))
+                .collect(),
+            true_wss_bytes: self.true_wss_bytes,
+            throughput_series: slot.meter.rates(),
+            final_reservation: slot.vm.memory().limit_bytes(),
+        }
     }
 }

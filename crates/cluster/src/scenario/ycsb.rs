@@ -11,17 +11,14 @@
 //! adjustment) then gives the three remaining VMs enough memory and the
 //! average throughput recovers — how fast depends on the technique.
 
-use agile_migration::{SourceConfig, Technique};
-use agile_sim_core::{SimTime, GIB, MIB};
-use agile_vm::VmConfig;
-use agile_workload::{Dataset, KeyDist, YcsbParams, YcsbRedis};
+use agile_migration::Technique;
+use agile_sim_core::{SimTime, Simulation, GIB, MIB};
+use agile_workload::YcsbParams;
 
-use crate::build::{start_all_workloads, ClusterBuilder, SwapKind};
-use crate::config::ClusterConfig;
-use crate::migrate;
+use super::testbed::{rebalance_slack, LoadedSource, LoadedSourceRun};
+use super::{rebalance_host, set_ycsb_active_bytes, Scenario};
 use crate::report;
-use crate::scenario::{rebalance_host, set_ycsb_active_bytes, watch_completion};
-use crate::world::WorkloadKind;
+use crate::world::{WorkloadKind, World};
 
 /// Configuration (defaults = the paper's §V-A setup).
 #[derive(Clone, Copy, Debug)]
@@ -43,7 +40,9 @@ pub struct YcsbScenarioConfig {
     /// YCSB read ratio. The paper's §V-A narrative says "read only", but
     /// its own Table III (pre-copy retransmits 4.7 GB; Agile pushes 2.7 GB
     /// of dirtied pages) implies a substantial update share in the query
-    /// phase; 0.65 reproduces those volumes.
+    /// phase. 0.65 does not reproduce those volumes: at scales 8 to 1
+    /// pre-copy moves only 0.3–0.7 % more data than post-copy, against
+    /// 46 % in the paper (15,029 vs 10,268 MB).
     pub read_ratio: f64,
     /// Width of the Table-I measurement window starting at `migrate_at`.
     pub measure_window_secs: u64,
@@ -87,148 +86,94 @@ pub struct YcsbScenarioResult {
 
 /// Run the scenario.
 pub fn run(cfg: &YcsbScenarioConfig) -> YcsbScenarioResult {
-    let sc = cfg.scale.max(1);
-    let host_mem = 23 * GIB / sc;
-    let host_os = 200 * MIB / sc;
-    let vm_mem = 10 * GIB / sc;
-    let reservation = 11 * GIB / 2 / sc; // 5.5 GiB
-    let dataset_bytes = 9 * GIB / sc;
-    let active_small = 200 * MIB / sc;
-    let active_large = 6 * GIB / sc;
-    let guest_os = 300 * MIB / sc;
-    let slack = 256 * MIB / sc;
+    super::run::<Ycsb>(cfg)
+}
 
-    let cluster_cfg = ClusterConfig {
-        seed: cfg.seed,
-        ..ClusterConfig::default()
-    };
-    let page = cluster_cfg.page_size;
-    let mut b = ClusterBuilder::new(cluster_cfg);
-    let src_host = b.add_host("source", host_mem, host_os, true);
-    let dst_host = b.add_host("dest", host_mem, host_os, true);
-    let client_host = b.add_host("client", 16 * GIB / sc, host_os, false);
-    let agile = cfg.technique == Technique::Agile;
-    if agile {
-        let im = b.add_host("intermediate", 128 * GIB / sc, host_os, true);
-        b.add_vmd_server(im, 100 * GIB / sc, 0);
-        b.ensure_vmd_client(dst_host);
-    }
-    let swap_kind = if agile {
-        SwapKind::PerVmVmd
-    } else {
-        SwapKind::HostSsd
-    };
+/// The §V-A run as a [`Scenario`]: the guests of its loaded source host.
+pub struct Ycsb {
+    source: LoadedSource,
+}
 
-    let mut vms = Vec::new();
-    for i in 0..cfg.n_vms {
-        let vm = b.add_vm(
-            src_host,
-            VmConfig {
-                mem_bytes: vm_mem,
-                page_size: page,
-                vcpus: 2,
-                reservation_bytes: reservation,
-                guest_os_bytes: guest_os,
-            },
-            swap_kind,
-        );
-        // Redis layout: hash-table index ≈ 2% of the dataset, then values.
-        let index_pages = ((dataset_bytes / 50) / page).max(4) as u32;
-        let data_pages = (dataset_bytes / page) as u32;
-        let (index_region, data_region) = {
-            let world = b.world_mut();
-            let layout = world.vms[vm].vm.layout_mut();
-            let idx = layout.alloc_region("redis-index", index_pages);
-            let dat = layout.alloc_region("redis-data", data_pages);
-            (idx, dat)
+impl Scenario for Ycsb {
+    type Config = YcsbScenarioConfig;
+    type Output = YcsbScenarioResult;
+
+    /// Redis guests querying a small slice, the ramp, and the migration.
+    fn setup(cfg: &YcsbScenarioConfig) -> (Simulation<World>, Self) {
+        let sc = cfg.scale.max(1);
+        let dataset_bytes = 9 * GIB / sc;
+        let active_small = 200 * MIB / sc;
+        let active_large = 6 * GIB / sc;
+        let slack = rebalance_slack(sc);
+        let run = LoadedSourceRun {
+            technique: cfg.technique,
+            sc,
+            n_vms: cfg.n_vms,
+            seed: cfg.seed,
+            duration_secs: cfg.duration_secs,
+            migrate_at_secs: cfg.migrate_at_secs,
         };
-        let dataset = Dataset::new(data_region, dataset_bytes / 1024, 1024, page);
-        let mut model = YcsbRedis::new(
-            dataset,
-            index_region,
-            KeyDist::UniformPrefix,
-            YcsbParams {
-                read_ratio: cfg.read_ratio,
-                ..YcsbParams::default()
+        let params = YcsbParams {
+            read_ratio: cfg.read_ratio,
+            ..YcsbParams::default()
+        };
+        let (sim, source) = LoadedSource::setup(
+            &run,
+            |b, vm| {
+                let mut model = b.alloc_redis(vm, dataset_bytes, params);
+                model.set_active_bytes(active_small);
+                WorkloadKind::Ycsb(model)
+            },
+            // The ramp: one VM per step widens its query window, and the
+            // host's reservations are re-balanced to track working sets.
+            |sim, vms| {
+                for (i, &vm) in vms.iter().enumerate() {
+                    let at =
+                        SimTime::from_secs(cfg.ramp_start_secs + i as u64 * cfg.ramp_step_secs);
+                    sim.schedule_at(at, move |sim| {
+                        set_ycsb_active_bytes(sim, vm, active_large);
+                        let host = sim.state().vms[vm].host;
+                        rebalance_host(sim, host, slack);
+                    });
+                }
             },
         );
-        model.set_active_bytes(active_small);
-        b.attach_workload(vm, client_host, WorkloadKind::Ycsb(model));
-        b.enable_os_background(vm);
-        vms.push(vm);
-        let _ = i;
+        (sim, Ycsb { source })
     }
 
-    // The four datasets load concurrently (the paper's 4 YCSB load
-    // clients): their eviction streams interleave on the shared swap
-    // partition.
-    b.preload_layouts_interleaved(&vms, 256);
-
-    let mut sim = b.build();
-    start_all_workloads(&mut sim, SimTime::from_secs(1));
-
-    // The ramp: one VM per step widens its query window, and the host's
-    // reservations are re-balanced to track working sets.
-    for (i, &vm) in vms.iter().enumerate() {
-        let at = SimTime::from_secs(cfg.ramp_start_secs + i as u64 * cfg.ramp_step_secs);
-        sim.schedule_at(at, move |sim| {
-            set_ycsb_active_bytes(sim, vm, active_large);
-            let host = sim.state().vms[vm].host;
-            rebalance_host(sim, host, slack);
-        });
+    fn deadline(&self) -> SimTime {
+        self.source.deadline
     }
 
-    // The migration, plus a watcher that re-balances the source once the
-    // migrated VM's memory is actually freed there.
-    let technique = cfg.technique;
-    let migrate_vm = vms[0];
-    sim.schedule_at(SimTime::from_secs(cfg.migrate_at_secs), move |sim| {
-        let dest_resv = {
-            let w = sim.state();
-            w.hosts[dst_host]
-                .mem
-                .available_for_vms()
-                .min(w.vms[migrate_vm].vm.config().mem_bytes)
-        };
-        let src_cfg = SourceConfig {
-            precopy_threshold_pages: (9_000 / sc as u32).max(64),
-            ..SourceConfig::new(technique)
-        };
-        let mig = migrate::start_migration(sim, migrate_vm, dst_host, src_cfg, dest_resv);
-        watch_completion(sim, mig, src_host, slack);
-    });
-
-    sim.run_until(SimTime::from_secs(cfg.duration_secs));
-    super::audit_memory(sim.state());
-    let events_executed = sim.events_executed();
-    let world = sim.state();
-
-    let series = report::average_throughput_series(world, &vms);
-    let metrics = world.migrations[0].src.metrics().clone();
-    let mig_start = cfg.migrate_at_secs;
-    let mig_end = (mig_start + cfg.measure_window_secs).min(cfg.duration_secs);
-    let avg_during_migration =
-        report::average_throughput_in_window(world, &vms, mig_start, mig_end.max(mig_start + 1));
-    // Reference: best smoothed average before the pressure ramp.
-    let peak_reference = series
-        .iter()
-        .filter(|(t, _)| *t >= 20 && *t < cfg.ramp_start_secs)
-        .map(|(_, r)| *r)
-        .fold(0.0f64, f64::max);
-    let recovery_at_secs = report::recovery_time(
-        world,
-        &vms,
-        SimTime::from_secs(cfg.migrate_at_secs),
-        peak_reference,
-        0.9,
-        10,
-    );
-    YcsbScenarioResult {
-        series,
-        metrics,
-        avg_during_migration,
-        peak_reference,
-        recovery_at_secs,
-        events_executed,
+    fn finish(&self, sim: Simulation<World>, cfg: &YcsbScenarioConfig) -> YcsbScenarioResult {
+        let world = sim.state();
+        let vms = &self.source.vms;
+        let (series, metrics) = self.source.measure(world);
+        let mig_start = cfg.migrate_at_secs;
+        let mig_end = (mig_start + cfg.measure_window_secs).min(cfg.duration_secs);
+        let avg_during_migration =
+            report::average_throughput_in_window(world, vms, mig_start, mig_end.max(mig_start + 1));
+        // Reference: best smoothed average before the pressure ramp.
+        let peak_reference = series
+            .iter()
+            .filter(|(t, _)| *t >= 20 && *t < cfg.ramp_start_secs)
+            .map(|(_, r)| *r)
+            .fold(0.0f64, f64::max);
+        let recovery_at_secs = report::recovery_time(
+            world,
+            vms,
+            SimTime::from_secs(cfg.migrate_at_secs),
+            peak_reference,
+            0.9,
+            10,
+        );
+        YcsbScenarioResult {
+            series,
+            metrics,
+            avg_during_migration,
+            peak_reference,
+            recovery_at_secs,
+            events_executed: sim.events_executed(),
+        }
     }
 }

@@ -288,11 +288,6 @@ impl VmMemory {
         self.epoch = Some(Box::new(EpochTracker::new(log_cap, self.pages())));
     }
 
-    /// Stop epoch tracking and drop any in-progress epoch.
-    pub fn disarm_epoch_tracking(&mut self) {
-        self.epoch = None;
-    }
-
     /// Whether epoch tracking is armed.
     #[inline]
     pub fn epoch_armed(&self) -> bool {

@@ -153,6 +153,17 @@ impl MigrationMetrics {
         }
     }
 
+    /// [`Self::total_time`] in seconds; NaN while the migration is in
+    /// flight.
+    pub fn total_secs(&self) -> f64 {
+        self.total_time().map_or(f64::NAN, |d| d.as_secs_f64())
+    }
+
+    /// [`Self::downtime`] in seconds; NaN until the VM has resumed.
+    pub fn downtime_secs(&self) -> f64 {
+        self.downtime().map_or(f64::NAN, |d| d.as_secs_f64())
+    }
+
     /// Time the VM executed at the source while migrating (live phase).
     pub fn live_phase(&self) -> Option<SimDuration> {
         self.suspended_at

@@ -203,7 +203,6 @@ pub struct Simulation<W> {
     live: usize,
     next_seq: u64,
     executed: u64,
-    stopped: bool,
     fast_handler: Option<fn(&mut Simulation<W>, FastEvent)>,
 }
 
@@ -219,7 +218,6 @@ impl<W> Simulation<W> {
             live: 0,
             next_seq: 0,
             executed: 0,
-            stopped: false,
             fast_handler: None,
         }
     }
@@ -342,17 +340,8 @@ impl<W> Simulation<W> {
         }
     }
 
-    /// Request that the run loop stop after the current event returns.
-    pub fn stop(&mut self) {
-        self.stopped = true;
-    }
-
-    /// Execute a single event. Returns `false` if the queue is empty or the
-    /// simulation was stopped.
+    /// Execute a single event. Returns `false` if the queue is empty.
     pub fn step(&mut self) -> bool {
-        if self.stopped {
-            return false;
-        }
         while let Some(key) = self.heap.pop() {
             if self.slots[key.slot as usize].gen != key.gen {
                 // Cancelled: the slot was released (and possibly reused)
@@ -378,7 +367,7 @@ impl<W> Simulation<W> {
         false
     }
 
-    /// Run until the queue is exhausted or [`Simulation::stop`] is called.
+    /// Run until the queue is exhausted.
     pub fn run(&mut self) {
         while self.step() {}
     }
@@ -395,19 +384,14 @@ impl<W> Simulation<W> {
         None
     }
 
-    /// Run until the clock reaches `deadline` (exclusive of events scheduled
-    /// after it), the queue empties, or the simulation is stopped. On a
-    /// normal deadline exit the clock is advanced to `deadline`.
+    /// Run every event scheduled at or before `deadline`, then advance the
+    /// clock to `deadline` (it never moves backwards). Events scheduled
+    /// after `deadline` stay queued for the next call.
     pub fn run_until(&mut self, deadline: SimTime) {
         loop {
-            if self.stopped {
-                return;
-            }
             match self.next_live_time() {
                 Some(t) if t <= deadline => {
-                    if !self.step() {
-                        return;
-                    }
+                    self.step();
                 }
                 _ => {
                     self.now = self.now.max(deadline);
@@ -415,11 +399,6 @@ impl<W> Simulation<W> {
                 }
             }
         }
-    }
-
-    /// Consume the simulation and return the final world state.
-    pub fn into_state(self) -> W {
-        self.state
     }
 }
 
@@ -554,19 +533,6 @@ mod tests {
         });
         sim.run();
         assert_eq!(sim.state(), &[5], "past event fired at current time");
-    }
-
-    #[test]
-    fn stop_halts_the_loop() {
-        let mut sim = Simulation::new(0u64);
-        sim.schedule_at(SimTime::from_secs(1), |s| {
-            *s.state_mut() += 1;
-            s.stop();
-        });
-        sim.schedule_at(SimTime::from_secs(2), |s| *s.state_mut() += 1);
-        sim.run();
-        assert_eq!(*sim.state(), 1);
-        assert_eq!(sim.events_pending(), 1);
     }
 
     #[test]

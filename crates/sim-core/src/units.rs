@@ -47,12 +47,6 @@ impl Bandwidth {
         Bandwidth::bytes_per_sec(g * 1e9 / 8.0)
     }
 
-    /// Construct from megabits per second.
-    #[inline]
-    pub fn mbps(m: f64) -> Self {
-        Bandwidth::bytes_per_sec(m * 1e6 / 8.0)
-    }
-
     /// Raw bytes per second.
     #[inline]
     pub fn as_bytes_per_sec(self) -> f64 {

@@ -236,12 +236,6 @@ impl VmdServer {
             && self.store.values().all(|m| !m.owner_freed || m.rc > 0)
     }
 
-    /// Pages currently carrying a fork reference count (shared gold-image
-    /// pages), across all tiers.
-    pub fn shared_pages(&self) -> u64 {
-        self.store.values().filter(|m| m.rc > 0).count() as u64
-    }
-
     /// Retained pages whose owner already freed them (held alive only by
     /// clone references).
     pub fn owner_freed_pages(&self) -> u64 {

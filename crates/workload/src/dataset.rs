@@ -73,11 +73,6 @@ impl Dataset {
         let last = (key * self.record_bytes + self.record_bytes - 1) / self.page_size;
         (first..=last).map(move |p| self.region.start + p as u32)
     }
-
-    /// Number of records fully or partially on one page.
-    pub fn records_per_page(&self) -> u64 {
-        self.page_size.div_ceil(self.record_bytes).max(1)
-    }
 }
 
 #[cfg(test)]

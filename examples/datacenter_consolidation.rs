@@ -19,7 +19,7 @@ use agile::cluster::{wssctl, ClusterConfig};
 use agile::migration::SourceConfig;
 use agile::sim::{fmt_bytes, SimDuration, SimTime, Simulation, GIB, MIB};
 use agile::vm::VmConfig;
-use agile::workload::{Dataset, KeyDist, YcsbParams, YcsbRedis};
+use agile::workload::YcsbParams;
 use agile::wss::WatermarkTrigger;
 use agile::Technique;
 
@@ -52,16 +52,7 @@ fn main() {
             },
             SwapKind::PerVmVmd,
         );
-        let (ir, dr) = {
-            let world = b.world_mut();
-            let layout = world.vms[vm].vm.layout_mut();
-            (
-                layout.alloc_region("redis-index", ((dataset_bytes / 50) / page).max(4) as u32),
-                layout.alloc_region("redis-data", (dataset_bytes / page) as u32),
-            )
-        };
-        let dataset = Dataset::new(dr, dataset_bytes / 1024, 1024, page);
-        let mut model = YcsbRedis::new(dataset, ir, KeyDist::UniformPrefix, YcsbParams::default());
+        let mut model = b.alloc_redis(vm, dataset_bytes, YcsbParams::default());
         model.set_active_bytes(200 * MIB / SC);
         b.attach_workload(vm, client_host, WorkloadKind::Ycsb(model));
         b.enable_os_background(vm);
@@ -143,10 +134,7 @@ fn main() {
             "  vm{} → standby: {} in {:.1} s ({} as offsets)",
             m.vm,
             fmt_bytes(metrics.migration_bytes),
-            metrics
-                .total_time()
-                .map(|d| d.as_secs_f64())
-                .unwrap_or(f64::NAN),
+            metrics.total_secs(),
             metrics.pages_sent_as_offsets,
         );
     }

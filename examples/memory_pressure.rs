@@ -31,10 +31,7 @@ fn main() {
         println!(
             "{:<10} {:>10.1} s {:>14} {:>16.0} {:>14}",
             technique.to_string(),
-            r.metrics
-                .total_time()
-                .map(|d| d.as_secs_f64())
-                .unwrap_or(f64::NAN),
+            r.metrics.total_secs(),
             fmt_bytes(r.metrics.migration_bytes),
             r.avg_during_migration,
             r.recovery_at_secs
