@@ -30,6 +30,8 @@ fn main() {
     kernels::send_poll();
     // Short messages on the intra-rack pairs of a `datacenter` shard's shape.
     kernels::send_poll_rack_trunk();
+    // One small message at a time on a channel alone on its NICs.
+    kernels::lone_channel();
     // Worst case: every channel active, full water-filling pass.
     kernels::waterfill();
     bench_drain_bulk();

@@ -86,6 +86,8 @@ fn main() {
     bench_boxed_event_queue();
     // Schedule + cancel + fire: the fate of most timeout-style events.
     kernels::timeout_cancel();
+    // Periodic timers on the heap driving the re-armable network poll.
+    kernels::rearm_poll();
     bench_lru();
     bench_bitmap();
     kernels::bitmap_scan();

@@ -9,7 +9,7 @@ use agile_migration::Bitmap;
 use agile_sim_core::{Bandwidth, DetRng, FastEvent, Network, SimDuration, SimTime, Simulation};
 
 /// Every kernel, in `BENCH_1.json` row order.
-pub const ALL: [fn() -> BenchResult; 10] = [
+pub const ALL: [fn() -> BenchResult; 12] = [
     event_queue,
     timeout_cancel,
     waterfill,
@@ -20,6 +20,8 @@ pub const ALL: [fn() -> BenchResult; 10] = [
     touch_path,
     build_sparse_vm,
     payload_tag_take,
+    rearm_poll,
+    lone_channel,
 ];
 
 /// events/sec through the slab queue with typed fast events: the DES
@@ -79,6 +81,42 @@ pub fn timeout_cancel() -> BenchResult {
         );
         sim.cancel(timeout);
         black_box(sim.step());
+    })
+}
+
+/// events/sec of the network poll pattern: 32 periodic timers pending on
+/// the heap (one firing per µs), each firing arms the poll unless it is
+/// already armed sooner, as `netdrv::touch_net` does after a send. Even
+/// timers ask for a poll 2.5 µs ahead and odd ones 0.7 µs ahead, so every
+/// other arm moves a pending poll earlier and the poll fires once per two
+/// timer firings.
+pub fn rearm_poll() -> BenchResult {
+    let mut sim = Simulation::new(0u64);
+    sim.set_fast_handler(|sim, ev| {
+        if let FastEvent::Timer { a, .. } = ev {
+            let now = sim.now();
+            sim.schedule_fast(now + SimDuration::from_micros(32), ev);
+            let lead = if a % 2 == 0 { 2500 } else { 700 };
+            let poll = now + SimDuration::from_nanos(lead);
+            if sim.rearmed_at().is_none_or(|t| t > poll) {
+                sim.rearm_fast(poll, FastEvent::FlowDue { token: 0 });
+            }
+        }
+        *sim.state_mut() += 1;
+    });
+    for i in 0..32u64 {
+        sim.schedule_fast(
+            SimTime::from_micros(i),
+            FastEvent::Timer {
+                kind: 0,
+                a: i,
+                b: 0,
+            },
+        );
+    }
+    bench("event_queue/rearm_poll_cycle", || {
+        sim.step();
+        black_box(sim.now());
     })
 }
 
@@ -167,6 +205,27 @@ pub fn send_poll_rack_trunk() -> BenchResult {
                 black_box(out.len());
             }
         }
+    })
+}
+
+/// Send→deliver cycles/sec of one small segment at a time on a channel
+/// alone on its NICs: each send starts the channel and each delivery
+/// idles it again, the YCSB request/response pattern between quiet hosts.
+pub fn lone_channel() -> BenchResult {
+    let mut net = Network::new(SimDuration::from_micros(50));
+    let a = net.add_symmetric_node(Bandwidth::gbps(1.0));
+    let b = net.add_symmetric_node(Bandwidth::gbps(1.0));
+    let ch = net.open_channel(a, b);
+    let mut t = SimTime::ZERO;
+    let mut i = 0u64;
+    let mut out = Vec::new();
+    bench("network/lone_channel_send_poll", || {
+        net.send(t, ch, 1100, i);
+        i += 1;
+        t = net.next_event_time().expect("one segment pending");
+        out.clear();
+        net.poll(t, &mut out);
+        black_box(out.len());
     })
 }
 

@@ -1,30 +1,30 @@
 //! Network driver: the glue between the sans-scheduler fluid network and
 //! the event queue.
 //!
-//! After any network mutation the driver re-arms a poll event at
+//! After any network mutation the driver arms the poll at
 //! [`agile_sim_core::Network::next_event_time`], the earliest delivery; the
 //! poll collects due deliveries and dispatches each to the subsystem its
-//! payload belongs to. Exactly one poll event is ever pending: when a
-//! mutation brings the next delivery earlier, [`touch_net`] cancels the
-//! armed event and schedules a new one. A mutation that pushes the next
-//! delivery later (a rate drop) leaves the armed event in place, as does a
-//! close that drops the segment it was armed for; it fires, finds nothing
-//! due and re-arms, which is what `idle_polls` counts.
+//! payload belongs to. The poll is the simulation's one re-armable event
+//! ([`Simulation::rearm_fast`]), so exactly one is ever pending and moving
+//! it costs no cancel, no reschedule and no event-heap work: when a
+//! mutation brings the next delivery earlier, [`touch_net`] re-arms it in
+//! place. A mutation that pushes the next delivery later (a rate drop)
+//! leaves the poll where it is, as does a close that drops the segment it
+//! was armed for; it fires, finds nothing due and re-arms, which is what
+//! `idle_polls` counts.
 //!
 //! The driver state is per-world, not global: in a sharded run every shard
-//! owns its own [`NetDriver`], so an idle shard arms no poll events and a
-//! busy neighbor cannot wake it.
+//! owns its own simulation, poll and [`NetDriver`] counters, so an idle
+//! shard arms no poll and a busy neighbor cannot wake it.
 
-use agile_sim_core::{Delivery, FastEvent, SimTime, Simulation};
+use agile_sim_core::{Delivery, FastEvent, Simulation};
 
 use crate::world::{NetPayload, World};
 use crate::{guest, migrate, vmdio};
 
-/// Per-world network-poll bookkeeping plus poll counters.
+/// Per-world network-poll counters and delivery buffer.
 #[derive(Debug, Default)]
 pub struct NetDriver {
-    /// The single armed poll event, if any.
-    pub armed: Option<(SimTime, agile_sim_core::EventId)>,
     /// Poll events executed on this world.
     pub polls: u64,
     /// Polls that drained zero deliveries (the delivery they were armed
@@ -35,30 +35,22 @@ pub struct NetDriver {
     deliveries: Vec<Delivery>,
 }
 
-/// Re-arm the poll event if the network's next event precedes the armed
-/// one; the superseded event is cancelled so exactly one poll event is
-/// ever pending. Call after every send/open/close.
+/// Re-arm the poll if the network's next event precedes the pending one.
+/// Call after every send/open/close.
 pub fn touch_net(sim: &mut Simulation<World>) {
     let Some(next) = sim.state().net.next_event_time() else {
         return;
     };
-    if let Some((t, _)) = sim.state().netdrv.armed {
-        if t <= next {
-            return;
-        }
+    if sim.rearmed_at().is_some_and(|t| t <= next) {
+        return;
     }
-    if let Some((_, old)) = sim.state_mut().netdrv.armed.take() {
-        sim.cancel(old);
-    }
-    let id = sim.schedule_fast(next, FastEvent::FlowDue { token: 0 });
-    sim.state_mut().netdrv.armed = Some((next, id));
+    sim.rearm_fast(next, FastEvent::FlowDue { token: 0 });
 }
 
 /// The poll event: drain due deliveries, dispatch, re-arm.
 pub(crate) fn poll_net(sim: &mut Simulation<World>) {
     let now = sim.now();
     let world = sim.state_mut();
-    world.netdrv.armed = None;
     let mut deliveries = std::mem::take(&mut world.netdrv.deliveries);
     world.net.poll(now, &mut deliveries);
     world.netdrv.polls += 1;

@@ -22,7 +22,7 @@
 //!    the most- to the least-utilized server (deterministic plan, paced).
 //!
 //! Backpressure hooks: above [`PoolConfig::high_water`] pool pressure,
-//! guest eviction flushes are delayed ([`throttle_delay`]) and the WSS
+//! guest eviction flushes are delayed (`throttle_delay`) and the WSS
 //! controller defers reservation *shrinks* ([`under_pressure`]) — growing a
 //! VM's reservation frees pool pages; shrinking it would add swap traffic
 //! exactly when the pool has nowhere to put it.
@@ -552,7 +552,7 @@ pub fn relocations_inflight(w: &World) -> bool {
 }
 
 /// True while the armed rebalancer would still issue a move (quiescence
-/// checks — mirrors the plan step of [`tick`]).
+/// checks — mirrors the plan step of the pool tick).
 pub fn rebalance_pending(w: &World) -> bool {
     match &w.pool {
         Some(p) if p.armed && p.cfg.rebalance => {

@@ -63,7 +63,7 @@ pub fn recovery_time(
 }
 
 /// Fold migration `mig`'s phase log, source totals, and destination
-/// counters into the exportable [`PhaseTimeline`].
+/// counters into the exportable [`agile_trace::PhaseTimeline`].
 pub fn phase_timeline(
     world: &World,
     mig: usize,

@@ -495,6 +495,6 @@ mod tests {
             0,
             "idle shard must schedule zero net-poll events"
         );
-        assert_eq!(worlds[1].state().netdrv.armed, None);
+        assert_eq!(worlds[1].rearmed_at(), None);
     }
 }

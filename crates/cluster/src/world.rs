@@ -544,7 +544,8 @@ pub struct World {
     pub seeds: SeedSequence,
     /// The fluid-flow network.
     pub net: Network,
-    /// Per-world network-poll driver state (armed event + counters).
+    /// Per-world network-poll counters (the poll itself is the simulation's
+    /// re-armable event).
     pub netdrv: crate::netdrv::NetDriver,
     /// Which shard of a sharded run this world is (0 when standalone).
     pub shard_id: usize,

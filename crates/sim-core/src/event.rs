@@ -17,6 +17,17 @@
 //! * popping checks the key's generation against the slot's — a mismatch
 //!   means the event was cancelled, so the key is skipped.
 //!
+//! Beside the heap sits one *re-armable* fast event
+//! ([`Simulation::rearm_fast`]), for a poll that is moved far more often
+//! than it fires (the network driver's delivery poll). Re-arming
+//! overwrites it in place: no slot, no heap push, no stale key left
+//! behind. It takes its sequence number from the same counter at the same
+//! call, so it fires exactly where a `cancel` of the old event plus a
+//! `schedule_fast` of the new one would have put it; `step` and
+//! `run_until` fire whichever of it and the heap top ranks first, and it
+//! counts in [`Simulation::events_pending`] and
+//! [`Simulation::events_executed`] like any event.
+//!
 //! Determinism: events are ordered by `(time, sequence-number)`. The
 //! sequence number is assigned at scheduling time, so two events scheduled
 //! for the same instant fire in the order they were scheduled, on every run.
@@ -190,16 +201,30 @@ impl MinHeap {
     }
 }
 
+/// The re-armable fast event: its rank, the instant it was armed for, and
+/// the event.
+#[derive(Clone, Copy)]
+struct Rearmed {
+    time: SimTime,
+    seq: u64,
+    /// `time` before clamping to the clock, as [`Simulation::rearmed_at`]
+    /// reports it.
+    at: SimTime,
+    ev: FastEvent,
+}
+
 /// A discrete-event simulation: world state plus virtual clock plus pending
 /// events.
 pub struct Simulation<W> {
     now: SimTime,
     state: W,
     heap: MinHeap,
+    rearmed: Option<Rearmed>,
     slots: Vec<Slot<W>>,
     free_head: u32,
-    /// Count of scheduled-and-not-yet-fired-or-cancelled events. Stale heap
-    /// keys are excluded, so this never under-counts or underflows.
+    /// Count of scheduled-and-not-yet-fired-or-cancelled events, the
+    /// re-armable one included. Stale heap keys are excluded, so this never
+    /// under-counts or underflows.
     live: usize,
     next_seq: u64,
     executed: u64,
@@ -213,6 +238,7 @@ impl<W> Simulation<W> {
             now: SimTime::ZERO,
             state,
             heap: MinHeap::new(),
+            rearmed: None,
             slots: Vec::new(),
             free_head: NO_SLOT,
             live: 0,
@@ -327,6 +353,30 @@ impl<W> Simulation<W> {
         self.insert(self.now + delay, Payload::Fast(ev))
     }
 
+    /// Arm the re-armable fast event at `at`, replacing it if it is
+    /// already pending. Fires, ranks and counts exactly as `cancel` of the
+    /// replaced event followed by `schedule_fast(at, ev)` would, without
+    /// touching the heap.
+    pub fn rearm_fast(&mut self, at: SimTime, ev: FastEvent) {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        if self.rearmed.is_none() {
+            self.live += 1;
+        }
+        self.rearmed = Some(Rearmed {
+            time: at.max(self.now),
+            seq,
+            at,
+            ev,
+        });
+    }
+
+    /// The instant the re-armable event is pending for, as passed to
+    /// [`Simulation::rearm_fast`]; `None` once it has fired.
+    pub fn rearmed_at(&self) -> Option<SimTime> {
+        self.rearmed.map(|r| r.at)
+    }
+
     /// Cancel a pending event. Cancelling an already-fired or already-
     /// cancelled event is a no-op and returns `false`.
     pub fn cancel(&mut self, id: EventId) -> bool {
@@ -342,29 +392,46 @@ impl<W> Simulation<W> {
 
     /// Execute a single event. Returns `false` if the queue is empty.
     pub fn step(&mut self) -> bool {
-        while let Some(key) = self.heap.pop() {
-            if self.slots[key.slot as usize].gen != key.gen {
-                // Cancelled: the slot was released (and possibly reused)
-                // after this key was pushed.
-                continue;
+        let top = self.live_top();
+        if let Some(r) = self.rearmed {
+            if top.is_none_or(|k| (r.time, r.seq) < k.rank()) {
+                self.rearmed = None;
+                self.fire_fast(r.time, r.ev);
+                return true;
             }
-            debug_assert!(key.time >= self.now, "event queue went backwards");
-            self.now = key.time;
-            self.executed += 1;
-            self.live -= 1;
-            match self.release(key.slot) {
-                Payload::Closure(f) => f(self),
-                Payload::Fast(ev) => {
-                    let handler = self
-                        .fast_handler
-                        .expect("FastEvent fired with no handler installed");
-                    handler(self, ev);
-                }
-                Payload::Vacant(_) => unreachable!("live heap key pointed at a vacant slot"),
-            }
-            return true;
         }
-        false
+        let Some(key) = top else {
+            return false;
+        };
+        self.heap.pop();
+        match self.release(key.slot) {
+            Payload::Closure(f) => {
+                self.advance(key.time);
+                f(self);
+            }
+            Payload::Fast(ev) => self.fire_fast(key.time, ev),
+            Payload::Vacant(_) => unreachable!("live heap key pointed at a vacant slot"),
+        }
+        true
+    }
+
+    /// Move the clock to the firing event's `time` and count it executed.
+    #[inline]
+    fn advance(&mut self, time: SimTime) {
+        debug_assert!(time >= self.now, "event queue went backwards");
+        self.now = time;
+        self.executed += 1;
+        self.live -= 1;
+    }
+
+    /// Fire a fast event at `time` through the installed handler.
+    #[inline]
+    fn fire_fast(&mut self, time: SimTime, ev: FastEvent) {
+        self.advance(time);
+        let handler = self
+            .fast_handler
+            .expect("FastEvent fired with no handler installed");
+        handler(self, ev);
     }
 
     /// Run until the queue is exhausted.
@@ -372,16 +439,28 @@ impl<W> Simulation<W> {
         while self.step() {}
     }
 
-    /// Earliest pending event time, pruning stale (cancelled) heap keys off
-    /// the top along the way.
-    fn next_live_time(&mut self) -> Option<SimTime> {
-        while let Some(key) = self.heap.peek() {
+    /// The heap's earliest live key, pruning stale (cancelled) keys off the
+    /// top along the way.
+    #[inline]
+    fn live_top(&mut self) -> Option<HeapKey> {
+        while let Some(&key) = self.heap.peek() {
             if self.slots[key.slot as usize].gen == key.gen {
-                return Some(key.time);
+                return Some(key);
             }
+            // Cancelled: the slot was released (and possibly reused) after
+            // this key was pushed.
             self.heap.pop();
         }
         None
+    }
+
+    /// Earliest pending event time, the re-armable event included.
+    fn next_live_time(&mut self) -> Option<SimTime> {
+        let heap = self.live_top().map(|k| k.time);
+        match (heap, self.rearmed.map(|r| r.time)) {
+            (Some(a), Some(b)) => Some(a.min(b)),
+            (a, b) => a.or(b),
+        }
     }
 
     /// Run every event scheduled at or before `deadline`, then advance the
@@ -639,5 +718,107 @@ mod tests {
         sim.run();
         assert_eq!(*sim.state(), 500);
         assert_eq!(sim.events_pending(), 0);
+    }
+
+    /// Records `(label, now)` for every fast event: timers carry the label
+    /// in `a`, the re-armable poll in `token`.
+    fn record(sim: &mut Simulation<Vec<(u64, u64)>>, ev: FastEvent) {
+        let label = match ev {
+            FastEvent::Timer { a, .. } => a,
+            FastEvent::FlowDue { token } => token,
+            FastEvent::DeviceOp { req } => req,
+        };
+        let now = sim.now().as_secs();
+        sim.state_mut().push((label, now));
+    }
+
+    fn timer(label: u64) -> FastEvent {
+        FastEvent::Timer {
+            kind: 0,
+            a: label,
+            b: 0,
+        }
+    }
+
+    #[test]
+    fn rearmed_event_ties_rank_by_scheduling_order() {
+        let mut sim = Simulation::new(Vec::new());
+        sim.set_fast_handler(record);
+        let t = SimTime::from_secs(1);
+        sim.schedule_fast(t, timer(0));
+        sim.rearm_fast(t, FastEvent::FlowDue { token: 1 });
+        sim.schedule_fast(t, timer(2));
+        sim.schedule_at(t, |s| s.state_mut().push((3, 1)));
+        sim.run();
+        assert_eq!(sim.state(), &[(0, 1), (1, 1), (2, 1), (3, 1)]);
+
+        // Re-arming at the same instant takes a fresh sequence number, so
+        // the poll now ranks after the heap events scheduled before it.
+        let mut sim = Simulation::new(Vec::new());
+        sim.set_fast_handler(record);
+        sim.rearm_fast(t, FastEvent::FlowDue { token: 0 });
+        sim.schedule_fast(t, timer(1));
+        sim.rearm_fast(t, FastEvent::FlowDue { token: 2 });
+        sim.schedule_fast(t, timer(3));
+        assert_eq!(sim.events_pending(), 3);
+        sim.run();
+        assert_eq!(sim.state(), &[(1, 1), (2, 1), (3, 1)]);
+        assert_eq!(sim.events_executed(), 3);
+    }
+
+    #[test]
+    fn rearming_earlier_and_later_fires_once() {
+        let mut sim = Simulation::new(Vec::new());
+        sim.set_fast_handler(record);
+        sim.schedule_fast(SimTime::from_secs(5), timer(5));
+        sim.rearm_fast(SimTime::from_secs(7), FastEvent::FlowDue { token: 7 });
+        sim.rearm_fast(SimTime::from_secs(2), FastEvent::FlowDue { token: 2 });
+        assert_eq!(sim.rearmed_at(), Some(SimTime::from_secs(2)));
+        assert_eq!(sim.events_pending(), 2);
+        assert!(sim.step());
+        assert_eq!(sim.state(), &[(2, 2)]);
+        assert_eq!(sim.rearmed_at(), None);
+        assert_eq!(sim.events_pending(), 1);
+
+        // Later: past the heap event, which now fires first.
+        sim.rearm_fast(SimTime::from_secs(3), FastEvent::FlowDue { token: 3 });
+        sim.rearm_fast(SimTime::from_secs(8), FastEvent::FlowDue { token: 8 });
+        sim.run();
+        assert_eq!(sim.state(), &[(2, 2), (5, 5), (8, 8)]);
+        assert_eq!(sim.events_executed(), 3);
+        assert_eq!(sim.events_pending(), 0);
+    }
+
+    #[test]
+    fn rearming_in_the_past_fires_now_and_reports_the_armed_instant() {
+        let mut sim = Simulation::new(Vec::new());
+        sim.set_fast_handler(record);
+        sim.schedule_at(SimTime::from_secs(5), |s| {
+            s.rearm_fast(SimTime::from_secs(1), FastEvent::FlowDue { token: 1 });
+            assert_eq!(s.rearmed_at(), Some(SimTime::from_secs(1)));
+        });
+        sim.schedule_fast(SimTime::from_secs(6), timer(6));
+        sim.run();
+        assert_eq!(sim.state(), &[(1, 5), (6, 6)]);
+    }
+
+    #[test]
+    fn run_until_holding_only_the_rearmed_event() {
+        let mut sim = Simulation::new(Vec::new());
+        sim.set_fast_handler(record);
+        sim.rearm_fast(SimTime::from_secs(3), FastEvent::FlowDue { token: 3 });
+        sim.run_until(SimTime::from_secs(2));
+        assert!(sim.state().is_empty());
+        assert_eq!(sim.now(), SimTime::from_secs(2));
+        assert_eq!(sim.events_pending(), 1);
+        sim.run_until(SimTime::from_secs(3));
+        assert_eq!(sim.state(), &[(3, 3)]);
+        assert_eq!(sim.now(), SimTime::from_secs(3));
+        assert_eq!(sim.events_pending(), 0);
+        assert_eq!(sim.events_executed(), 1);
+        assert_eq!(sim.rearmed_at(), None);
+        sim.run_until(SimTime::from_secs(9));
+        assert_eq!(sim.now(), SimTime::from_secs(9));
+        assert!(!sim.step(), "nothing left to fire");
     }
 }

@@ -38,12 +38,16 @@
 //!   is separable across components, and the fill's outcome does not
 //!   depend on the order it collected a component in, so every rate equals,
 //!   bit for bit, what a fill seeded with every active channel gives;
+//! * a channel alone on every resource of its route (a small message
+//!   between otherwise quiet NICs, the common case) skips the search and
+//!   the round: its rate is its cap or its narrowest resource, whichever
+//!   is lower, exactly what one fill round computes;
 //! * the water-filling pass reuses persistent scratch buffers and removes
 //!   frozen channels by swap-remove instead of `retain`/`clone` per round;
 //! * `head_done` is refreshed only when the channel's rate actually changes
-//!   (compared within [`RATE_EPS`]) or its head segment changes, so an
-//!   arrival that leaves other NICs' shares untouched does not reschedule
-//!   their completions;
+//!   (compared within `RATE_EPS`, 10⁻⁶ bytes/sec) or its head segment
+//!   changes, so an arrival that leaves other NICs' shares untouched does
+//!   not reschedule their completions;
 //! * closing a channel removes its in-flight segments outright, so the
 //!   delivery heap never carries dead entries;
 //! * [`Network::poll`] fills a caller-owned buffer.
@@ -719,20 +723,22 @@ impl Network {
         if self.scratch.seeds.is_empty() {
             return;
         }
-        self.scratch.fill(&self.channels, &self.resources);
+        self.scratch.fill(&self.channels, &self.resources, true);
         for &(ci, rate) in &self.scratch.frozen {
             self.channels[ci as usize].set_rate(self.last_update, rate);
         }
     }
 
     /// The rate every channel would hold after a fill seeded with every
-    /// active channel, from the current state. Scoped recomputation must
-    /// leave exactly these rates; a read-only hook for tests.
+    /// active channel, from the current state, each component filled by
+    /// the general search and rounds (no lone-channel shortcut). Scoped
+    /// recomputation must leave exactly these rates; a read-only hook for
+    /// tests.
     #[doc(hidden)]
     pub fn full_waterfill_rates(&self) -> Vec<f64> {
         let mut fill = Waterfill::default();
         fill.seeds.extend_from_slice(&self.active);
-        fill.fill(&self.channels, &self.resources);
+        fill.fill(&self.channels, &self.resources, false);
         let mut channels = self.channels.clone();
         for &(ci, rate) in &fill.frozen {
             channels[ci as usize].set_rate(self.last_update, rate);
@@ -753,22 +759,60 @@ fn trunk_membership(src_rack: Option<u32>, dst_rack: Option<u32>) -> (Option<u32
     }
 }
 
+/// The rate of `ch` if it is alone on every resource of its route: the
+/// lesser of its cap and its narrowest resource, as the fill's single
+/// round would freeze it.
+fn lone_rate(ch: &Channel, resources: &[Resource]) -> Option<f64> {
+    let mut narrowest = f64::INFINITY;
+    for &r in ch.route.resources() {
+        let res = &resources[r as usize];
+        if res.users.len() != 1 {
+            return None;
+        }
+        narrowest = narrowest.min(res.bw);
+    }
+    let rate = match ch.cap {
+        Some(cap) if cap < narrowest => cap,
+        _ => narrowest,
+    };
+    Some(rate.max(0.0))
+}
+
 impl Waterfill {
     /// Water-fill the component of every active seed (its channels linked
     /// through shared resources), each on its own, leaving the new rates in
     /// `frozen`. Consumes the seeds.
-    fn fill(&mut self, channels: &[Channel], resources: &[Resource]) {
+    ///
+    /// With `lone_shortcut`, a seed alone on every resource of its route
+    /// freezes at once at its [`lone_rate`], skipping the search and the
+    /// round; the round would give it the same rate (`bw / 1.0 == bw`).
+    fn fill(&mut self, channels: &[Channel], resources: &[Resource], lone_shortcut: bool) {
         self.frozen.clear();
         self.epoch += 1;
         self.chan_seen.resize(channels.len(), 0);
         self.res.resize(resources.len(), ResFill::default());
         for i in 0..self.seeds.len() {
-            let seed = self.seeds[i] as usize;
+            let seed = self.seeds[i];
+            let ch = &channels[seed as usize];
             // A seed may have gone idle since it was pushed, or been reached
             // from an earlier seed.
-            if self.chan_seen[seed] != self.epoch && channels[seed].is_active() {
-                self.collect(seed as u32, channels, resources);
-                self.fill_component(channels);
+            if self.chan_seen[seed as usize] == self.epoch || !ch.is_active() {
+                continue;
+            }
+            let lone = if lone_shortcut {
+                lone_rate(ch, resources)
+            } else {
+                None
+            };
+            match lone {
+                Some(rate) => {
+                    self.chan_seen[seed as usize] = self.epoch;
+                    self.frozen.push((seed, rate));
+                }
+                None => {
+                    self.collect(seed, channels, resources);
+                    self.fill_component(channels);
+                }
             }
         }
         self.seeds.clear();
@@ -1315,6 +1359,54 @@ mod tests {
         assert!(!refilled(&net, a));
         let after = (net.channel_rate(a).to_bits(), net.channels[a.0].head_done);
         assert_eq!(before, after);
+    }
+
+    /// Send one small segment on a lone channel and check its rate against
+    /// `want` and, bit for bit, the general fill; the shortcut left the
+    /// search untouched.
+    fn check_lone_rate(net: &mut Network, ch: ChannelId, want: f64) {
+        net.send(net.last_update, ch, 1100, 0);
+        assert!(refilled(net, ch));
+        assert!(net.scratch.comp_res.is_empty(), "took the general fill");
+        assert_eq!(net.channel_rate(ch), want);
+        assert_eq!(
+            net.channel_rate(ch).to_bits(),
+            net.full_waterfill_rates()[ch.0].to_bits()
+        );
+    }
+
+    #[test]
+    fn lone_channel_capped_below_its_nic_runs_at_the_cap() {
+        let (mut net, a, b, _) = net3();
+        let ch = net.open_channel(a, b);
+        net.set_channel_cap(SimTime::ZERO, ch, Some(Bandwidth::mb_per_sec(12.5)));
+        check_lone_rate(&mut net, ch, 12.5e6);
+    }
+
+    #[test]
+    fn lone_channel_capped_above_its_nic_runs_at_the_nic() {
+        let mut net = Network::new(SimDuration::from_micros(50));
+        let a = net.add_symmetric_node(Bandwidth::gbps(1.0));
+        // The receiving NIC is the narrower resource.
+        let b = net.add_node(Bandwidth::gbps(1.0), Bandwidth::gbps(0.5));
+        let ch = net.open_channel(a, b);
+        net.set_channel_cap(SimTime::ZERO, ch, Some(Bandwidth::gbps(2.0)));
+        check_lone_rate(&mut net, ch, GBPS / 2.0);
+    }
+
+    #[test]
+    fn lone_channel_on_a_partitioned_nic_stalls() {
+        let (mut net, a, b, _) = net3();
+        let ch = net.open_channel(a, b);
+        net.set_channel_cap(SimTime::ZERO, ch, Some(Bandwidth::gbps(0.5)));
+        let zero = Bandwidth::bytes_per_sec(0.0);
+        net.set_node_bw(SimTime::ZERO, b, zero, zero);
+        check_lone_rate(&mut net, ch, 0.0);
+        assert_eq!(net.next_event_time(), None);
+        let gbps = Bandwidth::gbps(1.0);
+        net.set_node_bw(SimTime::from_secs(1), b, gbps, gbps);
+        assert_eq!(net.channel_rate(ch), GBPS / 2.0);
+        assert_eq!(drain(&mut net).len(), 1);
     }
 
     #[test]

@@ -301,6 +301,175 @@ fn slab_pop_order_matches_reference_heap_under_cancel() {
     }
 }
 
+/// World of the re-arm contract test: which poll discipline it uses, the
+/// RNG every firing event draws its follow-up operations from, and what
+/// has fired so far.
+struct RearmWorld {
+    /// `true`: the poll is the re-armable event. `false`: the reference
+    /// discipline, `cancel` of the pending poll plus `schedule_fast`.
+    rearm: bool,
+    rng: DetRng,
+    next_label: u64,
+    ids: Vec<agile_sim_core::EventId>,
+    /// The reference's pending poll and the instant it was armed for.
+    poll: Option<(agile_sim_core::EventId, SimTime)>,
+    fired: Vec<(u64, SimTime)>,
+}
+
+type RearmSim = Simulation<RearmWorld>;
+
+fn rearm_world(rearm: bool, seed: u64) -> RearmSim {
+    use agile_sim_core::FastEvent;
+    let mut sim = Simulation::new(RearmWorld {
+        rearm,
+        rng: DetRng::seed_from(seed),
+        next_label: 0,
+        ids: Vec::new(),
+        poll: None,
+        fired: Vec::new(),
+    });
+    sim.set_fast_handler(|sim, ev| match ev {
+        FastEvent::Timer { a, .. } => rearm_fire(sim, a),
+        FastEvent::FlowDue { token } => {
+            sim.state_mut().poll = None;
+            rearm_fire(sim, token);
+        }
+        FastEvent::DeviceOp { .. } => unreachable!("not scheduled"),
+    });
+    sim
+}
+
+/// Log the firing, then run zero to two random operations from it.
+fn rearm_fire(sim: &mut RearmSim, label: u64) {
+    let now = sim.now();
+    sim.state_mut().fired.push((label, now));
+    for _ in 0..sim.state_mut().rng.index(3) {
+        rearm_random_op(sim);
+    }
+}
+
+/// One random operation: schedule a fast or boxed event, cancel a heap
+/// event, or re-arm the poll — at the current instant (a tie), a little
+/// later, much later, or in the past.
+fn rearm_random_op(sim: &mut RearmSim) {
+    use agile_sim_core::FastEvent;
+    let now = sim.now();
+    let w = sim.state_mut();
+    let op = w.rng.index(8);
+    let delay_ms = match w.rng.index(4) {
+        0 => 0,
+        1 => w.rng.index(3),
+        _ => w.rng.index(50),
+    };
+    let at = if w.rng.chance(0.05) {
+        SimTime::ZERO
+    } else {
+        now + SimDuration::from_millis(delay_ms)
+    };
+    let label = w.next_label;
+    w.next_label += 1;
+    match op {
+        0 | 1 => {
+            let id = sim.schedule_fast(
+                at,
+                FastEvent::Timer {
+                    kind: 0,
+                    a: label,
+                    b: 0,
+                },
+            );
+            sim.state_mut().ids.push(id);
+        }
+        2 | 3 => {
+            let id = sim.schedule_at(at, move |s| rearm_fire(s, label));
+            sim.state_mut().ids.push(id);
+        }
+        4 => {
+            let w = sim.state_mut();
+            if !w.ids.is_empty() {
+                let k = w.rng.index(w.ids.len() as u64) as usize;
+                let id = w.ids.swap_remove(k);
+                sim.cancel(id);
+            }
+        }
+        _ => {
+            let ev = FastEvent::FlowDue { token: label };
+            if sim.state().rearm {
+                sim.rearm_fast(at, ev);
+            } else {
+                if let Some((old, _)) = sim.state_mut().poll.take() {
+                    sim.cancel(old);
+                }
+                let id = sim.schedule_fast(at, ev);
+                sim.state_mut().poll = Some((id, at));
+            }
+        }
+    }
+}
+
+/// The re-armable event fires, ranks and counts exactly as the
+/// `cancel` + `schedule_fast` discipline it replaces: under seeded
+/// interleavings of fast and boxed schedules, cancels and re-arms (from
+/// the top level and from inside firing events), driven by `step`,
+/// `run_until` and `run`, the firing sequence, the clock, the executed
+/// and pending counts and the armed instant are identical after every
+/// operation.
+#[test]
+fn rearmed_poll_matches_cancel_and_reschedule() {
+    fn same(a: &RearmSim, b: &RearmSim, case: u64, step: usize) {
+        let w = (a.state(), b.state());
+        assert_eq!(
+            w.0.fired, w.1.fired,
+            "case {case} step {step}: firing order"
+        );
+        assert_eq!(a.now(), b.now(), "case {case} step {step}: clock");
+        assert_eq!(
+            a.events_executed(),
+            b.events_executed(),
+            "case {case} step {step}: executed"
+        );
+        assert_eq!(
+            a.events_pending(),
+            b.events_pending(),
+            "case {case} step {step}: pending"
+        );
+        assert_eq!(
+            a.rearmed_at(),
+            w.1.poll.map(|(_, at)| at),
+            "case {case} step {step}: armed instant"
+        );
+    }
+
+    for case in 0..200u64 {
+        let seed = 0xe9e9 * 29 + case;
+        let mut driver = DetRng::seed_from(seed ^ 0x5555);
+        let mut fast = rearm_world(true, seed);
+        let mut reference = rearm_world(false, seed);
+        for step in 0..400 {
+            match driver.index(8) {
+                0..=4 => assert_eq!(fast.step(), reference.step(), "case {case} step {step}"),
+                5 => {
+                    let to = fast.now() + SimDuration::from_millis(driver.index(20));
+                    fast.run_until(to);
+                    reference.run_until(to);
+                }
+                _ => {
+                    rearm_random_op(&mut fast);
+                    rearm_random_op(&mut reference);
+                }
+            }
+            same(&fast, &reference, case, step);
+        }
+        fast.run();
+        reference.run();
+        same(&fast, &reference, case, usize::MAX);
+        assert!(
+            fast.state().fired.len() > 100,
+            "case {case}: too few events"
+        );
+    }
+}
+
 /// Max-min allocation never exceeds any NIC's capacity.
 #[test]
 fn network_rates_respect_capacity() {

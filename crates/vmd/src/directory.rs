@@ -179,7 +179,7 @@ struct NsTable {
 
 /// Cluster-wide namespace metadata.
 ///
-/// Placements live in one dense [`NsTable`] per namespace, indexed by
+/// Placements live in one dense `NsTable` per namespace, indexed by
 /// `NamespaceId.0` (ids come from [`VmdDirectory::create_namespace`]'s
 /// counter) and then by slot. **Precondition:** slots are handed out
 /// densely — each namespace's slots come from its lowest-free

@@ -59,7 +59,7 @@ pub enum TierBacking {
     /// Raw server DRAM: nothing beyond the server's lookup delay.
     Dram,
     /// The host's shared SSD block device: accesses queue on the real
-    /// [`agile_memory::BlockDevice`], so contention and queueing delays
+    /// [`agile_sim_core::BlockDevice`], so contention and queueing delays
     /// emerge (the default stack's disk tier).
     HostSsd,
     /// A fixed-function device — zswap codec, CXL far memory: every
